@@ -14,6 +14,7 @@ import (
 	"netsamp/internal/daemon"
 	"netsamp/internal/faults"
 	"netsamp/internal/ingest"
+	"netsamp/internal/supervise"
 )
 
 // cmdServe runs the monitoring control loop as a supervised, crash-safe
@@ -125,7 +126,7 @@ func cmdServe(args []string) error {
 		logf("ingest: listening on %s (%d shards, ring %d, policy %s)", col.Addr(), col.Shards(), *ingestRing, policy)
 		cfg.LossProbe = col.LossFraction
 	}
-	sup := &daemon.Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: *maxFailures,
 		Backoff:     *backoff,
 		MaxBackoff:  *maxBackoff,

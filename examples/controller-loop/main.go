@@ -16,12 +16,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"netsamp"
-	"netsamp/internal/control"
-	"netsamp/internal/core"
 	"netsamp/internal/rng"
 )
 
@@ -31,8 +30,8 @@ func main() {
 		log.Fatal(err)
 	}
 	inv := s.UtilityParams(300)
-	ctl, err := control.New(control.Options{
-		Budget:      core.BudgetPerInterval(100000, 300),
+	ctl, err := netsamp.NewController(netsamp.ControllerOptions{
+		Budget:      netsamp.BudgetPerInterval(100000, 300),
 		SmoothAlpha: 0.4,  // EWMA over ~2.5 intervals
 		SwitchGain:  0.01, // change the set only for ≥1% objective gain
 	})
@@ -70,7 +69,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		d, err := ctl.Step(matrix, loads, candidates, inv)
+		d, err := ctl.StepResilient(context.Background(), netsamp.ControllerStepInput{
+			Matrix:     matrix,
+			Loads:      loads,
+			Candidates: candidates,
+			InvSizes:   inv,
+		})
 		if err != nil {
 			log.Fatal(err)
 		}

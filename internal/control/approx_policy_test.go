@@ -68,7 +68,7 @@ func TestDeadlinePolicyFallsBackToApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestDeadlinePolicyFallsBackToApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ed, err := exactC.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	ed, err := step(exactC, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDeadlinePolicyPrefersExactWhenCheap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestDeadlinePolicyInertWithoutTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDeadlinePolicyDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+		d, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -288,8 +288,8 @@ var errInjectedSolve = errors.New("control: injected solver failure")
 // StepInput gathers one interval's observations for StepResilient.
 type StepInput struct {
 	// Matrix, Loads, Candidates and InvSizes are the interval's routing
-	// matrix, raw per-link packet rates, monitorable link set and
-	// per-pair E[1/S_k] — as in Step.
+	// matrix, raw per-link packet rates (indexed by LinkID), monitorable
+	// link set and per-pair E[1/S_k].
 	Matrix     *routing.Matrix
 	Loads      []float64
 	Candidates []topology.LinkID
@@ -332,33 +332,16 @@ type StepInput struct {
 	Delay time.Duration
 }
 
-// Step ingests one interval's routing matrix, raw link loads (indexed by
-// LinkID) and per-pair utility parameters, and returns the plan to
-// deploy. candidates is the monitorable link set for this interval.
-func (c *Controller) Step(matrix *routing.Matrix, loads []float64, candidates []topology.LinkID, invSizes []float64) (*Decision, error) {
-	return c.StepContext(context.Background(), matrix, loads, candidates, invSizes, 0)
-}
-
-// StepContext is Step with cancellation. The interval's two solves — the
-// unconstrained optimum and the retained-set re-tune the hysteresis rule
-// compares it against — are independent, so they run as concurrent
-// engine jobs.
-func (c *Controller) StepContext(ctx context.Context, matrix *routing.Matrix, loads []float64, candidates []topology.LinkID, invSizes []float64, workers int) (*Decision, error) {
-	return c.StepResilient(ctx, StepInput{
-		Matrix:     matrix,
-		Loads:      loads,
-		Candidates: candidates,
-		InvSizes:   invSizes,
-		Workers:    workers,
-	})
-}
-
-// StepResilient is the full controller step: StepContext plus the
-// failure model. Monitors listed in in.Down are excluded from the
-// optimization (and re-enter only after ReviveAfter consecutive healthy
-// intervals); a solver failure or SolveTimeout overrun degrades to the
-// last known-good plan restricted to surviving monitors and rescaled so
-// Σ p_i·U_i ≤ θ still holds against the controller's load estimate.
+// StepResilient is the controller's one entry point: it ingests one
+// interval's observations and returns the plan to deploy. The interval's
+// two solves — the unconstrained optimum and the retained-set re-tune
+// the hysteresis rule compares it against — are independent, so they run
+// as concurrent engine jobs. Monitors listed in in.Down are excluded
+// from the optimization (and re-enter only after ReviveAfter consecutive
+// healthy intervals); a solver failure or SolveTimeout overrun degrades
+// to the last known-good plan restricted to surviving monitors and
+// rescaled so Σ p_i·U_i ≤ θ still holds against the controller's load
+// estimate.
 func (c *Controller) StepResilient(ctx context.Context, in StepInput) (*Decision, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("control: step aborted: %w", err)
@@ -509,7 +492,7 @@ func (c *Controller) StepResilient(ctx context.Context, in StepInput) (*Decision
 			for j, lid := range cands {
 				prev[j] = c.lastGood[lid]
 			}
-			if warm, werr := core.WarmStartRates(prev, comp.Problem(), nil); werr == nil {
+			if warm, werr := comp.Solver().WarmStart(&core.Solution{Rates: prev}, nil); werr == nil {
 				opt.Initial = warm
 			}
 		}

@@ -20,6 +20,12 @@ func setup(t *testing.T) (*geant.Scenario, []float64) {
 	return s, s.UtilityParams(300)
 }
 
+// step runs one plain interval: the four observations every interval
+// has, default workers, nothing down and nothing injected.
+func step(c *Controller, m *routing.Matrix, loads []float64, cands []topology.LinkID, inv []float64) (*Decision, error) {
+	return c.StepResilient(context.Background(), StepInput{Matrix: m, Loads: loads, Candidates: cands, InvSizes: inv})
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{Budget: 0}); err == nil {
 		t.Fatal("zero budget accepted")
@@ -38,7 +44,7 @@ func TestFirstStepAdopts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestHysteresisKeepsSetUnderNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
+	if _, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
 		t.Fatal(err)
 	}
 	first := c.ActiveSet()
@@ -74,7 +80,7 @@ func TestHysteresisKeepsSetUnderNoise(t *testing.T) {
 		for j, u := range s.Loads {
 			loads[j] = u * (0.95 + 0.1*r.Float64())
 		}
-		d, err := c.Step(s.Matrix, loads, s.MonitorLinks, inv)
+		d, err := step(c, s.Matrix, loads, s.MonitorLinks, inv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +106,7 @@ func TestSwitchOnStructuralChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
+	if _, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
 		t.Fatal(err)
 	}
 	// Fail FR-CH: routing changes, pair coverage moves — the controller
@@ -124,7 +130,7 @@ func TestSwitchOnStructuralChange(t *testing.T) {
 			candidates = append(candidates, lid)
 		}
 	}
-	d, err := c.Step(matrix, s.Loads, candidates, inv)
+	d, err := step(c, matrix, s.Loads, candidates, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +147,11 @@ func TestNoHysteresisAlwaysAdoptsOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d1, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv)
+	d2, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +174,7 @@ func TestEWMASmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Step(s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
+	if _, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
 		t.Fatal(err)
 	}
 	// A 10x load spike, heavily smoothed: effective loads move ~1.9x
@@ -177,7 +183,7 @@ func TestEWMASmoothing(t *testing.T) {
 	for i, u := range s.Loads {
 		spiked[i] = 10 * u
 	}
-	d, err := c.Step(s.Matrix, spiked, s.MonitorLinks, inv)
+	d, err := step(c, s.Matrix, spiked, s.MonitorLinks, inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +242,7 @@ func TestSwitchWhenRetainedSetLosesCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Interval 0: path A->B->C; candidates are those two links.
-	d0, err := ctl.Step(m1, loads, []topology.LinkID{ab, bc}, []float64{0.001})
+	d0, err := step(ctl, m1, loads, []topology.LinkID{ab, bc}, []float64{0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +257,7 @@ func TestSwitchWhenRetainedSetLosesCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, err := ctl.Step(m2, loads, []topology.LinkID{ac}, []float64{0.001})
+	d1, err := step(ctl, m2, loads, []topology.LinkID{ac}, []float64{0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,16 +275,16 @@ func TestStepEmptyCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Step(s.Matrix, s.Loads, nil, inv); err == nil {
+	if _, err := step(ctl, s.Matrix, s.Loads, nil, inv); err == nil {
 		t.Fatal("empty candidate set accepted")
 	}
 }
 
-// TestStepContextMatchesStep: the concurrent two-solve StepContext path
-// must make the same decisions as the sequential Step wrapper — the
-// parallel full/retained solves share no state and float work is
-// aggregated deterministically.
-func TestStepContextMatchesStep(t *testing.T) {
+// TestStepWorkerCountDeterministic: the interval's full and retained
+// solves run as concurrent engine jobs; the decisions must not depend on
+// how many workers run them — the solves share no state and float work
+// is aggregated deterministically.
+func TestStepWorkerCountDeterministic(t *testing.T) {
 	s, inv := setup(t)
 	mk := func() *Controller {
 		c, err := New(Options{
@@ -298,11 +304,13 @@ func TestStepContextMatchesStep(t *testing.T) {
 		for j, u := range s.Loads {
 			loads[j] = u * (0.9 + 0.2*r.Float64())
 		}
-		da, err := a.Step(s.Matrix, loads, s.MonitorLinks, inv)
+		da, err := step(a, s.Matrix, loads, s.MonitorLinks, inv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := b.StepContext(context.Background(), s.Matrix, loads, s.MonitorLinks, inv, 2)
+		db, err := b.StepResilient(context.Background(), StepInput{
+			Matrix: s.Matrix, Loads: loads, Candidates: s.MonitorLinks, InvSizes: inv, Workers: 2,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,8 +326,9 @@ func TestStepContextMatchesStep(t *testing.T) {
 	}
 }
 
-// TestStepContextCancelled: a cancelled context aborts the interval.
-func TestStepContextCancelled(t *testing.T) {
+// TestStepResilientCancelled: an already-cancelled context aborts the
+// interval before any state moves.
+func TestStepResilientCancelled(t *testing.T) {
 	s, inv := setup(t)
 	c, err := New(Options{Budget: core.BudgetPerInterval(100000, 300)})
 	if err != nil {
@@ -327,7 +336,11 @@ func TestStepContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.StepContext(ctx, s.Matrix, s.Loads, s.MonitorLinks, inv, 0); !errors.Is(err, context.Canceled) {
+	in := StepInput{Matrix: s.Matrix, Loads: s.Loads, Candidates: s.MonitorLinks, InvSizes: inv}
+	if _, err := c.StepResilient(ctx, in); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if c.Steps() != 0 {
+		t.Fatalf("aborted interval counted as step %d", c.Steps())
 	}
 }

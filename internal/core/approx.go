@@ -72,10 +72,9 @@ func (s *Solver) SolveApproxInto(sol *Solution, opt ApproxOptions) error {
 	if !s.model.Additive() {
 		return errApproxNotAdditive(s.model)
 	}
-	p := s.p
 	n := s.n
 	rates := s.rates
-	if err := initialPointInto(p, Options{Initial: opt.Initial}, rates); err != nil {
+	if err := s.initialPointInto(Options{Initial: opt.Initial}, rates); err != nil {
 		return err
 	}
 	g, v, d := s.g, s.sdir, s.d
@@ -87,7 +86,7 @@ func (s *Solver) SolveApproxInto(sol *Solution, opt ApproxOptions) error {
 		stats.Iterations = it
 		s.gradient(rates, g)
 		gap = s.lmoInto(g, rates, v)
-		obj := s.objectiveCSR(rates)
+		obj := s.objective(rates)
 		if gap <= gapTol*math.Max(1, math.Abs(obj)) {
 			stats.Converged = true
 			break
@@ -109,12 +108,12 @@ func (s *Solver) SolveApproxInto(sol *Solution, opt ApproxOptions) error {
 			if rates[i] < 0 {
 				rates[i] = 0
 			}
-			if a := p.alpha(i); rates[i] > a {
+			if a := s.alpha[i]; rates[i] > a {
 				rates[i] = a
 			}
 		}
 	}
-	syncActive(p, rates, s.lower, s.upper)
+	s.syncActive(rates, s.lower, s.upper)
 	s.gradient(rates, g)
 	s.finishInto(sol, rates, g, stats, stats.Converged)
 	sol.Approx = true
@@ -133,17 +132,6 @@ func errApproxNotAdditive(m RateModel) error {
 	}
 }
 
-// objectiveCSR returns Σ_k w_k·M_k(ρ_k) at rates over the compiled
-// incidence.
-//netsamp:noalloc
-func (s *Solver) objectiveCSR(rates []float64) float64 {
-	obj := 0.0
-	for k := 0; k < s.nPairs; k++ {
-		obj += s.wts[k] * s.utils[k].Value(s.rho(k, rates))
-	}
-	return obj
-}
-
 // lmoInto solves the linear maximization over the knapsack relaxation of
 // the feasible set, writes the maximizing vertex into v, and returns the
 // duality gap ⟨g, v − x⟩. Links are filled in descending g_i/U_i order
@@ -152,7 +140,6 @@ func (s *Solver) objectiveCSR(rates []float64) float64 {
 // budget.
 //netsamp:noalloc
 func (s *Solver) lmoInto(g, x, v []float64) float64 {
-	p := s.p
 	n := s.n
 	idx := s.lmoIdx[:0]
 	ratio := s.lmoRatio
@@ -160,17 +147,17 @@ func (s *Solver) lmoInto(g, x, v []float64) float64 {
 		v[i] = 0
 		if g[i] > 0 {
 			idx = append(idx, int32(i))
-			ratio[i] = g[i] / p.Loads[i]
+			ratio[i] = g[i] / s.loads[i]
 		}
 	}
 	// Ascending heapsort by ratio (deterministic for fixed inputs), then
 	// fill the budget from the top end.
 	heapsortByKey(idx, ratio)
-	rem := p.Budget
+	rem := s.budget
 	for j := len(idx) - 1; j >= 0 && rem > 0; j-- {
 		i := int(idx[j])
-		u := p.Loads[i]
-		take := p.alpha(i)
+		u := s.loads[i]
+		take := s.alpha[i]
 		if take*u > rem {
 			take = rem / u
 		}

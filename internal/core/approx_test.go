@@ -81,7 +81,7 @@ func TestSolveApproxGapSoundness(t *testing.T) {
 		// on links no pair traverses).
 		spend := 0.0
 		for i, rate := range apx.Rates {
-			a := p.alpha(i)
+			a := capAt(p.MaxRate, i)
 			if rate < -1e-12 || rate > a+1e-12 {
 				t.Fatalf("trial %d: rate[%d] = %v outside [0, %v]", trial, i, rate, a)
 			}

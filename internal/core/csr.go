@@ -41,13 +41,11 @@ type CSRProblem struct {
 func (p *CSRProblem) NumPairs() int { return len(p.Start) - 1 }
 
 // NewSolverCSR validates p and compiles it into a Solver workspace.
-// The returned Solver behaves exactly like one built by NewSolver on the
-// equivalent []Pair form — same kernels, bitwise-identical arithmetic —
-// but takes ownership of the Start/Links/Fracs/Utilities slices instead
-// of copying rows (the caller must not mutate them afterwards). Loads
-// and MaxRate are cloned as usual, so re-tuning never touches caller
-// memory. Solver.Problem().Pairs is nil for a CSR-compiled solver;
-// the Pair-walking helpers (SolveMaxMin and friends) need NewSolver.
+// The returned Solver is the one NewSolver builds from the equivalent
+// []Pair form (both end in the same compile step), but takes ownership
+// of the Start/Links/Fracs/Utilities slices instead of copying rows
+// (the caller must not mutate them afterwards). Loads and MaxRate are
+// cloned as usual, so re-tuning never touches caller memory.
 func NewSolverCSR(p *CSRProblem) (*Solver, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil CSR problem")
@@ -59,21 +57,12 @@ func NewSolverCSR(p *CSRProblem) (*Solver, error) {
 	if p.MaxRate != nil && len(p.MaxRate) != n {
 		return nil, fmt.Errorf("core: MaxRate has %d entries for %d links", len(p.MaxRate), n)
 	}
-	prob := Problem{
-		Loads:   append([]float64(nil), p.Loads...),
-		MaxRate: p.MaxRate,
-		Budget:  p.Budget,
-		Model:   p.Model,
-	}
-	if prob.MaxRate != nil {
-		prob.MaxRate = append([]float64(nil), p.MaxRate...)
-	}
 	maxSampled := 0.0
-	for i, u := range prob.Loads {
+	for i, u := range p.Loads {
 		if !(u > 0) || math.IsInf(u, 0) {
 			return nil, invalidInput("load of link", i, u, "want a finite value > 0")
 		}
-		a := prob.alpha(i)
+		a := capAt(p.MaxRate, i)
 		if !(a > 0 && a <= 1) {
 			return nil, invalidInput("max rate of link", i, a, "want (0, 1]")
 		}
@@ -104,8 +93,8 @@ func NewSolverCSR(p *CSRProblem) (*Solver, error) {
 		if len(p.Fracs) != len(p.Links) {
 			return nil, fmt.Errorf("core: %d fractions for %d CSR entries", len(p.Fracs), len(p.Links))
 		}
-		if !prob.model().SupportsFracs() {
-			return nil, fmt.Errorf("core: the %s rate model requires single-path routing (no fractions)", prob.model().Name())
+		if m := modelOrLinear(p.Model); !m.SupportsFracs() {
+			return nil, fmt.Errorf("core: the %s rate model requires single-path routing (no fractions)", m.Name())
 		}
 	}
 	// Stamp-array duplicate scan, exactly like Problem.Validate but over
@@ -147,26 +136,7 @@ func NewSolverCSR(p *CSRProblem) (*Solver, error) {
 			}
 		}
 	}
-	s := &Solver{
-		prob:   prob,
-		n:      n,
-		nPairs: nPairs,
-		start:  p.Start,
-		links:  p.Links,
-		fracs:  p.Fracs,
-		utils:  p.Utilities,
-		wts:    make([]float64, nPairs),
-	}
-	for k := 0; k < nPairs; k++ {
-		w := 1.0
-		if p.Weights != nil && p.Weights[k] > 0 {
-			w = p.Weights[k]
-		}
-		s.wts[k] = w
-	}
-	s.baseWts = append([]float64(nil), s.wts...)
-	s.initScratch()
-	return s, nil
+	return compile(p), nil
 }
 
 // NNZ reports the number of (pair, link) incidences in the compiled

@@ -50,49 +50,6 @@ func TestFractionalEffectiveRate(t *testing.T) {
 	}
 }
 
-func TestFractionalGradientMatchesFiniteDifference(t *testing.T) {
-	p := &Problem{
-		Loads:  []float64{500, 900, 1300},
-		Budget: 5,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Fracs: []float64{0.5, 0.5}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1, 2}, Fracs: []float64{0.25, 0.75}, Utility: MustSRE(0.001)},
-		},
-	}
-	rates := []float64{0.004, 0.003, 0.002}
-	g := make([]float64, 3)
-	p.Gradient(rates, g)
-	for i := range rates {
-		h := 1e-8
-		up := append([]float64(nil), rates...)
-		dn := append([]float64(nil), rates...)
-		up[i] += h
-		dn[i] -= h
-		fd := (p.Objective(up) - p.Objective(dn)) / (2 * h)
-		if math.Abs(fd-g[i])/math.Max(math.Abs(g[i]), 1e-9) > 1e-4 {
-			t.Fatalf("gradient[%d] = %v, finite diff %v", i, g[i], fd)
-		}
-	}
-	// Line derivatives along a budget-neutral direction.
-	s := []float64{0.001, -0.0005, 0.0002}
-	d1, d2 := p.lineDerivs(rates, s, 0.1)
-	h := 1e-7
-	shifted := func(tt float64) float64 {
-		x := append([]float64(nil), rates...)
-		for i := range x {
-			x[i] += tt * s[i]
-		}
-		return p.Objective(x)
-	}
-	fd1 := (shifted(0.1+h) - shifted(0.1-h)) / (2 * h)
-	if math.Abs(fd1-d1)/math.Max(math.Abs(d1), 1e-9) > 1e-4 {
-		t.Fatalf("lineDeriv = %v, finite diff %v", d1, fd1)
-	}
-	if d2 >= 0 {
-		t.Fatalf("line curvature %v, want < 0", d2)
-	}
-}
-
 // TestSolveECMPEquivalence: a pair split 50/50 over two identical
 // parallel links must receive equal rates on both, and its effective
 // rate must equal what a single-path pair would get at the same cost.

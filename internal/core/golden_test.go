@@ -1,0 +1,151 @@
+package core
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"netsamp/internal/engine"
+	"netsamp/internal/geant"
+)
+
+// Golden bits: FNV-64a over the IEEE-754 bit patterns of a solve's
+// Rates, Rho and Lambda. The hashes were recorded before the kernels
+// were collapsed onto one compiled form, so any change that reorders a
+// float addition anywhere between the front doors and the Solution —
+// not just one the solver's own cross-checks would catch, since those
+// compare the code against itself — fails here.
+
+func solutionBits(sol *Solution) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, v := range sol.Rates {
+		put(v)
+	}
+	for _, v := range sol.Rho {
+		put(v)
+	}
+	put(sol.Lambda)
+	return h.Sum64()
+}
+
+// geantProblem is the paper's Table I instance: the JANET task on the
+// GEANT candidate set at θ = 100000 packets per 5-minute interval, built
+// by hand because plan.Build would be an import cycle from here.
+func geantProblem(t *testing.T, model RateModel) *Problem {
+	t.Helper()
+	s, err := geant.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := make(map[int]int, len(s.MonitorLinks))
+	p := &Problem{Budget: BudgetPerInterval(100000, 300), Model: model}
+	for _, lid := range s.MonitorLinks {
+		index[int(lid)] = len(p.Loads)
+		p.Loads = append(p.Loads, s.Loads[lid])
+	}
+	inv := s.UtilityParams(300)
+	for k, pr := range s.Matrix.Pairs {
+		var links []int
+		for _, lid := range s.Matrix.Rows[k] {
+			if i, ok := index[int(lid)]; ok {
+				links = append(links, i)
+			}
+		}
+		p.Pairs = append(p.Pairs, Pair{Name: pr.Name, Links: links, Utility: MustSRE(inv[k])})
+	}
+	return p
+}
+
+// goldenArch skips the golden tests where the compiler may fuse x*y+z
+// into one rounding (arm64, ppc64, s390x): the hashes are amd64's.
+func goldenArch(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden bits recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
+	}
+}
+
+func TestGoldenBitsGEANT(t *testing.T) {
+	goldenArch(t)
+	want := map[string]uint64{
+		"linear":            0x2a3efdd3e782197f,
+		"independent-exact": 0xaca8dac9ede0c8cb,
+		"coordinated":       0x2a3efdd3e782197f, // same surrogate as linear
+	}
+	for _, m := range []RateModel{ModelLinear, ModelIndependentExact, ModelCoordinated} {
+		sol, err := Solve(geantProblem(t, m), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sol.Stats.Converged {
+			t.Fatalf("%s: did not converge", m.Name())
+		}
+		if got := solutionBits(sol); got != want[m.Name()] {
+			t.Errorf("%s: solution bits %#016x, want %#016x", m.Name(), got, want[m.Name()])
+		}
+	}
+}
+
+// TestGoldenBitsScale: ECMP instances from the scale generator, solved
+// serial, sharded and through the Frank-Wolfe path. The 300-link
+// instance fits one shard chunk; the 1000-link one splits into several,
+// where the sharded reduction groups additions differently from the
+// serial sweep — different bits, but fixed ones, at any worker count.
+func TestGoldenBitsScale(t *testing.T) {
+	goldenArch(t)
+	// maxIter 0 solves to convergence; the multi-chunk solves are cut
+	// short (the bits of a truncated trajectory are just as fixed).
+	type instance struct{ links, pairs, maxIter int }
+	small, multi := instance{300, 2550, 0}, instance{1000, 9000, 24}
+	for _, c := range []struct {
+		name    string
+		inst    instance
+		workers int
+		approx  bool
+		want    uint64
+	}{
+		{"serial", small, 0, false, 0x3b71d4461575a9ab},
+		{"sharded-2", small, 2, false, 0x3b71d4461575a9ab},
+		{"sharded-5", small, 5, false, 0x3b71d4461575a9ab},
+		{"approx", small, 0, true, 0x5828b19ec6d5ac01},
+		{"multi-chunk/serial", multi, 0, false, 0x700c1e4050e2b636},
+		{"multi-chunk/sharded-2", multi, 2, false, 0xb7b3cf68671ef087},
+		{"multi-chunk/sharded-5", multi, 5, false, 0xb7b3cf68671ef087},
+		{"multi-chunk/approx-sharded-2", multi, 2, true, 0x2360dcded60580a6},
+	} {
+		if raceTest && c.inst == multi {
+			continue // minutes under the race detector; the small cases cover the kernels
+		}
+		sol := func() *Solution {
+			s, err := NewSolverCSR(csrFromInstance(t, genInstance(t, c.inst.links, c.inst.pairs, 7, true), 0.1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.workers > 0 {
+				pool := engine.NewPool(c.workers)
+				defer pool.Close()
+				s.Shard(pool)
+			}
+			var sol *Solution
+			if c.approx {
+				sol, err = s.SolveApprox(ApproxOptions{MaxIter: 60})
+			} else {
+				sol, err = s.Solve(Options{MaxIter: c.inst.maxIter})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sol
+		}()
+		if got := solutionBits(sol); got != c.want {
+			t.Errorf("%s: solution bits %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}

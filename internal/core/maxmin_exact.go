@@ -38,8 +38,8 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if !p.model().Additive() {
-		return nil, fmt.Errorf("core: SolveMaxMinExact requires an additive rate model, not %s", p.model().Name())
+	if m := modelOrLinear(p.Model); !m.Additive() {
+		return nil, fmt.Errorf("core: SolveMaxMinExact requires an additive rate model, not %s", m.Name())
 	}
 	if tol <= 0 {
 		tol = 1e-9
@@ -83,7 +83,7 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 			row[i] = 1
 			a = append(a, row)
 			rel = append(rel, lp.LE)
-			b = append(b, p.alpha(i))
+			b = append(b, capAt(p.MaxRate, i))
 		}
 		x, obj, st, err := lp.Solve(c, a, rel, b)
 		if err != nil {
@@ -133,13 +133,13 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 		// Find τ with Σ_i min(α_i·U_i, r_i·U_i + τ) − r_i·U_i = leftover.
 		loT, hiT := 0.0, 0.0
 		for i := range bestRates {
-			hiT = math.Max(hiT, p.alpha(i)*p.Loads[i])
+			hiT = math.Max(hiT, capAt(p.MaxRate, i)*p.Loads[i])
 		}
 		add := func(tau float64) float64 {
 			s := 0.0
 			for i, r := range bestRates {
 				cur := r * p.Loads[i]
-				cap := p.alpha(i) * p.Loads[i]
+				cap := capAt(p.MaxRate, i) * p.Loads[i]
 				s += math.Min(cap, cur+tau) - cur
 			}
 			return s
@@ -155,7 +155,7 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 		tau := (loT + hiT) / 2
 		for i := range bestRates {
 			cur := bestRates[i] * p.Loads[i]
-			cap := p.alpha(i) * p.Loads[i]
+			cap := capAt(p.MaxRate, i) * p.Loads[i]
 			bestRates[i] = math.Min(cap, cur+tau) / p.Loads[i]
 		}
 	}

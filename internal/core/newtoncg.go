@@ -43,13 +43,12 @@ func (s *Solver) newtonCGInto(out, rates, g []float64, nf int) bool {
 		// first-order direction rather than crash if it ever happens.
 		return false
 	}
-	p := s.p
 	n := s.n
 	s.curvFill(rates)
 	uu := 0.0
 	for i := 0; i < n; i++ {
 		if s.freePos[i] >= 0 {
-			uu += p.Loads[i] * p.Loads[i]
+			uu += s.loads[i] * s.loads[i]
 		}
 	}
 	if !(uu > 0) {
@@ -124,17 +123,16 @@ func (s *Solver) newtonCGInto(out, rates, g []float64, nf int) bool {
 // are kept at zero by the callers).
 //netsamp:noalloc
 func (s *Solver) projectFree(v []float64, uu float64) {
-	p := s.p
 	num := 0.0
 	for i := 0; i < s.n; i++ {
 		if s.freePos[i] >= 0 {
-			num += p.Loads[i] * v[i]
+			num += s.loads[i] * v[i]
 		}
 	}
 	tau := num / uu
 	for i := 0; i < s.n; i++ {
 		if s.freePos[i] >= 0 {
-			v[i] -= tau * p.Loads[i]
+			v[i] -= tau * s.loads[i]
 		}
 	}
 }
@@ -144,11 +142,19 @@ func (s *Solver) projectFree(v []float64, uu float64) {
 // then run on pure float arithmetic.
 //netsamp:noalloc
 func (s *Solver) curvFill(rates []float64) {
-	if s.sh.pool != nil {
-		s.shardCurvFill(rates)
+	if s.sh.pool == nil {
+		s.curvRange(0, s.nPairs, rates)
 		return
 	}
-	for k := 0; k < s.nPairs; k++ {
+	// Chunks write disjoint s.curv ranges, so there is no reduction.
+	s.sh.vecA = rates
+	s.dispatch(shardTaskCurv)
+}
+
+// curvRange fills s.curv over the pairs [kLo, kHi).
+//netsamp:noalloc
+func (s *Solver) curvRange(kLo, kHi int, rates []float64) {
+	for k := kLo; k < kHi; k++ {
 		s.curv[k] = s.wts[k] * s.utils[k].Curv(s.rho(k, rates))
 	}
 }
@@ -159,14 +165,16 @@ func (s *Solver) curvFill(rates []float64) {
 // zeroed on them afterwards.
 //netsamp:noalloc
 func (s *Solver) hessMulInto(v, out []float64) {
-	if s.sh.pool != nil {
-		s.shardHessMul(v, out)
-		return
-	}
 	for i := range out {
 		out[i] = 0
 	}
-	s.hessMulRange(0, s.nPairs, v, out)
+	if s.sh.pool == nil {
+		s.hessMulRange(0, s.nPairs, v, out)
+	} else {
+		s.sh.vecB = v
+		s.dispatch(shardTaskHess)
+		s.reducePartials(out)
+	}
 	for i := 0; i < s.n; i++ {
 		if s.freePos[i] < 0 {
 			out[i] = 0
@@ -175,7 +183,7 @@ func (s *Solver) hessMulInto(v, out []float64) {
 }
 
 // hessMulRange accumulates the pairs [kLo, kHi)'s Hessian-product terms
-// into out — the shared inner kernel of the serial and sharded paths.
+// into out.
 //netsamp:noalloc
 func (s *Solver) hessMulRange(kLo, kHi int, v, out []float64) {
 	for k := kLo; k < kHi; k++ {

@@ -24,14 +24,6 @@ type Pair struct {
 	Weight float64
 }
 
-// weight returns the effective objective weight of the pair.
-func (pr *Pair) weight() float64 {
-	if pr.Weight <= 0 {
-		return 1
-	}
-	return pr.Weight
-}
-
 // Problem is an instance of the network-wide sampling problem over a
 // candidate monitor set of n links indexed 0..n-1.
 //
@@ -56,15 +48,6 @@ type Problem struct {
 	Model RateModel
 }
 
-// model returns the effective rate model, defaulting to ModelLinear.
-//netsamp:noalloc
-func (p *Problem) model() RateModel {
-	if p.Model == nil {
-		return ModelLinear
-	}
-	return p.Model
-}
-
 // BudgetPerInterval converts a budget of θ sampled packets per
 // measurement interval of the given length in seconds into the sampled
 // packet rate used by Problem.Budget.
@@ -76,13 +59,13 @@ func BudgetPerInterval(theta, intervalSeconds float64) float64 {
 //netsamp:noalloc
 func (p *Problem) NumLinks() int { return len(p.Loads) }
 
-// alpha returns the effective per-link cap for link i.
-//netsamp:noalloc
-func (p *Problem) alpha(i int) float64 {
-	if p.MaxRate == nil {
+// capAt returns α_i under the nil-means-uncapped convention of
+// Problem.MaxRate and CSRProblem.MaxRate.
+func capAt(maxRate []float64, i int) float64 {
+	if maxRate == nil {
 		return 1
 	}
-	return p.MaxRate[i]
+	return maxRate[i]
 }
 
 // Validate checks the problem for structural and feasibility errors:
@@ -103,7 +86,7 @@ func (p *Problem) Validate() error {
 			// !(u > 0) also rejects NaN: every comparison with NaN is false.
 			return invalidInput("load of link", i, u, "want a finite value > 0")
 		}
-		a := p.alpha(i)
+		a := capAt(p.MaxRate, i)
 		if !(a > 0 && a <= 1) {
 			return invalidInput("max rate of link", i, a, "want (0, 1]")
 		}
@@ -149,8 +132,8 @@ func (p *Problem) Validate() error {
 			if len(pr.Fracs) != len(pr.Links) {
 				return fmt.Errorf("core: pair %d (%q) has %d fractions for %d links", k, pr.Name, len(pr.Fracs), len(pr.Links))
 			}
-			if !p.model().SupportsFracs() {
-				return fmt.Errorf("core: pair %d (%q): the %s rate model requires single-path routing (no fractions)", k, pr.Name, p.model().Name())
+			if m := modelOrLinear(p.Model); !m.SupportsFracs() {
+				return fmt.Errorf("core: pair %d (%q): the %s rate model requires single-path routing (no fractions)", k, pr.Name, m.Name())
 			}
 			for i, f := range pr.Fracs {
 				if !(f > 0 && f <= 1) {
@@ -164,69 +147,16 @@ func (p *Problem) Validate() error {
 
 // EffectiveRates returns ρ_k for every pair at the rate vector rates,
 // under the problem's rate model (the solver-side surrogate; apply
-// Model.Deployed for the realized inclusion probability).
+// Model.Deployed for the realized inclusion probability). The rows are
+// laid out as the solver compiles them and evaluated by the same model
+// hook the solver runs.
 func (p *Problem) EffectiveRates(rates []float64) []float64 {
+	start, links, fracs := flattenPairs(p.Pairs)
+	m := modelOrLinear(p.Model)
 	out := make([]float64, len(p.Pairs))
-	p.EffectiveRatesInto(out, rates)
+	for k := range out {
+		lo, hi := start[k], start[k+1]
+		out[k] = m.pairRho(links[lo:hi], rowFracs(fracs, lo, hi), rates)
+	}
 	return out
-}
-
-// EffectiveRatesInto writes ρ_k for every pair at the rate vector rates
-// into dst, which must have length len(p.Pairs). It is the
-// allocation-free form of EffectiveRates for per-interval loops that
-// reuse one destination buffer.
-//netsamp:noalloc
-func (p *Problem) EffectiveRatesInto(dst, rates []float64) {
-	if len(dst) != len(p.Pairs) {
-		panic("core: EffectiveRatesInto destination length mismatch")
-	}
-	m := p.model()
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
-		dst[k] = m.pairRho(pr.Links, pr.Fracs, rates)
-	}
-}
-
-func (p *Problem) effectiveRate(k int, rates []float64) float64 {
-	pr := &p.Pairs[k]
-	return p.model().pairRho(pr.Links, pr.Fracs, rates)
-}
-
-// Objective returns Σ_k M_k(ρ_k(rates)).
-func (p *Problem) Objective(rates []float64) float64 {
-	s := 0.0
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
-		s += pr.weight() * pr.Utility.Value(p.effectiveRate(k, rates))
-	}
-	return s
-}
-
-// Gradient writes ∂/∂p_i Σ_k M_k(ρ_k) into out (length NumLinks).
-func (p *Problem) Gradient(rates, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
-	m := p.model()
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
-		rho := m.pairRho(pr.Links, pr.Fracs, rates)
-		d := pr.weight() * pr.Utility.Deriv(rho)
-		m.accumGrad(pr.Links, pr.Fracs, rates, rho, d, out)
-	}
-}
-
-// lineDerivs returns φ'(t) and φ”(t) for φ(t) = Objective(rates + t·s).
-// The solver's Newton line search needs both; the per-pair terms come
-// from the rate model (the product model's second derivative includes
-// the curvature of ρ_k(t) itself).
-func (p *Problem) lineDerivs(rates, s []float64, t float64) (d1, d2 float64) {
-	m := p.model()
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
-		e1, e2 := m.lineTerms(pr.Links, pr.Fracs, rates, s, t, pr.Utility, pr.weight())
-		d1 += e1
-		d2 += e2
-	}
-	return d1, d2
 }

@@ -75,8 +75,8 @@ func TestQuickWaterfillFeasible(t *testing.T) {
 		frac := 0.001 + float64(budgetFrac)/256*0.9
 		p.Budget = total * frac
 		p.Pairs = []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.001)}}
-		rates, err := initialPoint(p, Options{})
-		if err != nil {
+		rates := make([]float64, n)
+		if err := polytopeOf(p).initialPointInto(Options{}, rates); err != nil {
 			return false
 		}
 		spent := 0.0

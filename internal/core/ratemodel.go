@@ -46,22 +46,18 @@ type RateModel interface {
 	// (disjoint ranges cannot over-sample a packet).
 	Deployed(rho float64) float64
 
-	// pairRho returns ρ_k over a pair's dense link row. fracs is nil for
-	// single-path pairs.
-	pairRho(links []int, fracs, rates []float64) float64
+	// The three hooks run over one row of the compiled incidence: links
+	// and fracs are the pair's subslices of the flat CSR arrays (fracs nil
+	// when no pair has fractions).
+
+	// pairRho returns ρ_k at rates.
+	pairRho(links []int32, fracs, rates []float64) float64
 	// accumGrad adds d·∂ρ_k/∂p_i to out for each link of the row, where
 	// the caller has evaluated rho = pairRho and d = w·M'(ρ).
-	accumGrad(links []int, fracs, rates []float64, rho, d float64, out []float64)
+	accumGrad(links []int32, fracs, rates []float64, rho, d float64, out []float64)
 	// lineTerms returns this pair's contribution to φ'(t) and φ''(t) for
 	// φ(t) = Σ_k w_k·M_k(ρ_k(rates + t·dir)).
-	lineTerms(links []int, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64)
-
-	// CSR variants of the three hooks over the Solver's compiled
-	// incidence: links and fracs are the pair's subslices of the flat
-	// arrays (fracs nil when no pair has fractions).
-	pairRhoCSR(links []int32, fracs, rates []float64) float64
-	accumGradCSR(links []int32, fracs, rates []float64, rho, d float64, out []float64)
-	lineTermsCSR(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64)
+	lineTerms(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64)
 }
 
 // The models are package singletons so selecting one never constructs
@@ -91,14 +87,19 @@ func ModelByName(name string) (RateModel, error) {
 	return nil, fmt.Errorf("core: unknown rate model %q (want linear, independent-exact or coordinated)", name)
 }
 
-// ModelName returns m's identity, treating nil as the default linear
-// model — the convention Problem.Model and plan.Input.Model share.
-func ModelName(m RateModel) string {
+// modelOrLinear resolves the nil-means-linear convention Problem.Model
+// and plan.Input.Model share.
+//netsamp:noalloc
+func modelOrLinear(m RateModel) RateModel {
 	if m == nil {
-		return ModelLinear.Name()
+		return ModelLinear
 	}
-	return m.Name()
+	return m
 }
+
+// ModelName returns m's identity, treating nil as the default linear
+// model.
+func ModelName(m RateModel) string { return modelOrLinear(m).Name() }
 
 // additiveModel implements the shared math of the two additive models:
 // ρ_k = Σ f_ki·p_i, constant gradient, zero path curvature.
@@ -111,51 +112,7 @@ func (additiveModel) SupportsFracs() bool        { return true }
 func (additiveModel) Deployed(rho float64) float64 { return rho }
 
 //netsamp:noalloc
-func (additiveModel) pairRho(links []int, fracs, rates []float64) float64 {
-	s := 0.0
-	if fracs != nil {
-		for j, i := range links {
-			s += fracs[j] * rates[i]
-		}
-	} else {
-		for _, i := range links {
-			s += rates[i]
-		}
-	}
-	return s
-}
-
-//netsamp:noalloc
-func (additiveModel) accumGrad(links []int, fracs, rates []float64, rho, d float64, out []float64) {
-	if fracs != nil {
-		for j, i := range links {
-			out[i] += d * fracs[j]
-		}
-	} else {
-		for _, i := range links {
-			out[i] += d
-		}
-	}
-}
-
-//netsamp:noalloc
-func (additiveModel) lineTerms(links []int, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
-	rho, q := 0.0, 0.0
-	for j, i := range links {
-		f := 1.0
-		if fracs != nil {
-			f = fracs[j]
-		}
-		rho += f * (rates[i] + t*dir[i])
-		q += f * dir[i]
-	}
-	d1 = w * u.Deriv(rho) * q
-	d2 = w * u.Curv(rho) * q * q
-	return d1, d2
-}
-
-//netsamp:noalloc
-func (additiveModel) pairRhoCSR(links []int32, fracs, rates []float64) float64 {
+func (additiveModel) pairRho(links []int32, fracs, rates []float64) float64 {
 	sum := 0.0
 	if fracs != nil {
 		for j, i := range links {
@@ -170,7 +127,7 @@ func (additiveModel) pairRhoCSR(links []int32, fracs, rates []float64) float64 {
 }
 
 //netsamp:noalloc
-func (additiveModel) accumGradCSR(links []int32, fracs, rates []float64, rho, d float64, out []float64) {
+func (additiveModel) accumGrad(links []int32, fracs, rates []float64, rho, d float64, out []float64) {
 	if fracs != nil {
 		for j, i := range links {
 			out[i] += d * fracs[j]
@@ -183,7 +140,7 @@ func (additiveModel) accumGradCSR(links []int32, fracs, rates []float64, rho, d 
 }
 
 //netsamp:noalloc
-func (additiveModel) lineTermsCSR(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
+func (additiveModel) lineTerms(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
 	rho, q := 0.0, 0.0
 	for j, i := range links {
 		f := 1.0
@@ -235,7 +192,7 @@ func (independentExactModel) SupportsFracs() bool   { return false }
 func (independentExactModel) Deployed(rho float64) float64 { return rho }
 
 //netsamp:noalloc
-func (independentExactModel) pairRho(links []int, fracs, rates []float64) float64 {
+func (independentExactModel) pairRho(links []int32, fracs, rates []float64) float64 {
 	q := 1.0
 	for _, i := range links {
 		q *= 1 - rates[i]
@@ -244,7 +201,7 @@ func (independentExactModel) pairRho(links []int, fracs, rates []float64) float6
 }
 
 //netsamp:noalloc
-func (independentExactModel) accumGrad(links []int, fracs, rates []float64, rho, d float64, out []float64) {
+func (independentExactModel) accumGrad(links []int32, fracs, rates []float64, rho, d float64, out []float64) {
 	// ∂ρ_k/∂p_i = Π_{j≠i}(1−p_j) = (1−ρ_k)/(1−p_i).
 	for _, i := range links {
 		den := 1 - rates[i]
@@ -256,53 +213,7 @@ func (independentExactModel) accumGrad(links []int, fracs, rates []float64, rho,
 }
 
 //netsamp:noalloc
-func (independentExactModel) lineTerms(links []int, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
-	g := 1.0
-	h := 0.0  // Σ s_i/(1−x_i)
-	h2 := 0.0 // Σ s_i²/(1−x_i)²
-	for _, i := range links {
-		x := 1 - rates[i] - t*dir[i]
-		if x < 1e-12 {
-			x = 1e-12
-		}
-		g *= x
-		term := dir[i] / x
-		h += term
-		h2 += term * term
-	}
-	rho := 1 - g
-	rp := g * h         // ρ'(t)
-	rpp := g*h2 - g*h*h // ρ''(t)
-	du := w * u.Deriv(rho)
-	cu := w * u.Curv(rho)
-	d1 = du * rp
-	d2 = cu*rp*rp + du*rpp
-	return d1, d2
-}
-
-//netsamp:noalloc
-func (independentExactModel) pairRhoCSR(links []int32, fracs, rates []float64) float64 {
-	q := 1.0
-	for _, i := range links {
-		q *= 1 - rates[i]
-	}
-	return 1 - q
-}
-
-//netsamp:noalloc
-func (independentExactModel) accumGradCSR(links []int32, fracs, rates []float64, rho, d float64, out []float64) {
-	// ∂ρ_k/∂p_i = Π_{j≠i}(1−p_j) = (1−ρ_k)/(1−p_i).
-	for _, i := range links {
-		den := 1 - rates[i]
-		if den < 1e-12 {
-			den = 1e-12
-		}
-		out[i] += d * (1 - rho) / den
-	}
-}
-
-//netsamp:noalloc
-func (independentExactModel) lineTermsCSR(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
+func (independentExactModel) lineTerms(links []int32, fracs, rates, dir []float64, t float64, u Utility, w float64) (d1, d2 float64) {
 	g := 1.0
 	h := 0.0  // Σ s_i/(1−x_i)
 	h2 := 0.0 // Σ s_i²/(1−x_i)²

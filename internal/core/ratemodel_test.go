@@ -120,9 +120,9 @@ func TestNilModelIsLinear(t *testing.T) {
 	}
 }
 
-// TestEffectiveRatesInto: the zero-alloc path must agree exactly with
-// EffectiveRates under every model and reject a bad destination.
-func TestEffectiveRatesInto(t *testing.T) {
+// TestEffectiveRates pins the two shapes of ρ_k: the additive sum (which
+// can exceed 1) and the product form (which cannot).
+func TestEffectiveRates(t *testing.T) {
 	for _, m := range []RateModel{nil, ModelLinear, ModelIndependentExact, ModelCoordinated} {
 		p := &Problem{
 			Loads:  []float64{1000, 2000, 500},
@@ -133,63 +133,85 @@ func TestEffectiveRatesInto(t *testing.T) {
 				{Name: "b", Links: []int{2}, Utility: MustSRE(0.001)},
 			},
 		}
-		rates := []float64{0.4, 0.8, 0.1}
-		want := p.EffectiveRates(rates)
-		dst := make([]float64, len(p.Pairs))
-		p.EffectiveRatesInto(dst, rates)
-		for k := range want {
-			if dst[k] != want[k] {
-				t.Fatalf("model %s pair %d: %v vs %v", ModelName(m), k, dst[k], want[k])
-			}
-		}
-		// The sum for additive models can exceed 1; the product model
-		// cannot. Sanity-pin both shapes.
+		rho := p.EffectiveRates([]float64{0.4, 0.8, 0.1})
 		if m == ModelIndependentExact {
-			if want[0] != 1-(1-0.4)*(1-0.8) {
-				t.Fatalf("product rho = %v", want[0])
+			if rho[0] != 1-(1-0.4)*(1-0.8) {
+				t.Fatalf("product rho = %v", rho[0])
 			}
-		} else if want[0] != float64(0.4)+float64(0.8) {
-			t.Fatalf("additive rho = %v", want[0])
+		} else if rho[0] != float64(0.4)+float64(0.8) {
+			t.Fatalf("model %s: additive rho = %v", ModelName(m), rho[0])
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch accepted")
-		}
-	}()
-	p := &Problem{Loads: []float64{1}, Budget: 1, Pairs: []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.01)}}}
-	p.EffectiveRatesInto(make([]float64, 2), []float64{0.1})
 }
 
-// TestExactModelSolverAgreesWithProblemSurface: the CSR hooks the
-// compiled Solver uses must produce the same gradient as the Problem-
-// layer hooks (they share the model implementation, but the indexing
-// differs).
-func TestExactModelGradientConsistency(t *testing.T) {
-	p := &Problem{
-		Loads:  []float64{30000, 8000, 2000},
-		Budget: 40,
-		Model:  ModelIndependentExact,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-		},
-	}
-	s, err := NewSolver(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sol Solution
-	if err := s.SolveInto(&sol, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Solve(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sol.Rates {
-		if math.Abs(sol.Rates[i]-direct.Rates[i]) > 1e-12 {
-			t.Fatalf("rate %d: solver %v vs direct %v", i, sol.Rates[i], direct.Rates[i])
-		}
+// TestKernelsMatchFiniteDifference checks the compiled kernels against
+// the objective they differentiate: gradient vs central differences of
+// objective, and lineDerivs' φ′ and φ″ vs first and second differences
+// of φ(t) = objective(rates + t·dir) — for every rate model, with and
+// without ECMP fractions. The rates are large enough that the product
+// model's own curvature (ρ″ ≠ 0) matters.
+func TestKernelsMatchFiniteDifference(t *testing.T) {
+	halves := [][]float64{{0.5, 0.5}, {0.25, 0.75}, nil}
+	for _, c := range []struct {
+		name  string
+		model RateModel
+		fracs [][]float64
+	}{
+		{"linear", ModelLinear, nil},
+		{"linear/ecmp", ModelLinear, halves},
+		{"coordinated", ModelCoordinated, nil},
+		{"coordinated/ecmp", ModelCoordinated, halves},
+		{"independent-exact", ModelIndependentExact, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := &Problem{
+				Loads:  []float64{500, 900, 1300},
+				Budget: 300,
+				Model:  c.model,
+				Pairs: []Pair{
+					{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
+					{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001), Weight: 2.5},
+					{Name: "c", Links: []int{2}, Utility: MustSRE(0.004)},
+				},
+			}
+			for k := range c.fracs {
+				p.Pairs[k].Fracs = c.fracs[k]
+			}
+			s := compiled(t, p)
+			rates := []float64{0.2, 0.1, 0.3}
+			dir := []float64{0.1, -0.05, 0.02}
+			at := func(tt float64) []float64 {
+				x := append([]float64(nil), rates...)
+				for i := range x {
+					x[i] += tt * dir[i]
+				}
+				return x
+			}
+			near := func(what string, got, want, tol float64) {
+				t.Helper()
+				if math.Abs(got-want) > tol*math.Max(math.Abs(want), 1e-9) {
+					t.Fatalf("%s = %v, finite difference %v", what, got, want)
+				}
+			}
+
+			g := make([]float64, 3)
+			s.gradient(rates, g)
+			const h = 1e-6
+			for i := range rates {
+				up, dn := at(0), at(0)
+				up[i] += h
+				dn[i] -= h
+				near("gradient", g[i], (s.objective(up)-s.objective(dn))/(2*h), 1e-6)
+			}
+
+			const t0, ht = 0.4, 1e-3
+			phi := func(tt float64) float64 { return s.objective(at(tt)) }
+			d1, d2 := s.lineDerivs(rates, dir, t0)
+			near("φ′", d1, (phi(t0+ht)-phi(t0-ht))/(2*ht), 1e-6)
+			near("φ″", d2, (phi(t0+ht)-2*phi(t0)+phi(t0-ht))/(ht*ht), 1e-4)
+			if d2 >= 0 {
+				t.Fatalf("line curvature %v, want < 0", d2)
+			}
+		})
 	}
 }

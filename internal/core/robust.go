@@ -128,12 +128,12 @@ func (s *Solver) retuneEnvelope(mode RobustMode, lower, upper, initial []float64
 		if math.IsNaN(upper[i]) || math.IsInf(upper[i], 0) || upper[i] < lower[i] {
 			return nil, invalidInput("upper load bound of link", i, upper[i], "want a finite value >= the lower bound")
 		}
-		newMax += s.prob.alpha(i) * env[i]
+		newMax += s.alpha[i] * env[i]
 	}
 	// Apply (budget, loads) in the feasibility-safe order, exactly like
 	// plan.Compiled.Retune: a shrinking budget first fits the old loads'
 	// bound a fortiori; the target budget never grows here.
-	theta := s.prob.Budget
+	theta := s.budget
 	if theta > newMax {
 		theta = newMax
 		if err := s.SetBudget(theta); err != nil {
@@ -144,7 +144,7 @@ func (s *Solver) retuneEnvelope(mode RobustMode, lower, upper, initial []float64
 		return nil, err
 	}
 	if initial != nil {
-		warm, err := WarmStartRates(initial, s.Problem(), nil)
+		warm, err := s.warmStartRates(initial, nil, s.lower, s.upper)
 		if err != nil {
 			initial = nil
 		} else {

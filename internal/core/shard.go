@@ -1,11 +1,13 @@
 package core
 
-// Sharded pair-loop kernels. Every hot sweep of the solver — gradient,
+// Sharded pair sweeps. Every hot sweep of the solver — gradient,
 // line-search derivatives, Hessian curvature and products, solution
 // assembly — is a reduction over the CSR pair rows. At 10⁶ pairs one
 // core is the bottleneck, so a Solver can attach a persistent worker
 // pool (engine.Pool via the ForPool interface) and fan each sweep out
-// over pair chunks.
+// over pair chunks. This file holds only the fan-out: each sweep's
+// entry point and its one range body live with the kernel
+// (workspace.go, newtoncg.go); shardChunk runs that body per chunk.
 //
 // Determinism contract: results are bit-identical at ANY worker count,
 // including 1. The chunk partition is a pure function of the problem
@@ -95,7 +97,7 @@ func (s *Solver) Shard(pool ForPool) {
 	}
 	if s.curv == nil {
 		// The sharded Newton path caches curvatures even when n is small
-		// enough that initScratch skipped the CG buffers.
+		// enough that compile skipped the CG buffers.
 		s.curv = make([]float64, s.nPairs)
 	}
 	s.sh.runChunk = s.shardChunk
@@ -120,51 +122,35 @@ func (s *Solver) shardChunk(c int) {
 	}
 	switch s.sh.task {
 	case shardTaskGrad:
-		part := s.sh.partials[c*s.n : (c+1)*s.n]
-		for i := range part {
-			part[i] = 0
-		}
-		rates := s.sh.vecA
-		for k := kLo; k < kHi; k++ {
-			lo, hi := s.start[k], s.start[k+1]
-			links, fracs := s.links[lo:hi], s.csrFracs(lo, hi)
-			rho := s.model.pairRhoCSR(links, fracs, rates)
-			d := s.wts[k] * s.utils[k].Deriv(rho)
-			s.model.accumGradCSR(links, fracs, rates, rho, d, part)
-		}
+		s.gradRange(kLo, kHi, s.sh.vecA, s.zeroPartial(c))
 	case shardTaskLine:
-		d1, d2 := 0.0, 0.0
-		for k := kLo; k < kHi; k++ {
-			lo, hi := s.start[k], s.start[k+1]
-			e1, e2 := s.model.lineTermsCSR(s.links[lo:hi], s.csrFracs(lo, hi),
-				s.sh.vecA, s.sh.vecB, s.sh.t, s.utils[k], s.wts[k])
-			d1 += e1
-			d2 += e2
-		}
-		s.sh.pd1[c], s.sh.pd2[c] = d1, d2
+		s.sh.pd1[c], s.sh.pd2[c] = s.lineRange(kLo, kHi, s.sh.vecA, s.sh.vecB, s.sh.t)
 	case shardTaskCurv:
-		rates := s.sh.vecA
-		for k := kLo; k < kHi; k++ {
-			s.curv[k] = s.wts[k] * s.utils[k].Curv(s.rho(k, rates))
-		}
+		s.curvRange(kLo, kHi, s.sh.vecA)
 	case shardTaskHess:
-		part := s.sh.partials[c*s.n : (c+1)*s.n]
-		for i := range part {
-			part[i] = 0
-		}
-		s.hessMulRange(kLo, kHi, s.sh.vecB, part)
+		s.hessMulRange(kLo, kHi, s.sh.vecB, s.zeroPartial(c))
 	case shardTaskFinish:
-		rates := s.sh.vecA
-		obj := 0.0
-		for k := kLo; k < kHi; k++ {
-			rho := s.rho(k, rates)
-			u := s.utils[k].Value(rho)
-			s.sh.rhoOut[k] = rho
-			s.sh.utilOut[k] = u
-			obj += s.wts[k] * u
-		}
-		s.sh.pd1[c] = obj
+		s.sh.pd1[c] = s.finishRange(kLo, kHi, s.sh.vecA, s.sh.rhoOut, s.sh.utilOut)
 	}
+}
+
+// zeroPartial clears and returns chunk c's n-wide accumulator row.
+func (s *Solver) zeroPartial(c int) []float64 {
+	part := s.sh.partials[c*s.n : (c+1)*s.n]
+	for i := range part {
+		part[i] = 0
+	}
+	return part
+}
+
+// dispatch runs one task over every chunk and drops the per-dispatch
+// arguments the caller staged in s.sh (so the workspace never pins the
+// caller's vectors). It is the kernels' only call into the pool.
+//netsamp:noalloc
+func (s *Solver) dispatch(task int) {
+	s.sh.task = task
+	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
+	s.sh.vecA, s.sh.vecB, s.sh.rhoOut, s.sh.utilOut = nil, nil, nil, nil
 }
 
 // reducePartials adds the chunk accumulator rows into out, in ascending
@@ -178,75 +164,4 @@ func (s *Solver) reducePartials(out []float64) {
 			out[i] += part[i]
 		}
 	}
-}
-
-// shardGradient is the sharded form of gradient.
-//netsamp:noalloc
-func (s *Solver) shardGradient(rates, out []float64) {
-	s.sh.task = shardTaskGrad
-	s.sh.vecA = rates
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
-	s.sh.vecA = nil
-	for i := range out {
-		out[i] = 0
-	}
-	s.reducePartials(out)
-}
-
-// shardLineDerivs is the sharded form of lineDerivs.
-//netsamp:noalloc
-func (s *Solver) shardLineDerivs(rates, dir []float64, t float64) (d1, d2 float64) {
-	s.sh.task = shardTaskLine
-	s.sh.vecA, s.sh.vecB, s.sh.t = rates, dir, t
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
-	s.sh.vecA, s.sh.vecB = nil, nil
-	for c := 0; c < s.sh.nChunks; c++ {
-		d1 += s.sh.pd1[c]
-		d2 += s.sh.pd2[c]
-	}
-	return d1, d2
-}
-
-// shardCurvFill is the sharded form of curvFill; chunks write disjoint
-// s.curv ranges, so there is no reduction.
-//netsamp:noalloc
-func (s *Solver) shardCurvFill(rates []float64) {
-	s.sh.task = shardTaskCurv
-	s.sh.vecA = rates
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
-	s.sh.vecA = nil
-}
-
-// shardHessMul is the sharded form of hessMulInto.
-//netsamp:noalloc
-func (s *Solver) shardHessMul(v, out []float64) {
-	s.sh.task = shardTaskHess
-	s.sh.vecB = v
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
-	s.sh.vecB = nil
-	for i := range out {
-		out[i] = 0
-	}
-	s.reducePartials(out)
-	for i := 0; i < s.n; i++ {
-		if s.freePos[i] < 0 {
-			out[i] = 0
-		}
-	}
-}
-
-// shardFinish is the sharded form of finishInto's per-pair sweep: rho
-// and utility slots are written per pair (disjoint), the objective is
-// reduced over the chunk partials in order.
-//netsamp:noalloc
-func (s *Solver) shardFinish(rates, rhoOut, utilOut []float64) float64 {
-	s.sh.task = shardTaskFinish
-	s.sh.vecA, s.sh.rhoOut, s.sh.utilOut = rates, rhoOut, utilOut
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
-	s.sh.vecA, s.sh.rhoOut, s.sh.utilOut = nil, nil, nil
-	obj := 0.0
-	for c := 0; c < s.sh.nChunks; c++ {
-		obj += s.sh.pd1[c]
-	}
-	return obj
 }

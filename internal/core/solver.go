@@ -144,12 +144,34 @@ func Solve(p *Problem, opt Options) (*Solution, error) {
 	return s.Solve(opt)
 }
 
+// polytope is the feasible set {0 ≤ p_i ≤ α_i, Σ p_i·U_i = θ} — the
+// numeric half of a problem. A Solver owns one as private copies, so
+// re-tuning never touches caller memory; the feasibility and active-set
+// helpers of the gradient projection are its methods, and none of them
+// needs the pair rows.
+type polytope struct {
+	loads []float64 // U_i
+	// alpha is α_i, materialised: 1 where the problem set no cap.
+	alpha  []float64
+	budget float64 // θ
+}
+
+// fullCaps materialises the nil-means-uncapped MaxRate convention into
+// a fresh per-link slice.
+func fullCaps(maxRate []float64, n int) []float64 {
+	alpha := make([]float64, n)
+	for i := range alpha {
+		alpha[i] = capAt(maxRate, i)
+	}
+	return alpha
+}
+
 // initialPointInto writes a feasible start into rates (length NumLinks):
 // the caller's point (validated) or the waterfilling point
 // min(α_i, τ/U_i) with τ chosen so the budget holds with equality.
 //netsamp:noalloc
-func initialPointInto(p *Problem, opt Options, rates []float64) error {
-	n := p.NumLinks()
+func (ft *polytope) initialPointInto(opt Options, rates []float64) error {
+	n := len(ft.loads)
 	if opt.Initial != nil {
 		if len(opt.Initial) != n {
 			return fmt.Errorf("core: initial point has %d entries for %d links", len(opt.Initial), n)
@@ -157,20 +179,20 @@ func initialPointInto(p *Problem, opt Options, rates []float64) error {
 		copy(rates, opt.Initial)
 		total := 0.0
 		for i, r := range rates {
-			if r < -snapTol || r > p.alpha(i)+snapTol {
-				return fmt.Errorf("core: initial rate %v of link %d violates [0, %v]", r, i, p.alpha(i))
+			if r < -snapTol || r > ft.alpha[i]+snapTol {
+				return fmt.Errorf("core: initial rate %v of link %d violates [0, %v]", r, i, ft.alpha[i])
 			}
-			total += r * p.Loads[i]
+			total += r * ft.loads[i]
 		}
-		if math.Abs(total-p.Budget) > 1e-6*math.Max(1, p.Budget) {
-			return fmt.Errorf("core: initial point uses %v of budget %v", total, p.Budget)
+		if math.Abs(total-ft.budget) > 1e-6*math.Max(1, ft.budget) {
+			return fmt.Errorf("core: initial point uses %v of budget %v", total, ft.budget)
 		}
 		return nil
 	}
 	// Waterfill: Σ_i min(α_i·U_i, τ) = Budget; bisect on τ.
 	hi := 0.0
-	for i := range p.Loads {
-		if v := p.alpha(i) * p.Loads[i]; v > hi {
+	for i := range ft.loads {
+		if v := ft.alpha[i] * ft.loads[i]; v > hi {
 			hi = v
 		}
 	}
@@ -178,10 +200,10 @@ func initialPointInto(p *Problem, opt Options, rates []float64) error {
 	for iter := 0; iter < 200; iter++ {
 		mid := (lo + hi) / 2
 		total := 0.0
-		for i := range p.Loads {
-			total += math.Min(p.alpha(i)*p.Loads[i], mid)
+		for i := range ft.loads {
+			total += math.Min(ft.alpha[i]*ft.loads[i], mid)
 		}
-		if total < p.Budget {
+		if total < ft.budget {
 			lo = mid
 		} else {
 			hi = mid
@@ -189,21 +211,12 @@ func initialPointInto(p *Problem, opt Options, rates []float64) error {
 	}
 	tau := (lo + hi) / 2
 	for i := range rates {
-		rates[i] = math.Min(p.alpha(i), tau/p.Loads[i])
+		rates[i] = math.Min(ft.alpha[i], tau/ft.loads[i])
 	}
 	// Exact equality: rescale the interior coordinates to absorb the
 	// bisection residual.
-	fixBudget(p, rates, nil, nil)
+	ft.fixBudget(rates, nil, nil)
 	return nil
-}
-
-// initialPoint is initialPointInto with a freshly allocated buffer.
-func initialPoint(p *Problem, opt Options) ([]float64, error) {
-	rates := make([]float64, p.NumLinks())
-	if err := initialPointInto(p, opt, rates); err != nil {
-		return nil, err
-	}
-	return rates, nil
 }
 
 // fixBudget removes the budget-equality drift by shifting free
@@ -211,13 +224,13 @@ func initialPoint(p *Problem, opt Options) ([]float64, error) {
 // clamping to bounds. lower/upper may be nil, meaning all coordinates
 // are free.
 //netsamp:noalloc
-func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
+func (ft *polytope) fixBudget(rates []float64, lower, upper []bool) {
 	for pass := 0; pass < 4; pass++ {
-		viol := -p.Budget
+		viol := -ft.budget
 		for i, r := range rates {
-			viol += r * p.Loads[i]
+			viol += r * ft.loads[i]
 		}
-		if math.Abs(viol) <= 1e-12*math.Max(1, p.Budget) {
+		if math.Abs(viol) <= 1e-12*math.Max(1, ft.budget) {
 			return
 		}
 		den := 0.0
@@ -225,7 +238,7 @@ func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
 			if lower != nil && (lower[i] || upper[i]) {
 				continue
 			}
-			den += p.Loads[i] * p.Loads[i]
+			den += ft.loads[i] * ft.loads[i]
 		}
 		//netsamp:floateq-ok a sum of squares is exactly zero only when every term is
 		if den == 0 {
@@ -235,11 +248,11 @@ func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
 			if lower != nil && (lower[i] || upper[i]) {
 				continue
 			}
-			rates[i] -= viol * p.Loads[i] / den
+			rates[i] -= viol * ft.loads[i] / den
 			if rates[i] < 0 {
 				rates[i] = 0
 			}
-			if a := p.alpha(i); rates[i] > a {
+			if a := ft.alpha[i]; rates[i] > a {
 				rates[i] = a
 			}
 		}
@@ -249,36 +262,36 @@ func fixBudget(p *Problem, rates []float64, lower, upper []bool) {
 // reproject snaps near-bound rates onto their bounds and restores the
 // budget equality.
 //netsamp:noalloc
-func reproject(p *Problem, rates []float64, lower, upper []bool) {
+func (ft *polytope) reproject(rates []float64, lower, upper []bool) {
 	for i := range rates {
 		if rates[i] < snapTol {
 			rates[i] = 0
 		}
-		if a := p.alpha(i); rates[i] > a-snapTol {
+		if a := ft.alpha[i]; rates[i] > a-snapTol {
 			rates[i] = a
 		}
 	}
-	fixBudget(p, rates, lower, upper)
+	ft.fixBudget(rates, lower, upper)
 }
 
 // syncActive refreshes the active-set flags from the current point.
 //netsamp:noalloc
-func syncActive(p *Problem, rates []float64, lower, upper []bool) {
+func (ft *polytope) syncActive(rates []float64, lower, upper []bool) {
 	for i := range rates {
 		lower[i] = rates[i] <= snapTol
-		upper[i] = rates[i] >= p.alpha(i)-snapTol
+		upper[i] = rates[i] >= ft.alpha[i]-snapTol
 		if lower[i] {
 			rates[i] = 0
 		}
 		if upper[i] {
-			rates[i] = p.alpha(i)
+			rates[i] = ft.alpha[i]
 		}
 	}
 }
 
 //netsamp:noalloc
-func activate(p *Problem, rates []float64, i int, lower, upper []bool) {
-	a := p.alpha(i)
+func (ft *polytope) activate(rates []float64, i int, lower, upper []bool) {
+	a := ft.alpha[i]
 	if math.Abs(rates[i]-a) < math.Abs(rates[i]) {
 		rates[i] = a
 		upper[i] = true
@@ -303,14 +316,14 @@ func countFree(lower, upper []bool) int {
 // the projection of g onto the free subspace: λ = ⟨g,U⟩/⟨U,U⟩ over free
 // coordinates.
 //netsamp:noalloc
-func projectionLambda(p *Problem, g []float64, lower, upper []bool) float64 {
+func (ft *polytope) projectionLambda(g []float64, lower, upper []bool) float64 {
 	num, den := 0.0, 0.0
 	for i := range g {
 		if lower[i] || upper[i] {
 			continue
 		}
-		num += g[i] * p.Loads[i]
-		den += p.Loads[i] * p.Loads[i]
+		num += g[i] * ft.loads[i]
+		den += ft.loads[i] * ft.loads[i]
 	}
 	//netsamp:floateq-ok a sum of squares is exactly zero only when every term is
 	if den == 0 {
@@ -319,35 +332,21 @@ func projectionLambda(p *Problem, g []float64, lower, upper []bool) float64 {
 	return num / den
 }
 
-// multipliersOK checks the sign conditions on the bound multipliers at a
-// stationary point of the free subspace: ν_i = λU_i − g_i ≥ 0 for active
-// lower bounds, μ_i = g_i − λU_i ≥ 0 for active upper bounds.
+// deactivateNegative checks the sign conditions on the bound multipliers
+// at a stationary point of the free subspace — ν_i = λU_i − g_i ≥ 0 for
+// active lower bounds, μ_i = g_i − λU_i ≥ 0 for active upper bounds —
+// frees every active bound that violates them (the paper's recovery
+// strategy) and returns how many were freed: zero means the point
+// satisfies the KKT conditions.
 //netsamp:noalloc
-func multipliersOK(p *Problem, g []float64, lambda float64, lower, upper []bool, tol float64) bool {
-	kappa := tol * (1 + normInf(g))
-	for i := range g {
-		if lower[i] && lambda*p.Loads[i]-g[i] < -kappa {
-			return false
-		}
-		if upper[i] && g[i]-lambda*p.Loads[i] < -kappa {
-			return false
-		}
-	}
-	return true
-}
-
-// deactivateNegative frees every active bound whose multiplier is
-// negative (the paper's recovery strategy) and returns how many were
-// freed.
-//netsamp:noalloc
-func deactivateNegative(p *Problem, g []float64, lambda float64, lower, upper []bool, tol float64) int {
+func (ft *polytope) deactivateNegative(g []float64, lambda float64, lower, upper []bool, tol float64) int {
 	kappa := tol * (1 + normInf(g))
 	removed := 0
 	for i := range g {
-		if lower[i] && lambda*p.Loads[i]-g[i] < -kappa {
+		if lower[i] && lambda*ft.loads[i]-g[i] < -kappa {
 			lower[i] = false
 			removed++
-		} else if upper[i] && g[i]-lambda*p.Loads[i] < -kappa {
+		} else if upper[i] && g[i]-lambda*ft.loads[i] < -kappa {
 			upper[i] = false
 			removed++
 		}
@@ -355,16 +354,15 @@ func deactivateNegative(p *Problem, g []float64, lambda float64, lower, upper []
 	return removed
 }
 
-// vertexKKT handles the fully-constrained case: every coordinate is at a
-// bound, so λ is not pinned by stationarity; optimality holds iff the
-// interval [max over upper of g_i/U_i, min over lower of g_i/U_i]
-// is non-empty.
+// lambdaInterval returns the multiplier interval a fully-constrained
+// vertex admits: every coordinate is at a bound, so λ is not pinned by
+// stationarity, only bracketed — λ ≥ g_i/U_i over active upper bounds,
+// λ ≤ g_i/U_i over active lower bounds.
 //netsamp:noalloc
-func vertexKKT(p *Problem, g []float64, lower, upper []bool, tol float64) bool {
-	loLam := math.Inf(-1) // λ ≥ g_i/U_i … from upper bounds
-	hiLam := math.Inf(1)  // λ ≤ g_i/U_i … from lower bounds
+func (ft *polytope) lambdaInterval(g []float64, lower, upper []bool) (loLam, hiLam float64) {
+	loLam, hiLam = math.Inf(-1), math.Inf(1)
 	for i := range g {
-		r := g[i] / p.Loads[i]
+		r := g[i] / ft.loads[i]
 		if upper[i] {
 			loLam = math.Max(loLam, r)
 		}
@@ -372,6 +370,14 @@ func vertexKKT(p *Problem, g []float64, lower, upper []bool, tol float64) bool {
 			hiLam = math.Min(hiLam, r)
 		}
 	}
+	return loLam, hiLam
+}
+
+// vertexKKT handles the fully-constrained case: optimality holds iff
+// the λ-interval is non-empty.
+//netsamp:noalloc
+func (ft *polytope) vertexKKT(g []float64, lower, upper []bool, tol float64) bool {
+	loLam, hiLam := ft.lambdaInterval(g, lower, upper)
 	kappa := tol * (1 + normInf(g))
 	return loLam <= hiLam+kappa
 }
@@ -379,11 +385,11 @@ func vertexKKT(p *Problem, g []float64, lower, upper []bool, tol float64) bool {
 // deactivateVertex frees the bounds that prevent the λ-interval from
 // being non-empty: the arg-max upper bound and the arg-min lower bound.
 //netsamp:noalloc
-func deactivateVertex(p *Problem, g []float64, lower, upper []bool) {
+func (ft *polytope) deactivateVertex(g []float64, lower, upper []bool) {
 	loIdx, hiIdx := -1, -1
 	loLam, hiLam := math.Inf(-1), math.Inf(1)
 	for i := range g {
-		r := g[i] / p.Loads[i]
+		r := g[i] / ft.loads[i]
 		if upper[i] && r > loLam {
 			loLam, loIdx = r, i
 		}
@@ -404,7 +410,7 @@ func deactivateVertex(p *Problem, g []float64, lower, upper []bool) {
 // constraint (-1 when unbounded, which cannot happen with finite caps
 // unless s is zero on the free set).
 //netsamp:noalloc
-func maxStep(p *Problem, rates, s []float64, lower, upper []bool) (float64, int) {
+func (ft *polytope) maxStep(rates, s []float64, lower, upper []bool) (float64, int) {
 	tMax := math.Inf(1)
 	blocking := -1
 	for i := range s {
@@ -414,7 +420,7 @@ func maxStep(p *Problem, rates, s []float64, lower, upper []bool) (float64, int)
 		}
 		var t float64
 		if s[i] > 0 {
-			t = (p.alpha(i) - rates[i]) / s[i]
+			t = (ft.alpha[i] - rates[i]) / s[i]
 		} else {
 			t = -rates[i] / s[i]
 		}

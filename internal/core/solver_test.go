@@ -7,6 +7,23 @@ import (
 	"netsamp/internal/rng"
 )
 
+// compiled returns p's Solver: the kernels the tests evaluate are the
+// compiled ones, which is the code that actually runs.
+func compiled(t testing.TB, p *Problem) *Solver {
+	t.Helper()
+	s, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// polytopeOf is p's feasible set, for driving the feasibility helpers on
+// problems that are never compiled.
+func polytopeOf(p *Problem) *polytope {
+	return &polytope{loads: p.Loads, alpha: fullCaps(p.MaxRate, p.NumLinks()), budget: p.Budget}
+}
+
 // feasibility asserts the solution satisfies all constraints of p.
 func feasibility(t *testing.T, p *Problem, sol *Solution) {
 	t.Helper()
@@ -15,7 +32,7 @@ func feasibility(t *testing.T, p *Problem, sol *Solution) {
 		if r < -1e-12 {
 			t.Fatalf("rate[%d] = %v < 0", i, r)
 		}
-		if a := p.alpha(i); r > a+1e-9 {
+		if a := capAt(p.MaxRate, i); r > a+1e-9 {
 			t.Fatalf("rate[%d] = %v > α=%v", i, r, a)
 		}
 		total += r * p.Loads[i]
@@ -30,10 +47,10 @@ func kktCheck(t *testing.T, p *Problem, sol *Solution) {
 	t.Helper()
 	n := p.NumLinks()
 	g := make([]float64, n)
-	p.Gradient(sol.Rates, g)
+	compiled(t, p).gradient(sol.Rates, g)
 	scale := 1 + normInf(g)
 	for i := 0; i < n; i++ {
-		interior := sol.Rates[i] > 1e-9 && sol.Rates[i] < p.alpha(i)-1e-9
+		interior := sol.Rates[i] > 1e-9 && sol.Rates[i] < capAt(p.MaxRate, i)-1e-9
 		resid := g[i] - sol.Lambda*p.Loads[i]
 		if interior && math.Abs(resid)/scale > 1e-6 {
 			t.Fatalf("stationarity violated at free link %d: residual %v", i, resid)
@@ -41,7 +58,7 @@ func kktCheck(t *testing.T, p *Problem, sol *Solution) {
 		if sol.Rates[i] <= 1e-9 && resid/scale > 1e-6 {
 			t.Fatalf("lower-bound multiplier negative at link %d: %v", i, -resid)
 		}
-		if sol.Rates[i] >= p.alpha(i)-1e-9 && -resid/scale > 1e-6 {
+		if sol.Rates[i] >= capAt(p.MaxRate, i)-1e-9 && -resid/scale > 1e-6 {
 			t.Fatalf("upper-bound multiplier negative at link %d: %v", i, resid)
 		}
 	}
@@ -387,12 +404,13 @@ func TestSolveRandomProblemsKKT(t *testing.T) {
 			kktCheck(t, p, sol)
 		}
 		// The solution must beat (or match) the waterfill start.
-		init, err := initialPoint(p, Options{})
-		if err != nil {
+		s := compiled(t, p)
+		init := make([]float64, nLinks)
+		if err := s.initialPointInto(Options{}, init); err != nil {
 			t.Fatal(err)
 		}
-		if sol.Objective < p.Objective(init)-1e-9 {
-			t.Fatalf("trial %d: objective %v below initial %v", trial, sol.Objective, p.Objective(init))
+		if sol.Objective < s.objective(init)-1e-9 {
+			t.Fatalf("trial %d: objective %v below initial %v", trial, sol.Objective, s.objective(init))
 		}
 	}
 	// The paper reports 98.6%% convergence within 2000 iterations; our

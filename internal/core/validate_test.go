@@ -62,8 +62,8 @@ func TestValidateTypedErrors(t *testing.T) {
 }
 
 // TestRetuneTypedErrors: the re-tune paths (SetBudget, SetLoads,
-// WarmStart) reject garbage with the same typed errors, and rejection
-// leaves the compiled solver unchanged.
+// SetWeights, WarmStart) reject garbage with the same typed errors, and
+// rejection leaves the compiled solver unchanged.
 func TestRetuneTypedErrors(t *testing.T) {
 	s, err := NewSolver(validProblem())
 	if err != nil {
@@ -89,6 +89,18 @@ func TestRetuneTypedErrors(t *testing.T) {
 	}
 	if s.Problem().Loads[0] != 100 {
 		t.Fatalf("rejected SetLoads mutated loads to %v", s.Problem().Loads)
+	}
+	// A non-finite weight is rejected exactly like Validate rejects it on
+	// a Pair — including when it sits behind valid entries, which must not
+	// have been applied by then.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var ie *InputError
+		if err := s.SetWeights([]float64{7, bad}); !errors.As(err, &ie) || !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("SetWeights(7, %v) = %v, want *InputError", bad, err)
+		}
+	}
+	if s.wts[0] != 1 || s.wts[1] != 1 {
+		t.Fatalf("rejected SetWeights mutated the weights to %v", s.wts)
 	}
 	// Solve still works after the rejected re-tunes.
 	sol, err := s.Solve(Options{})

@@ -31,24 +31,24 @@ func WarmStart(prev *Solution, p *Problem, buf []float64) ([]float64, error) {
 	return WarmStartRates(prev.Rates, p, buf)
 }
 
-// WarmStartRates is WarmStart for a bare rate vector (the controller
-// keeps last-known-good rates per link, not whole Solutions).
+// WarmStartRates is WarmStart for a bare rate vector.
 func WarmStartRates(prevRates []float64, p *Problem, buf []float64) ([]float64, error) {
 	n := p.NumLinks()
-	return warmStartRates(prevRates, p, buf, make([]bool, n), make([]bool, n))
+	ft := polytope{loads: p.Loads, alpha: fullCaps(p.MaxRate, n), budget: p.Budget}
+	return ft.warmStartRates(prevRates, buf, make([]bool, n), make([]bool, n))
 }
 
 // warmStartRates is the projection with caller-supplied mask scratch
 // (Solver.WarmStart lends its own, keeping continuation chains
 // allocation-free in steady state).
 //netsamp:noalloc
-func warmStartRates(prevRates []float64, p *Problem, buf []float64, lower, upper []bool) ([]float64, error) {
-	n := p.NumLinks()
+func (ft *polytope) warmStartRates(prevRates []float64, buf []float64, lower, upper []bool) ([]float64, error) {
+	n := len(ft.loads)
 	if len(prevRates) != n {
 		return nil, fmt.Errorf("core: warm start has %d rates for %d links", len(prevRates), n)
 	}
-	if !(p.Budget > 0) || math.IsInf(p.Budget, 0) {
-		return nil, invalidInput("budget", -1, p.Budget, "want a finite value > 0")
+	if !(ft.budget > 0) || math.IsInf(ft.budget, 0) {
+		return nil, invalidInput("budget", -1, ft.budget, "want a finite value > 0")
 	}
 	rates := resizeFloats(buf, n)
 
@@ -61,27 +61,27 @@ func warmStartRates(prevRates []float64, p *Problem, buf []float64, lower, upper
 		if math.IsNaN(r) || r < 0 {
 			r = 0
 		}
-		if a := p.alpha(i); r > a {
+		if a := ft.alpha[i]; r > a {
 			r = a
 		}
 		rates[i] = r
-		spend += r * p.Loads[i]
-		maxSampled += p.alpha(i) * p.Loads[i]
+		spend += r * ft.loads[i]
+		maxSampled += ft.alpha[i] * ft.loads[i]
 	}
-	if p.Budget > maxSampled*(1+1e-12) {
-		return nil, invalidInput("budget", -1, p.Budget,
+	if ft.budget > maxSampled*(1+1e-12) {
+		return nil, invalidInput("budget", -1, ft.budget,
 			fmt.Sprintf("exceeds maximum samplable rate %v (infeasible)", maxSampled))
 	}
 
 	switch {
-	case spend > p.Budget:
+	case spend > ft.budget:
 		// Overspend: rescale onto the hyperplane. Scaling by a factor in
 		// (0, 1) keeps every coordinate inside [0, α_i].
-		scale := p.Budget / spend
+		scale := ft.budget / spend
 		for i := range rates {
 			rates[i] *= scale
 		}
-	case spend < p.Budget:
+	case spend < ft.budget:
 		// Deficit: waterfill the headroom — but over the links the
 		// previous plan already uses first. Keeping prev's zeros at zero
 		// preserves the active set the solver inherits from the start
@@ -89,22 +89,22 @@ func warmStartRates(prevRates []float64, p *Problem, buf []float64, lower, upper
 		// would force the solver to re-pin them one activation per
 		// iteration, which is most of a cold solve. Off links are only
 		// raised when the active links alone cannot absorb the deficit.
-		deficit := p.Budget - spend
+		deficit := ft.budget - spend
 		interior := 0.0
 		for i := 0; i < n; i++ {
 			if rates[i] > 0 {
-				interior += (p.alpha(i) - rates[i]) * p.Loads[i]
+				interior += (ft.alpha[i] - rates[i]) * ft.loads[i]
 			}
 		}
 		if interior >= deficit {
-			waterfill(p, rates, deficit, true)
+			ft.waterfill(rates, deficit, true)
 		} else {
 			for i := 0; i < n; i++ {
 				if rates[i] > 0 {
-					rates[i] = p.alpha(i)
+					rates[i] = ft.alpha[i]
 				}
 			}
-			waterfill(p, rates, deficit-interior, false)
+			ft.waterfill(rates, deficit-interior, false)
 		}
 	}
 	// Exact equality: absorb the scaling/bisection residual along the
@@ -114,7 +114,7 @@ func warmStartRates(prevRates []float64, p *Problem, buf []float64, lower, upper
 		lower[i] = rates[i] == 0 //netsamp:floateq-ok exact-zero pins inherit the previous active set
 		upper[i] = false
 	}
-	fixBudget(p, rates, lower, upper)
+	ft.fixBudget(rates, lower, upper)
 	return rates, nil
 }
 
@@ -123,13 +123,13 @@ func warmStartRates(prevRates []float64, p *Problem, buf []float64, lower, upper
 // (monotone in τ: bisect), then raise each by min(α_i − p_i, τ/U_i).
 // onlyPositive restricts the fill to links already in use.
 //netsamp:noalloc
-func waterfill(p *Problem, rates []float64, deficit float64, onlyPositive bool) {
-	n := p.NumLinks()
+func (ft *polytope) waterfill(rates []float64, deficit float64, onlyPositive bool) {
+	n := len(ft.loads)
 	include := func(i int) bool { return !onlyPositive || rates[i] > 0 } //netsamp:alloc-ok captures only stack values; does not escape, so it stays on the stack
 	hi := 0.0
 	for i := 0; i < n; i++ {
 		if include(i) {
-			if v := (p.alpha(i) - rates[i]) * p.Loads[i]; v > hi {
+			if v := (ft.alpha[i] - rates[i]) * ft.loads[i]; v > hi {
 				hi = v
 			}
 		}
@@ -142,7 +142,7 @@ func waterfill(p *Problem, rates []float64, deficit float64, onlyPositive bool) 
 		total := 0.0
 		for i := 0; i < n; i++ {
 			if include(i) {
-				total += math.Min((p.alpha(i)-rates[i])*p.Loads[i], mid)
+				total += math.Min((ft.alpha[i]-rates[i])*ft.loads[i], mid)
 			}
 		}
 		if total < deficit {
@@ -154,7 +154,7 @@ func waterfill(p *Problem, rates []float64, deficit float64, onlyPositive bool) 
 	tau := (lo + hi) / 2
 	for i := 0; i < n; i++ {
 		if include(i) {
-			rates[i] = math.Min(p.alpha(i), rates[i]+tau/p.Loads[i])
+			rates[i] = math.Min(ft.alpha[i], rates[i]+tau/ft.loads[i])
 		}
 	}
 }
@@ -169,5 +169,5 @@ func (s *Solver) WarmStart(prev *Solution, buf []float64) ([]float64, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("core: warm start from nil solution")
 	}
-	return warmStartRates(prev.Rates, s.p, buf, s.lower, s.upper)
+	return s.warmStartRates(prev.Rates, buf, s.lower, s.upper)
 }

@@ -25,8 +25,8 @@ func checkWarmFeasible(t *testing.T, p *Problem, rates []float64) {
 		t.Fatalf("warm start has %d rates for %d links", len(rates), p.NumLinks())
 	}
 	for i, r := range rates {
-		if r < 0 || r > p.alpha(i)+snapTol {
-			t.Fatalf("rate %d = %v outside [0, %v]", i, r, p.alpha(i))
+		if r < 0 || r > capAt(p.MaxRate, i)+snapTol {
+			t.Fatalf("rate %d = %v outside [0, %v]", i, r, capAt(p.MaxRate, i))
 		}
 	}
 	spend := budgetSpend(p, rates)
@@ -34,7 +34,7 @@ func checkWarmFeasible(t *testing.T, p *Problem, rates []float64) {
 		t.Fatalf("warm start spends %v of budget %v", spend, p.Budget)
 	}
 	// The point must be accepted verbatim by the solver's own validation.
-	if err := initialPointInto(p, Options{Initial: rates}, make([]float64, len(rates))); err != nil {
+	if err := polytopeOf(p).initialPointInto(Options{Initial: rates}, make([]float64, len(rates))); err != nil {
 		t.Fatalf("initialPointInto rejects the warm start: %v", err)
 	}
 }
@@ -51,12 +51,12 @@ func TestWarmStartFeasible(t *testing.T) {
 		switch trial % 5 {
 		case 0: // random in-box point
 			for i := range prev {
-				prev[i] = r.Float64() * p.alpha(i)
+				prev[i] = r.Float64() * capAt(p.MaxRate, i)
 			}
 		case 1: // all zero (degenerate previous plan)
 		case 2: // saturated
 			for i := range prev {
-				prev[i] = p.alpha(i)
+				prev[i] = capAt(p.MaxRate, i)
 			}
 		case 3: // out-of-box and negative entries
 			for i := range prev {
@@ -64,7 +64,7 @@ func TestWarmStartFeasible(t *testing.T) {
 			}
 		case 4: // NaN-poisoned
 			for i := range prev {
-				prev[i] = r.Float64() * p.alpha(i)
+				prev[i] = r.Float64() * capAt(p.MaxRate, i)
 			}
 			prev[r.Intn(n)] = math.NaN()
 		}
@@ -111,7 +111,7 @@ func TestWarmStartInfeasibleBudget(t *testing.T) {
 	bad := *p
 	max := 0.0
 	for i, u := range p.Loads {
-		max += p.alpha(i) * u
+		max += capAt(p.MaxRate, i) * u
 	}
 	bad.Budget = max * 2
 	if _, err := WarmStart(sol, &bad, nil); err == nil {
@@ -241,7 +241,7 @@ func TestSetBudgetInfeasible(t *testing.T) {
 	}
 	max := 0.0
 	for i, u := range p.Loads {
-		max += p.alpha(i) * u
+		max += capAt(p.MaxRate, i) * u
 	}
 	if err := s.SetBudget(max * 1.5); err == nil {
 		t.Fatal("infeasible budget accepted")
@@ -309,7 +309,7 @@ func FuzzWarmStart(f *testing.F) {
 		p := wsRandomProblem(seed%100, 5+int(seed%20), 1+int(seed%15), false)
 		max := 0.0
 		for i, u := range p.Loads {
-			max += p.alpha(i) * u
+			max += capAt(p.MaxRate, i) * u
 		}
 		p.Budget = math.Min(p.Budget*budgetScale, max)
 		if !(p.Budget > 0) {
@@ -318,7 +318,7 @@ func FuzzWarmStart(f *testing.F) {
 		r := rng.New(seed)
 		prev := make([]float64, p.NumLinks())
 		for i := range prev {
-			prev[i] = fill * r.Float64() * p.alpha(i)
+			prev[i] = fill * r.Float64() * capAt(p.MaxRate, i)
 		}
 		rates, err := WarmStartRates(prev, p, nil)
 		if err != nil {

@@ -5,29 +5,25 @@ import (
 	"math"
 )
 
-// Solver is a reusable workspace for solving one Problem shape many
-// times. Construction validates the problem once and compiles the pair
-// rows into a flat CSR-style incidence (pair → links, with optional
-// ECMP fractions), replacing the per-solve slice walks and the per-pair
-// bookkeeping Validate used to rebuild on every call. All float buffers
+// Solver is a reusable workspace for solving one problem shape many
+// times. Construction validates the problem once and compiles it into
+// the one form every kernel computes on: flat CSR pair rows (pair →
+// links, with optional ECMP fractions) plus the solver's own copy of the
+// numeric fields. NewSolver flattens a []Pair problem into that form;
+// NewSolverCSR adopts rows that already arrive in it. All float buffers
 // are owned by the Solver, so repeated SolveInto calls are allocation-
 // free in steady state.
 //
 // A Solver is not safe for concurrent use; run one Solver per worker
-// (internal/engine gives each job its own). The Problem's structure
-// (pair count, link rows, fractions, rate model) must not change after
-// NewSolver; numeric re-tuning between solves is supported through
-// SetWeights, SetBudget, SetLoads and SetUtilities. The Solver owns a
-// private copy of the Problem's numeric fields, so re-tuning never
-// mutates the caller's Problem, and re-validation is limited to the
-// field that changed. The one-shot core.Solve remains as a thin wrapper
-// for callers that solve a shape only once.
+// (internal/engine gives each job its own). The structure (pair count,
+// link rows, fractions, rate model) is fixed at construction; numeric
+// re-tuning between solves is supported through SetWeights, SetBudget,
+// SetLoads and SetUtilities, never mutates the caller's problem, and
+// re-validates only the field that changed. The one-shot core.Solve
+// remains as a thin wrapper for callers that solve a shape only once.
 type Solver struct {
-	// prob is the Solver's private copy of the compiled problem: Loads
-	// and the Pair headers are cloned so SetBudget/SetLoads/SetUtilities
-	// can re-tune in place without touching the caller's Problem.
-	prob   Problem
-	p      *Problem
+	// polytope holds the private loads, materialised caps and budget.
+	polytope
 	// model is the resolved effective-rate model (never nil).
 	model  RateModel
 	n      int // candidate links
@@ -43,9 +39,7 @@ type Solver struct {
 	fracs []float64
 	utils []Utility
 	wts   []float64
-	// baseWts backs SetWeights(nil) for CSR-compiled solvers, which have
-	// no Pair headers to read the problem weights back from. Nil for
-	// solvers built by NewSolver.
+	// baseWts holds the compile-time weights SetWeights(nil) restores.
 	baseWts []float64
 
 	// Scratch buffers of the gradient-projection iteration.
@@ -73,9 +67,9 @@ type Solver struct {
 	lmoRatio []float64
 
 	// sh is the sharding state: when a worker pool is attached via Shard,
-	// the pair-loop kernels (gradient, line search, Hessian products,
-	// solution assembly) fan out over fixed-size pair chunks with an
-	// ordered reduction, so results are bit-identical at any worker count.
+	// the pair sweeps (gradient, line search, Hessian products, solution
+	// assembly) fan out over fixed-size pair chunks with an ordered
+	// reduction, so results are bit-identical at any worker count.
 	sh shardState
 }
 
@@ -84,51 +78,54 @@ func NewSolver(p *Problem) (*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	n := p.NumLinks()
-	s := &Solver{
-		prob: Problem{
-			Loads:   append([]float64(nil), p.Loads...),
-			MaxRate: p.MaxRate,
-			Budget:  p.Budget,
-			Pairs:   append([]Pair(nil), p.Pairs...),
-			Model:   p.Model,
-		},
-		n:      n,
-		nPairs: len(p.Pairs),
-		start:  make([]int32, len(p.Pairs)+1),
-		utils:  make([]Utility, len(p.Pairs)),
-		wts:    make([]float64, len(p.Pairs)),
+	cp := CSRProblem{
+		Loads:     p.Loads,
+		MaxRate:   p.MaxRate,
+		Budget:    p.Budget,
+		Utilities: make([]Utility, len(p.Pairs)),
+		Weights:   make([]float64, len(p.Pairs)),
+		Model:     p.Model,
 	}
-	s.initScratch()
+	cp.Start, cp.Links, cp.Fracs = flattenPairs(p.Pairs)
+	for k := range p.Pairs {
+		cp.Utilities[k] = p.Pairs[k].Utility
+		cp.Weights[k] = p.Pairs[k].Weight
+	}
+	return compile(&cp), nil
+}
+
+// flattenPairs lays pair rows out in the solver's CSR form. fracs is nil
+// unless some pair carries ECMP fractions, in which case single-path
+// rows get explicit 1s.
+func flattenPairs(pairs []Pair) (start, links []int32, fracs []float64) {
 	nnz := 0
 	hasFracs := false
-	for k := range p.Pairs {
-		nnz += len(p.Pairs[k].Links)
-		if p.Pairs[k].Fracs != nil {
+	for k := range pairs {
+		nnz += len(pairs[k].Links)
+		if pairs[k].Fracs != nil {
 			hasFracs = true
 		}
 	}
-	s.links = make([]int32, 0, nnz)
+	start = make([]int32, len(pairs)+1)
+	links = make([]int32, 0, nnz)
 	if hasFracs {
-		s.fracs = make([]float64, 0, nnz)
+		fracs = make([]float64, 0, nnz)
 	}
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
+	for k := range pairs {
+		pr := &pairs[k]
 		for j, l := range pr.Links {
-			s.links = append(s.links, int32(l))
+			links = append(links, int32(l))
 			if hasFracs {
 				f := 1.0
 				if pr.Fracs != nil {
 					f = pr.Fracs[j]
 				}
-				s.fracs = append(s.fracs, f)
+				fracs = append(fracs, f)
 			}
 		}
-		s.start[k+1] = int32(len(s.links))
-		s.utils[k] = pr.Utility
-		s.wts[k] = pr.weight()
+		start[k+1] = int32(len(links))
 	}
-	return s, nil
+	return start, links, fracs
 }
 
 // denseKKTMaxFree caps the free-coordinate count handled by the dense
@@ -139,16 +136,40 @@ func NewSolver(p *Problem) (*Solver, error) {
 // memory is O(n + nPairs) instead of O(n²).
 const denseKKTMaxFree = 512
 
-// initScratch sizes the solver-owned work buffers once s.prob, s.n and
-// s.nPairs are populated. Shared by NewSolver and NewSolverCSR.
-func (s *Solver) initScratch() {
-	n := s.n
-	s.p = &s.prob
-	s.model = s.prob.model()
-	s.maxSampled = 0
-	for i, u := range s.prob.Loads {
-		s.maxSampled += s.prob.alpha(i) * u
+// compile builds the workspace over a validated problem's CSR rows: the
+// single step NewSolver and NewSolverCSR share. Start/Links/Fracs/
+// Utilities are adopted, not copied; loads and caps are cloned, weights
+// are normalised (entries <= 0, or no Weights at all, mean 1).
+func compile(p *CSRProblem) *Solver {
+	n, nPairs := len(p.Loads), len(p.Start)-1
+	s := &Solver{
+		polytope: polytope{
+			loads:  append([]float64(nil), p.Loads...),
+			alpha:  fullCaps(p.MaxRate, n),
+			budget: p.Budget,
+		},
+		model:   modelOrLinear(p.Model),
+		n:       n,
+		nPairs:  nPairs,
+		start:   p.Start,
+		links:   p.Links,
+		fracs:   p.Fracs,
+		utils:   p.Utilities,
+		wts:     make([]float64, nPairs),
+		baseWts: make([]float64, nPairs),
 	}
+	for i, u := range s.loads {
+		s.maxSampled += s.alpha[i] * u
+	}
+	for k := range s.baseWts {
+		w := 1.0
+		if p.Weights != nil && p.Weights[k] > 0 {
+			w = p.Weights[k]
+		}
+		s.baseWts[k] = w
+	}
+	copy(s.wts, s.baseWts)
+
 	s.rates = make([]float64, n)
 	s.g = make([]float64, n)
 	s.d = make([]float64, n)
@@ -164,19 +185,23 @@ func (s *Solver) initScratch() {
 	s.kktRHS = make([]float64, n+1)
 	s.freePos = make([]int32, n)
 	if n > denseKKTMaxFree {
-		s.curv = make([]float64, s.nPairs)
+		s.curv = make([]float64, nPairs)
 		s.cgR = make([]float64, n)
 		s.cgP = make([]float64, n)
 		s.cgA = make([]float64, n)
 	}
 	s.lmoIdx = make([]int32, n)
 	s.lmoRatio = make([]float64, n)
+	return s
 }
 
-// Problem returns the compiled problem: the Solver's private copy,
-// reflecting any SetBudget/SetLoads/SetUtilities re-tuning. Callers must
-// treat it as read-only; re-tune through the Set* methods.
-func (s *Solver) Problem() *Problem { return s.p }
+// Problem returns the numeric view of the compiled problem — loads,
+// materialised caps, budget and model under any Set* re-tuning, with
+// Pairs nil (the rows live in the compiled form only). The slices alias
+// the Solver's own: read-only, and re-tune through the Set* methods.
+func (s *Solver) Problem() *Problem {
+	return &Problem{Loads: s.loads, MaxRate: s.alpha, Budget: s.budget, Model: s.model}
+}
 
 // SetBudget replaces the budget θ without recompiling, so a sweep or a
 // per-interval loop can re-tune a compiled solver in place. Validation
@@ -190,7 +215,7 @@ func (s *Solver) SetBudget(theta float64) error {
 		return invalidInput("budget", -1, theta,
 			fmt.Sprintf("exceeds maximum samplable rate %v (infeasible)", s.maxSampled))
 	}
-	s.prob.Budget = theta
+	s.budget = theta
 	return nil
 }
 
@@ -207,13 +232,13 @@ func (s *Solver) SetLoads(loads []float64) error {
 		if !(u > 0) || math.IsInf(u, 0) {
 			return invalidInput("load of link", i, u, "want a finite value > 0")
 		}
-		max += s.prob.alpha(i) * u
+		max += s.alpha[i] * u
 	}
-	if s.prob.Budget > max*(1+1e-12) {
-		return invalidInput("budget", -1, s.prob.Budget,
+	if s.budget > max*(1+1e-12) {
+		return invalidInput("budget", -1, s.budget,
 			fmt.Sprintf("exceeds maximum samplable rate %v under new loads (infeasible)", max))
 	}
-	copy(s.prob.Loads, loads)
+	copy(s.loads, loads)
 	s.maxSampled = max
 	return nil
 }
@@ -231,34 +256,26 @@ func (s *Solver) SetUtilities(us []Utility) error {
 		}
 	}
 	copy(s.utils, us)
-	// A CSR-compiled solver has no Pair headers to mirror into.
-	if s.prob.Pairs != nil {
-		for k := range us {
-			s.prob.Pairs[k].Utility = us[k]
-		}
-	}
 	return nil
 }
 
 // SetWeights replaces the per-pair objective weights without recompiling
 // (the max-min solver re-tunes weights every round). Entries <= 0 mean
-// weight 1, mirroring Pair.Weight; nil restores the Problem's weights.
-// The underlying Problem is not modified.
+// weight 1, mirroring Pair.Weight; NaN and ±Inf are rejected like
+// Validate rejects them, leaving the weights untouched; nil restores the
+// compile-time weights.
 func (s *Solver) SetWeights(w []float64) error {
 	if w == nil {
-		if s.p.Pairs == nil {
-			// CSR-compiled solver: the compiled weights (CSRProblem.Weights,
-			// default 1) are the problem's weights; restore them.
-			copy(s.wts, s.baseWts)
-			return nil
-		}
-		for k := range s.wts {
-			s.wts[k] = s.p.Pairs[k].weight()
-		}
+		copy(s.wts, s.baseWts)
 		return nil
 	}
 	if len(w) != s.nPairs {
 		return fmt.Errorf("core: %d weights for %d pairs", len(w), s.nPairs)
+	}
+	for k, v := range w {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return invalidInput(fmt.Sprintf("pair %d weight", k), -1, v, "want a finite value")
+		}
 	}
 	for k, v := range w {
 		if v <= 0 {
@@ -287,62 +304,55 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 // once in NewSolver.
 //netsamp:noalloc
 func (s *Solver) SolveInto(sol *Solution, opt Options) error {
-	p := s.p
 	n := s.n
 	tol := opt.tol()
 
 	rates := s.rates
-	if err := initialPointInto(p, opt, rates); err != nil {
+	if err := s.initialPointInto(opt, rates); err != nil {
 		return err
 	}
 
 	lower, upper := s.lower, s.upper
-	syncActive(p, rates, lower, upper)
+	s.syncActive(rates, lower, upper)
 
 	g, d, sdir, prevD := s.g, s.d, s.sdir, s.prevD
 	havePrev := false
 
 	var stats Stats
 	for stats.Iterations = 0; stats.Iterations < opt.maxIter(); stats.Iterations++ {
-		reproject(p, rates, lower, upper)
+		s.reproject(rates, lower, upper)
 		s.gradient(rates, g)
 
 		free := countFree(lower, upper)
 		if free == 0 {
 			// Fully constrained vertex: optimal iff some λ satisfies all
 			// bound multipliers; otherwise free the violators.
-			if ok := vertexKKT(p, g, lower, upper, tol); ok {
+			if ok := s.vertexKKT(g, lower, upper, tol); ok {
 				s.finishInto(sol, rates, g, stats, true)
 				return nil
 			}
-			deactivateVertex(p, g, lower, upper)
+			s.deactivateVertex(g, lower, upper)
 			stats.Removals++
 			havePrev = false
 			continue
 		}
 
-		lambda := projectionLambda(p, g, lower, upper)
+		lambda := s.projectionLambda(g, lower, upper)
 		for i := 0; i < n; i++ {
 			if lower[i] || upper[i] {
 				d[i] = 0
 			} else {
-				d[i] = g[i] - lambda*p.Loads[i]
+				d[i] = g[i] - lambda*s.loads[i]
 			}
 		}
 
 		if normInf(d) <= tol*(1+normInf(g)) {
 			// (convergence test is on the unpreconditioned residual)
-			// Projected gradient vanished: verify KKT at this point.
-			if multipliersOK(p, g, lambda, lower, upper, tol) {
-				s.finishInto(sol, rates, g, stats, true)
-				return nil
-			}
-			// Paper's strategy: de-activate every active constraint whose
+			// Projected gradient vanished: this is a KKT point iff every
+			// active bound's multiplier has the right sign. Otherwise the
+			// paper's strategy: de-activate every active constraint whose
 			// multiplier is negative and resume the search.
-			removed := deactivateNegative(p, g, lambda, lower, upper, tol)
-			if removed == 0 {
-				// Numerical corner: multipliers marginally negative but
-				// below deactivation threshold. Treat as converged.
+			if s.deactivateNegative(g, lambda, lower, upper, tol) == 0 {
 				s.finishInto(sol, rates, g, stats, true)
 				return nil
 			}
@@ -362,7 +372,7 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 			nFree, lamW := 0, 0.0
 			for i := 0; i < n; i++ {
 				if !lower[i] && !upper[i] {
-					lamW += g[i] / p.Loads[i]
+					lamW += g[i] / s.loads[i]
 					nFree++
 				}
 			}
@@ -371,7 +381,7 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 				if lower[i] || upper[i] {
 					d[i] = 0
 				} else {
-					d[i] = (g[i] - lamW*p.Loads[i]) / (p.Loads[i] * p.Loads[i])
+					d[i] = (g[i] - lamW*s.loads[i]) / (s.loads[i] * s.loads[i])
 				}
 			}
 		}
@@ -411,12 +421,12 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 			havePrev = true
 		}
 
-		tMax, blocking := maxStep(p, rates, sdir, lower, upper)
+		tMax, blocking := s.maxStep(rates, sdir, lower, upper)
 		if tMax <= 0 {
 			// A constraint is binding in the search direction at step
 			// zero: activate it and recompute the projection.
 			if blocking >= 0 {
-				activate(p, rates, blocking, lower, upper)
+				s.activate(rates, blocking, lower, upper)
 				havePrev = false
 				continue
 			}
@@ -433,13 +443,13 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 			}
 		}
 		if hitMax && blocking >= 0 {
-			activate(p, rates, blocking, lower, upper)
+			s.activate(rates, blocking, lower, upper)
 			havePrev = false
 		}
-		syncActive(p, rates, lower, upper)
+		s.syncActive(rates, lower, upper)
 	}
 
-	reproject(p, rates, lower, upper)
+	s.reproject(rates, lower, upper)
 	s.gradient(rates, g)
 	s.finishInto(sol, rates, g, stats, false)
 	return nil
@@ -468,7 +478,6 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 		// for every additive model.
 		return false
 	}
-	p := s.p
 	nf := 0
 	for i := 0; i < s.n; i++ {
 		if lower[i] || upper[i] {
@@ -525,8 +534,8 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	rhs := s.kktRHS[:m]
 	for i := 0; i < s.n; i++ {
 		if j := s.freePos[i]; j >= 0 {
-			K[int(j)*m+nf] = p.Loads[i]
-			K[nf*m+int(j)] = p.Loads[i]
+			K[int(j)*m+nf] = s.loads[i]
+			K[nf*m+int(j)] = s.loads[i]
 			rhs[j] = -g[i]
 		}
 	}
@@ -599,60 +608,97 @@ func solveDenseInPlace(a, b []float64, m int) bool {
 	return true
 }
 
-// csrFracs returns pair row [lo, hi)'s fraction subslice, or nil when
+// rowFracs returns pair row [lo, hi)'s fraction subslice, or nil when
 // no pair carries ECMP fractions. Subslicing never allocates.
 //netsamp:noalloc
-func (s *Solver) csrFracs(lo, hi int32) []float64 {
-	if s.fracs == nil {
+func rowFracs(fracs []float64, lo, hi int32) []float64 {
+	if fracs == nil {
 		return nil
 	}
-	return s.fracs[lo:hi]
+	return fracs[lo:hi]
 }
 
-// rho returns the effective sampling rate of pair k at rates, from the
-// compiled incidence.
+// rho returns the effective sampling rate of pair k at rates.
 //netsamp:noalloc
 func (s *Solver) rho(k int, rates []float64) float64 {
 	lo, hi := s.start[k], s.start[k+1]
-	return s.model.pairRhoCSR(s.links[lo:hi], s.csrFracs(lo, hi), rates)
+	return s.model.pairRho(s.links[lo:hi], rowFracs(s.fracs, lo, hi), rates)
 }
+
+// Every pair sweep below is written once, as a range body over the pairs
+// [kLo, kHi) accumulating in ascending pair order. The serial path runs
+// it over [0, nPairs); with a pool attached shardChunk runs it per chunk
+// and the partials are reduced in ascending chunk order (shard.go) — so
+// each mode's summation order, hence every bit, is fixed by the body.
 
 // gradient writes ∂/∂p_i Σ_k w_k·M_k(ρ_k) into out.
 //netsamp:noalloc
 func (s *Solver) gradient(rates, out []float64) {
-	if s.sh.pool != nil {
-		s.shardGradient(rates, out)
-		return
-	}
 	for i := range out {
 		out[i] = 0
 	}
-	for k := 0; k < s.nPairs; k++ {
+	if s.sh.pool == nil {
+		s.gradRange(0, s.nPairs, rates, out)
+		return
+	}
+	s.sh.vecA = rates
+	s.dispatch(shardTaskGrad)
+	s.reducePartials(out)
+}
+
+// gradRange adds the pairs [kLo, kHi)'s gradient terms to out.
+//netsamp:noalloc
+func (s *Solver) gradRange(kLo, kHi int, rates, out []float64) {
+	for k := kLo; k < kHi; k++ {
 		lo, hi := s.start[k], s.start[k+1]
-		links, fracs := s.links[lo:hi], s.csrFracs(lo, hi)
-		rho := s.model.pairRhoCSR(links, fracs, rates)
+		links, fracs := s.links[lo:hi], rowFracs(s.fracs, lo, hi)
+		rho := s.model.pairRho(links, fracs, rates)
 		d := s.wts[k] * s.utils[k].Deriv(rho)
-		s.model.accumGradCSR(links, fracs, rates, rho, d, out)
+		s.model.accumGrad(links, fracs, rates, rho, d, out)
 	}
 }
 
-// lineDerivs returns φ'(t) and φ”(t) for φ(t) = Objective(rates + t·dir)
-// over the compiled incidence (see Problem.lineDerivs for the math).
+// objective returns Σ_k w_k·M_k(ρ_k) at rates.
+//netsamp:noalloc
+func (s *Solver) objective(rates []float64) float64 {
+	obj := 0.0
+	for k := 0; k < s.nPairs; k++ {
+		obj += s.wts[k] * s.utils[k].Value(s.rho(k, rates))
+	}
+	return obj
+}
+
+// lineDerivs returns φ'(t) and φ”(t) for φ(t) = objective(rates + t·dir).
+// The solver's Newton line search needs both; the per-pair terms come
+// from the rate model (the product model's second derivative includes
+// the curvature of ρ_k(t) itself).
 //netsamp:noalloc
 func (s *Solver) lineDerivs(rates, dir []float64, t float64) (d1, d2 float64) {
-	if s.sh.pool != nil {
-		return s.shardLineDerivs(rates, dir, t)
+	if s.sh.pool == nil {
+		return s.lineRange(0, s.nPairs, rates, dir, t)
 	}
-	for k := 0; k < s.nPairs; k++ {
+	s.sh.vecA, s.sh.vecB, s.sh.t = rates, dir, t
+	s.dispatch(shardTaskLine)
+	for c := 0; c < s.sh.nChunks; c++ {
+		d1 += s.sh.pd1[c]
+		d2 += s.sh.pd2[c]
+	}
+	return d1, d2
+}
+
+// lineRange sums the pairs [kLo, kHi)'s line-search terms.
+//netsamp:noalloc
+func (s *Solver) lineRange(kLo, kHi int, rates, dir []float64, t float64) (d1, d2 float64) {
+	for k := kLo; k < kHi; k++ {
 		lo, hi := s.start[k], s.start[k+1]
-		e1, e2 := s.model.lineTermsCSR(s.links[lo:hi], s.csrFracs(lo, hi), rates, dir, t, s.utils[k], s.wts[k])
+		e1, e2 := s.model.lineTerms(s.links[lo:hi], rowFracs(s.fracs, lo, hi), rates, dir, t, s.utils[k], s.wts[k])
 		d1 += e1
 		d2 += e2
 	}
 	return d1, d2
 }
 
-// lineSearch maximizes φ(t) = Objective(rates + t·dir) over [0, tMax].
+// lineSearch maximizes φ(t) = objective(rates + t·dir) over [0, tMax].
 // See the package solver notes: φ is concave along dir under the
 // additive rate models, so φ' is decreasing; safeguarded Newton with a
 // bisection fallback keeps the bracket valid even under the product
@@ -703,23 +749,13 @@ func (s *Solver) lineSearch(rates, dir []float64, tMax float64, opt Options, new
 // slices when they are large enough.
 //netsamp:noalloc
 func (s *Solver) finishInto(sol *Solution, rates, g []float64, stats Stats, converged bool) {
-	p := s.p
 	lower, upper := s.lower, s.upper
 	stats.Converged = converged
-	lambda := projectionLambda(p, g, lower, upper)
+	lambda := s.projectionLambda(g, lower, upper)
 	if countFree(lower, upper) == 0 {
 		// λ is only interval-constrained at a vertex; report the midpoint
 		// of the feasible interval (clamped to finite values).
-		loLam, hiLam := math.Inf(-1), math.Inf(1)
-		for i := range g {
-			r := g[i] / p.Loads[i]
-			if upper[i] {
-				loLam = math.Max(loLam, r)
-			}
-			if lower[i] {
-				hiLam = math.Min(hiLam, r)
-			}
-		}
+		loLam, hiLam := s.lambdaInterval(g, lower, upper)
 		switch {
 		case !math.IsInf(loLam, 0) && !math.IsInf(hiLam, 0):
 			lambda = (loLam + hiLam) / 2
@@ -735,15 +771,13 @@ func (s *Solver) finishInto(sol *Solution, rates, g []float64, stats Stats, conv
 	sol.Rho = resizeFloats(sol.Rho, s.nPairs)
 	sol.Utilities = resizeFloats(sol.Utilities, s.nPairs)
 	obj := 0.0
-	if s.sh.pool != nil {
-		obj = s.shardFinish(rates, sol.Rho, sol.Utilities)
+	if s.sh.pool == nil {
+		obj = s.finishRange(0, s.nPairs, rates, sol.Rho, sol.Utilities)
 	} else {
-		for k := 0; k < s.nPairs; k++ {
-			rho := s.rho(k, rates)
-			u := s.utils[k].Value(rho)
-			sol.Rho[k] = rho
-			sol.Utilities[k] = u
-			obj += s.wts[k] * u
+		s.sh.vecA, s.sh.rhoOut, s.sh.utilOut = rates, sol.Rho, sol.Utilities
+		s.dispatch(shardTaskFinish)
+		for c := 0; c < s.sh.nChunks; c++ {
+			obj += s.sh.pd1[c]
 		}
 	}
 	sol.Objective = obj
@@ -755,13 +789,28 @@ func (s *Solver) finishInto(sol *Solution, rates, g []float64, stats Stats, conv
 	for i := range rates {
 		sol.LowerMult[i], sol.UpperMult[i] = 0, 0
 		if lower[i] {
-			sol.LowerMult[i] = lambda*p.Loads[i] - g[i]
+			sol.LowerMult[i] = lambda*s.loads[i] - g[i]
 		}
 		if upper[i] {
-			sol.UpperMult[i] = g[i] - lambda*p.Loads[i]
+			sol.UpperMult[i] = g[i] - lambda*s.loads[i]
 		}
 	}
 	sol.Stats = stats
+}
+
+// finishRange fills the pairs [kLo, kHi)'s rho and utility slots and
+// returns their weighted-utility sum.
+//netsamp:noalloc
+func (s *Solver) finishRange(kLo, kHi int, rates, rhoOut, utilOut []float64) float64 {
+	obj := 0.0
+	for k := kLo; k < kHi; k++ {
+		rho := s.rho(k, rates)
+		u := s.utils[k].Value(rho)
+		rhoOut[k] = rho
+		utilOut[k] = u
+		obj += s.wts[k] * u
+	}
+	return obj
 }
 
 // resizeFloats returns a slice of length n, reusing buf's storage when

@@ -13,6 +13,7 @@ import (
 
 	"netsamp/internal/faults"
 	"netsamp/internal/state"
+	"netsamp/internal/supervise"
 )
 
 // baseConfig is the shared run configuration of the recovery tests: a
@@ -386,7 +387,7 @@ func TestServeSupervisedRestart(t *testing.T) {
 	cfg.CrashAt = 10
 
 	var logs []string
-	sup := &Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: 3,
 		Sleep:       func(context.Context, time.Duration) {},
 		Logf:        func(f string, a ...any) { logs = append(logs, f) },
@@ -419,7 +420,7 @@ func TestServeSupervisedRestart(t *testing.T) {
 // backoff between restarts.
 func TestSupervisorGivesUp(t *testing.T) {
 	var delays []time.Duration
-	sup := &Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: 4,
 		Backoff:     100 * time.Millisecond,
 		MaxBackoff:  250 * time.Millisecond,
@@ -451,7 +452,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 // the consecutive-failure counter, so a long-running loop that crashes
 // occasionally — but checkpoints in between — is restarted indefinitely.
 func TestSupervisorProgressResetsFailures(t *testing.T) {
-	sup := &Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: 2,
 		Sleep:       func(context.Context, time.Duration) {},
 	}
@@ -475,7 +476,7 @@ func TestSupervisorProgressResetsFailures(t *testing.T) {
 // TestSupervisorCapturesCrashStack: a panicking task is converted into a
 // CrashError carrying the crashed goroutine's stack.
 func TestSupervisorCapturesCrashStack(t *testing.T) {
-	sup := &Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: 1,
 		Sleep:       func(context.Context, time.Duration) {},
 	}
@@ -483,7 +484,7 @@ func TestSupervisorCapturesCrashStack(t *testing.T) {
 		crashHere()
 		return nil
 	})
-	var ce *CrashError
+	var ce *supervise.CrashError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want CrashError, got %v", err)
 	}
@@ -504,7 +505,7 @@ func crashHere() { panic("kersplat") }
 // restart loop with ctx.Err().
 func TestSupervisorHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sup := &Supervisor{
+	sup := &supervise.Supervisor{
 		MaxFailures: 100,
 		Sleep:       func(context.Context, time.Duration) { cancel() },
 	}

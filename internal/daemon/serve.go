@@ -6,29 +6,13 @@ import (
 	"netsamp/internal/supervise"
 )
 
-// The supervision primitives live in internal/supervise so the ingest
-// tier can share them without importing the serve loop (which would
-// cycle through eval). The aliases keep this package's historical API:
-// daemon.Supervisor and daemon.CrashError are the same types.
-type (
-	// Task is one supervised attempt of a long-running operation; see
-	// supervise.Task.
-	Task = supervise.Task
-	// CrashError is a panic captured by the supervisor; see
-	// supervise.CrashError.
-	CrashError = supervise.CrashError
-	// Supervisor restarts a failing Task with bounded exponential
-	// backoff; see supervise.Supervisor.
-	Supervisor = supervise.Supervisor
-)
-
 // Serve is the supervised serve loop: each attempt re-opens the
 // persistence directory (restoring from the newest checkpoint a previous
 // attempt left behind) and runs until done or crash. This is what
 // `netsamp serve` runs.
-func Serve(ctx context.Context, cfg Config, sup *Supervisor) error {
+func Serve(ctx context.Context, cfg Config, sup *supervise.Supervisor) error {
 	if sup == nil {
-		sup = &Supervisor{}
+		sup = &supervise.Supervisor{}
 	}
 	return sup.Run(ctx, func(ctx context.Context, progress func()) error {
 		loop, err := Open(cfg)

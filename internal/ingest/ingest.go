@@ -27,7 +27,7 @@
 // as inflated variance and LowConfidence flags — never as silent
 // downward bias.
 //
-// In live mode each shard worker runs under a daemon.Supervisor: a
+// In live mode each shard worker runs under a supervise.Supervisor: a
 // panic (e.g. from a faulty classifier) poisons only the in-flight
 // datagram — the restarted worker accounts it as dropped, skips the
 // slot, and resumes with all shard stats intact.

@@ -31,8 +31,7 @@ type RetryPolicy struct {
 // into datagrams and stamping each datagram with the NetFlow v5
 // FlowSequence convention — the cumulative number of records exported
 // before the datagram — so the collector can account for lost *records*,
-// not just lost datagrams (see internal/netflow/v5.go). It is safe for
-// concurrent use.
+// not just lost datagrams. It is safe for concurrent use.
 //
 // Writes that fail are retried per the RetryPolicy; a datagram whose
 // retries are exhausted is dropped and counted in Dropped(). The

@@ -6,28 +6,6 @@ import (
 	"netsamp/internal/packet"
 )
 
-// FuzzDecodeV5: arbitrary datagrams must never panic the v5 decoder,
-// and anything that decodes must re-encode to an equal-length datagram.
-func FuzzDecodeV5(f *testing.F) {
-	good, _ := EncodeV5(V5Header{SamplingMode: 1, SamplingInterval: 100}, []V5Record{sampleV5Record()})
-	f.Add(good)
-	f.Add(make([]byte, V5HeaderSize))
-	f.Add([]byte{0, 5})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		h, recs, err := DecodeV5(data)
-		if err != nil {
-			return
-		}
-		out, err := EncodeV5(h, recs)
-		if err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		if len(out) != V5HeaderSize+int(h.Count)*V5RecordSize {
-			t.Fatalf("bad re-encoded size %d", len(out))
-		}
-	})
-}
-
 // FuzzCollectorDecode: the collector's datagram decoder must be total.
 // The corpus seeds the hardened paths explicitly: truncated headers,
 // mid-record cuts, counts exceeding the buffer, and trailing garbage.

@@ -11,11 +11,11 @@ import (
 	"netsamp/internal/topology"
 )
 
-// Compiled couples a built core.Problem with its compiled core.Solver
-// and the candidate-set bookkeeping, so a family of related instances —
-// a θ-sweep, randomized restarts, successive measurement intervals —
-// validates and compiles the CSR incidence once and re-tunes the
-// numeric fields in place between solves.
+// Compiled couples a compiled core.Solver with the candidate-set
+// bookkeeping, so a family of related instances — a θ-sweep, randomized
+// restarts, successive measurement intervals — validates and compiles
+// the CSR incidence once and re-tunes the numeric fields in place
+// between solves.
 //
 // A Compiled is not safe for concurrent use (it wraps a core.Solver);
 // run one per worker, or hand out entries of a Cache under distinct
@@ -60,10 +60,6 @@ func Compile(in Input) (*Compiled, error) {
 
 // Solver returns the compiled workspace.
 func (c *Compiled) Solver() *core.Solver { return c.solver }
-
-// Problem returns the compiled problem, reflecting any re-tuning.
-// Read-only; re-tune through Retune.
-func (c *Compiled) Problem() *core.Problem { return c.solver.Problem() }
 
 // Index returns the LinkID→dense-index map (read-only).
 func (c *Compiled) Index() map[topology.LinkID]int { return c.index }

@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"netsamp/internal/core"
@@ -131,6 +134,46 @@ func TestRetuneStructureChanges(t *testing.T) {
 	sameSolution(t, got, want, "after failed retunes")
 }
 
+// TestCacheRejectsNonFiniteWeightOnHitAndMiss: a NaN or Inf weight must
+// be the same typed rejection whether Get compiles (Validate) or re-tunes
+// a cached entry (SetWeights) — and the rejected hit must leave the entry
+// solving as before.
+func TestCacheRejectsNonFiniteWeightOnHitAndMiss(t *testing.T) {
+	base := fixtureInput(t)
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		bad := base
+		bad.Weights = []float64{1, w}
+		cache := NewCache()
+		_, missErr := cache.Get(bad)
+		ent, err := cache.Get(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ent.Solver().Solve(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hitErr := cache.Get(bad)
+		for label, err := range map[string]error{"miss": missErr, "hit": hitErr} {
+			var ie *core.InputError
+			if !errors.As(err, &ie) || !errors.Is(err, core.ErrInvalidInput) {
+				t.Fatalf("weight %v, %s: error %v is not a core.InputError", w, label, err)
+			}
+			if !strings.HasPrefix(ie.Field, "pair 1 ") || !strings.HasSuffix(ie.Field, "weight") {
+				t.Fatalf("weight %v, %s: error names %q, want pair 1's weight", w, label, ie.Field)
+			}
+		}
+		if _, err := cache.Get(base); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ent.Solver().Solve(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSolution(t, got, want, "after the rejected hit")
+	}
+}
+
 // TestCacheIdentity: the cache must hit on the same (matrix, candidate
 // set, rate model) identity and miss when any of the three changes.
 func TestCacheIdentity(t *testing.T) {
@@ -150,7 +193,7 @@ func TestCacheIdentity(t *testing.T) {
 	if first != second {
 		t.Fatal("same identity did not reuse the compiled pair")
 	}
-	if got := second.Problem().Budget; got != 5 {
+	if got := second.Solver().Problem().Budget; got != 5 {
 		t.Fatalf("hit did not retune the budget: %v", got)
 	}
 	if h, m := cache.Stats(); h != 1 || m != 1 {

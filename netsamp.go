@@ -274,6 +274,9 @@ type (
 	Controller = control.Controller
 	// ControllerOptions tunes the controller.
 	ControllerOptions = control.Options
+	// ControllerStepInput gathers one interval's observations for
+	// Controller.StepResilient, the controller's single entry point.
+	ControllerStepInput = control.StepInput
 	// ControllerDecision is the per-interval output.
 	ControllerDecision = control.Decision
 )
