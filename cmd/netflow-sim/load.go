@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"netsamp/internal/eval"
 	"netsamp/internal/ingest"
 	"netsamp/internal/netflow"
-	"netsamp/internal/packet"
 	"netsamp/internal/rng"
 )
 
@@ -129,7 +129,7 @@ func runLoad(cfg loadConfig) error {
 						seq += netflow.MaxRecordsPerDatagram
 						continue
 					}
-					b := loadDgram(exp, seq, src)
+					b := eval.SyntheticDgram(exp, seq, src)
 					seq += netflow.MaxRecordsPerDatagram
 					send := func(p []byte) {
 						conn.Write(p)
@@ -219,30 +219,4 @@ func runLoad(cfg loadConfig) error {
 		return fmt.Errorf("overload soak shed nothing: offered %.1fx capacity but Overload bucket is zero", cfg.Multiple)
 	}
 	return nil
-}
-
-// loadDgram builds one full synthetic export datagram. Flow keys vary
-// with (exporter, seq, i) so the shard's accumulation paths see
-// realistic key churn; Start varies across a 300s interval so bins
-// rotate.
-func loadDgram(exp, seq uint32, src *rng.Source) []byte {
-	const count = netflow.MaxRecordsPerDatagram
-	h := packet.Header{Count: count, Seq: seq, Exporter: exp}
-	b := h.AppendTo(make([]byte, 0, packet.HeaderSize+count*packet.RecordSize))
-	start := uint32(src.Intn(300))
-	for i := 0; i < count; i++ {
-		rec := packet.Record{
-			Key: packet.FiveTuple{
-				Src: packet.Addr(exp), Dst: packet.Addr(seq + uint32(i)),
-				SrcPort: uint16(seq), DstPort: uint16(src.Intn(65536)), Proto: packet.ProtoUDP,
-			},
-			MonitorID: uint16(exp),
-			Packets:   uint64(1 + src.Intn(100)),
-			Bytes:     uint64(64 * (1 + src.Intn(32))),
-			Start:     start,
-			End:       start + 1,
-		}
-		b = rec.AppendTo(b)
-	}
-	return b
 }

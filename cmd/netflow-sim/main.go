@@ -3,7 +3,8 @@
 // interval of task traffic through it, packet by packet:
 //
 //	optimizer plan → per-link sampled flow tables → UDP export →
-//	collector → binning + renormalization → OD size estimates,
+//	one-shard ingest collector → binning + renormalization → OD size
+//	estimates,
 //
 // then reports the per-pair estimation accuracy, validating the sampling
 // plan on the deployed pipeline rather than in closed form.
@@ -32,12 +33,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"netsamp"
 	"netsamp/internal/core"
 	"netsamp/internal/eval"
+	"netsamp/internal/ingest"
 	"netsamp/internal/netflow"
 	"netsamp/internal/packet"
 	"netsamp/internal/plan"
@@ -52,7 +55,6 @@ func main() {
 	theta := flag.Float64("theta", 100000, "budget θ in packets per 5-minute interval")
 	seed := flag.Uint64("seed", 1, "scenario and sampling seed")
 	scale := flag.Float64("scale", 1, "traffic/θ scale factor (<1 runs faster but with proportionally less accurate estimates)")
-	archive := flag.String("archive", "", "write collected flow records to this archive file (netflow.RecordWriter format)")
 	load := flag.Bool("load", false, "run the ingest overload soak instead of the accuracy replay")
 	loadShards := flag.Int("load-shards", 4, "load mode: collector shards")
 	loadRing := flag.Int("load-ring", 1024, "load mode: datagram ring capacity per shard")
@@ -85,7 +87,7 @@ func main() {
 			JSONPath:     *loadJSON,
 		})
 	} else {
-		err = run(*theta, *seed, *scale, *archive)
+		err = run(os.Stdout, *theta, *seed, *scale)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "netflow-sim:", err)
@@ -93,7 +95,10 @@ func main() {
 	}
 }
 
-func run(theta float64, seed uint64, scale float64, archive string) error {
+// run replays one interval and writes the report to w. Everything it
+// prints except the "replayed interval in …" line is a pure function of
+// (theta, seed, scale) on a loss-free loopback.
+func run(w io.Writer, theta float64, seed uint64, scale float64) error {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %v out of (0, 1]", scale)
 	}
@@ -130,13 +135,29 @@ func run(theta float64, seed uint64, scale float64, archive string) error {
 		return err
 	}
 	planRates := plan.RatesByLink(sol, s.MonitorLinks)
-	fmt.Printf("plan: %d active monitors, θ = %.0f pkts/interval (scale %.2f), converged=%v\n",
+	fmt.Fprintf(w, "plan: %d active monitors, θ = %.0f pkts/interval (scale %.2f), converged=%v\n",
 		len(planRates), theta, scale, sol.Stats.Converged)
 
-	collector, err := netflow.NewCollector("127.0.0.1:0")
+	// Each destination PoP owns a /24 (10.0.<k>.0/24); flow records are
+	// classified back to OD pairs by longest-prefix match on the
+	// destination address, the paper's egress-resolution step.
+	var egress prefix.Table
+	for k := range s.Pairs {
+		egress.MustInsert(packet.AddrFrom4(10, 0, byte(k), 0), 24, int32(k))
+	}
+	collector, err := ingest.New(ingest.Config{
+		Shards:          1,
+		IntervalSeconds: interval,
+		Rho:             sol.Rho,
+		Classifier:      netflow.PrefixClassifier(&egress),
+	})
 	if err != nil {
 		return err
 	}
+	if err := collector.Listen("127.0.0.1:0"); err != nil {
+		return err
+	}
+	defer collector.Close()
 	master := rng.New(seed ^ 0xfeed)
 	type monitor struct {
 		link  topology.LinkID
@@ -159,45 +180,6 @@ func run(theta float64, seed uint64, scale float64, archive string) error {
 		monitors = append(monitors, monitor{lid, netflow.NewFlowTable(id, cfg, master.Split()), exp})
 		id++
 	}
-
-	// Each destination PoP owns a /24 (10.0.<k>.0/24); flow records are
-	// classified back to OD pairs by longest-prefix match on the
-	// destination address, the paper's egress-resolution step.
-	var egress prefix.Table
-	for k := range s.Pairs {
-		egress.MustInsert(packet.AddrFrom4(10, 0, byte(k), 0), 24, int32(k))
-	}
-	est, err := netflow.NewEstimator(interval, sol.Rho, netflow.PrefixClassifier(&egress))
-	if err != nil {
-		return err
-	}
-	var store *netflow.RecordWriter
-	var storeFile *os.File
-	if archive != "" {
-		storeFile, err = os.Create(archive)
-		if err != nil {
-			return err
-		}
-		store, err = netflow.NewRecordWriter(storeFile)
-		if err != nil {
-			return err
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		for batch := range collector.Batches() {
-			est.AddBatch(batch)
-			if store != nil {
-				for _, rec := range batch.Records {
-					if err := store.Write(rec); err != nil {
-						fmt.Fprintln(os.Stderr, "netflow-sim: archive:", err)
-						return
-					}
-				}
-			}
-		}
-		close(done)
-	}()
 
 	// Replay one interval of task traffic in time-major order: flows
 	// arrive as a Poisson process, spread their packets over their
@@ -305,7 +287,7 @@ func run(theta float64, seed uint64, scale float64, archive string) error {
 	deadline := time.Now().Add(10 * time.Second)
 	last, lastChange := uint64(0), time.Now()
 	for time.Now().Before(deadline) {
-		got := collector.Stats().Records
+		got := collector.Snapshot().Records
 		if got >= expected {
 			break
 		}
@@ -316,36 +298,34 @@ func run(theta float64, seed uint64, scale float64, archive string) error {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	collector.Close()
-	<-done
-	if store != nil {
-		if err := store.Close(); err != nil {
-			return err
-		}
-		if err := storeFile.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("archived %d records to %s\n", store.Count(), archive)
+	// Close lets the worker drain the ring, then runs the final merge:
+	// afterwards queued is zero and the books must balance exactly.
+	if err := collector.Close(); err != nil {
+		return err
 	}
-	cs := collector.Stats()
-	fmt.Printf("replayed interval in %v; sampled %d task packets (θ=%.0f also covers cross traffic, not replayed); collector: %d records, %d lost\n\n",
-		time.Since(start).Round(time.Millisecond), sampledTotal, theta, cs.Records, cs.LostRecords)
+	v := collector.Snapshot()
+	if err := v.CheckInvariant(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "replayed interval in %v; sampled %d task packets (θ=%.0f also covers cross traffic, not replayed); collector: %d of %d exported records, %d lost, dropped %d overload + %d malformed + %d shutdown + %d poisoned\n\n",
+		time.Since(start).Round(time.Millisecond), sampledTotal, theta, v.Records, expected, v.LostRecords,
+		v.Dropped.Overload, v.Dropped.Malformed, v.Dropped.Shutdown, v.Dropped.Poisoned)
 
-	bins := est.Estimates()
+	bins := collector.Estimates()
 	if len(bins) == 0 {
 		return fmt.Errorf("no estimates produced")
 	}
 	bin := bins[0]
-	fmt.Printf("%-12s %12s %12s %10s %10s\n", "OD pair", "actual pkts", "estimated", "accuracy", "rho")
+	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s\n", "OD pair", "actual pkts", "estimated", "accuracy", "rho")
 	worst := 1.0
 	for k := range s.Pairs {
 		acc := sampling.Accuracy(bin.Estimate[k], float64(truth[k]))
 		if acc < worst {
 			worst = acc
 		}
-		fmt.Printf("%-12s %12d %12.0f %10.4f %10.6f\n",
+		fmt.Fprintf(w, "%-12s %12d %12.0f %10.4f %10.6f\n",
 			s.Pairs[k].Name, truth[k], bin.Estimate[k], acc, sol.Rho[k])
 	}
-	fmt.Printf("\nworst-pair accuracy: %.4f\n", worst)
+	fmt.Fprintf(w, "\nworst-pair accuracy: %.4f\n", worst)
 	return nil
 }

@@ -5,13 +5,14 @@
 // measurement pipeline over real sockets:
 //
 //	flow generation → per-link sampled flow tables → UDP export with
-//	sequence numbers → collector → 5-minute binning → renormalization
-//	by 1/ρ → OD size estimates (paper, Section V-A).
+//	sequence numbers → ingest collector → 5-minute binning →
+//	renormalization by 1/ρ → OD size estimates (paper, Section V-A).
 //
 // A small three-PoP network carries two OD pairs; the optimizer decides
 // where to sample; each monitored link runs a netflow.FlowTable; records
-// travel over loopback UDP; the estimator reports per-pair size
-// estimates which are compared against the ground truth.
+// travel over loopback UDP to a one-shard ingest.Collector, which bins
+// and renormalizes them; the per-pair size estimates are compared
+// against the ground truth.
 //
 // Run with:
 //
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"netsamp"
+	"netsamp/internal/ingest"
 	"netsamp/internal/netflow"
 	"netsamp/internal/packet"
 	"netsamp/internal/rng"
@@ -79,8 +81,26 @@ func main() {
 	}
 
 	// --- Deploy: collector, one exporter+flow table per monitored link --
-	collector, err := netflow.NewCollector("127.0.0.1:0")
+	// OD pairs are distinguished by destination address: 10.0.0.<pair>.
+	classify := func(k packet.FiveTuple) (int, bool) {
+		switch k.Dst {
+		case packet.AddrFrom4(10, 0, 0, 1):
+			return 0, true
+		case packet.AddrFrom4(10, 0, 0, 2):
+			return 1, true
+		}
+		return 0, false
+	}
+	collector, err := ingest.New(ingest.Config{
+		Shards:          1,
+		IntervalSeconds: interval,
+		Rho:             sol.Rho,
+		Classifier:      classify,
+	})
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := collector.Listen("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
 	master := rng.New(2026)
@@ -107,29 +127,6 @@ func main() {
 			exp:   exp,
 		})
 	}
-
-	// --- Estimator consuming collected batches --------------------------
-	// OD pairs are distinguished by destination address: 10.0.0.<pair>.
-	classify := func(k packet.FiveTuple) (int, bool) {
-		switch k.Dst {
-		case packet.AddrFrom4(10, 0, 0, 1):
-			return 0, true
-		case packet.AddrFrom4(10, 0, 0, 2):
-			return 1, true
-		}
-		return 0, false
-	}
-	est, err := netflow.NewEstimator(interval, sol.Rho, classify)
-	if err != nil {
-		log.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		for batch := range collector.Batches() {
-			est.AddBatch(batch)
-		}
-		close(done)
-	}()
 
 	// --- Generate one measurement interval of traffic -------------------
 	// Each OD pair is decomposed into heavy-tailed flows; every packet of
@@ -188,20 +185,22 @@ func main() {
 		fmt.Printf("monitor %-6s observed %8d pkts, sampled %6d, exported %5d flow records\n",
 			g.LinkName(m.link), st.ObservedPackets, st.SampledPackets, st.ExpiredFlows+st.EvictedFlows)
 	}
-	// Wait for the loopback datagrams to drain, then stop the collector.
+	// Wait for the loopback datagrams to drain, then close the collector:
+	// Close drains the ring and runs the final merge.
 	deadline := time.Now().Add(5 * time.Second)
-	for collector.Stats().Records < expected && time.Now().Before(deadline) {
+	for collector.Snapshot().Records < expected && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	collector.Close()
-	<-done
-	cs := collector.Stats()
+	if err := collector.Close(); err != nil {
+		log.Fatal(err)
+	}
+	v := collector.Snapshot()
 	fmt.Printf("collector: %d datagrams, %d records, %d lost records, %d malformed\n\n",
-		cs.Datagrams, cs.Records, cs.LostRecords, cs.Malformed)
+		v.Datagrams, v.Records, v.LostRecords, v.MalformedDatagrams)
 
 	// --- Report ---------------------------------------------------------
 	fmt.Printf("%-8s %12s %12s %10s\n", "OD pair", "actual pkts", "estimated", "accuracy")
-	for _, bin := range est.Estimates() {
+	for _, bin := range collector.Estimates() {
 		for k := range pairs {
 			estimate := bin.Estimate[k]
 			acc := 1 - abs(estimate-float64(truth[k]))/float64(truth[k])

@@ -207,7 +207,7 @@ func saturationPoint(cfg SaturationConfig, mi int, multiple float64) (Saturation
 					ex.seq += recs
 					continue
 				}
-				b := saturationDgram(ex)
+				b := SyntheticDgram(ex.id, ex.seq, ex.src)
 				ex.seq += recs
 				pt.Emitted += recs
 				col.Inject(b)
@@ -256,22 +256,25 @@ func saturationPoint(cfg SaturationConfig, mi int, multiple float64) (Saturation
 	return pt, nil
 }
 
-// saturationDgram builds one full export datagram with record contents
-// drawn from the exporter's seeded stream.
-func saturationDgram(ex *satExporter) []byte {
+// SyntheticDgram builds one full export datagram for a load generator
+// (the saturation sweep here, netflow-sim's -load soak), drawing record
+// contents from src. Flow keys vary with (exp, seq, i) so the shard's
+// accumulation paths see realistic key churn; Start varies across a
+// 300s interval so bins rotate.
+func SyntheticDgram(exp, seq uint32, src *rng.Source) []byte {
 	const count = netflow.MaxRecordsPerDatagram
-	h := packet.Header{Count: count, Seq: ex.seq, Exporter: ex.id}
+	h := packet.Header{Count: count, Seq: seq, Exporter: exp}
 	b := h.AppendTo(make([]byte, 0, packet.HeaderSize+count*packet.RecordSize))
-	start := uint32(ex.src.Intn(300))
+	start := uint32(src.Intn(300))
 	for i := 0; i < count; i++ {
 		rec := packet.Record{
 			Key: packet.FiveTuple{
-				Src: packet.Addr(ex.id), Dst: packet.Addr(ex.seq + uint32(i)),
-				SrcPort: uint16(ex.seq), DstPort: uint16(ex.src.Intn(65536)), Proto: packet.ProtoUDP,
+				Src: packet.Addr(exp), Dst: packet.Addr(seq + uint32(i)),
+				SrcPort: uint16(seq), DstPort: uint16(src.Intn(65536)), Proto: packet.ProtoUDP,
 			},
-			MonitorID: uint16(ex.id),
-			Packets:   uint64(1 + ex.src.Intn(100)),
-			Bytes:     uint64(64 * (1 + ex.src.Intn(32))),
+			MonitorID: uint16(exp),
+			Packets:   uint64(1 + src.Intn(100)),
+			Bytes:     uint64(64 * (1 + src.Intn(32))),
 			Start:     start,
 			End:       start + 1,
 		}

@@ -37,20 +37,29 @@ type Collector struct {
 	closed   atomic.Bool
 }
 
-// New builds a collector in passive (step) mode. Set cfg.Rho,
+// New builds a collector in passive (step) mode, resolving every unset
+// Config field to its documented default. Set cfg.Rho,
 // cfg.IntervalSeconds and cfg.Classifier to enable the estimation
 // stage; leave Rho nil for a pure counting tier.
 func New(cfg Config) (*Collector, error) {
+	cfg.Shards = orDefault(cfg.Shards, 1)
+	cfg.RingSize = orDefault(cfg.RingSize, 1024)
+	cfg.BlockDeadline = orDefault(cfg.BlockDeadline, time.Millisecond)
+	cfg.MergeEvery = orDefault(cfg.MergeEvery, 250*time.Millisecond)
+	cfg.WatchdogEvery = orDefault(cfg.WatchdogEvery, time.Second)
+	cfg.RestartBackoff = orDefault(cfg.RestartBackoff, 10*time.Millisecond)
 	c := &Collector{cfg: cfg}
 	if len(cfg.Rho) > 0 {
-		est, err := netflow.NewEstimator(cfg.IntervalSeconds, cfg.Rho, cfg.Classifier)
+		if cfg.Classifier == nil {
+			return nil, fmt.Errorf("ingest: Rho set but Classifier is nil")
+		}
+		est, err := netflow.NewEstimator(cfg.IntervalSeconds, cfg.Rho)
 		if err != nil {
 			return nil, err
 		}
 		c.est = est
 	}
-	n := cfg.shards()
-	c.shards = make([]*shard, n)
+	c.shards = make([]*shard, cfg.Shards)
 	for i := range c.shards {
 		c.shards[i] = newShard(i, &c.cfg)
 	}
@@ -311,7 +320,7 @@ func (c *Collector) superviseShard(s *shard) {
 	defer c.wg.Done()
 	sup := &supervise.Supervisor{
 		MaxFailures: c.cfg.MaxRestarts,
-		Backoff:     c.cfg.restartBackoff(),
+		Backoff:     c.cfg.RestartBackoff,
 		Logf:        c.cfg.Logf,
 	}
 	err := sup.Run(context.Background(), func(ctx context.Context, progress func()) error {
@@ -328,7 +337,7 @@ func (c *Collector) superviseShard(s *shard) {
 
 func (c *Collector) mergeLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.mergeEvery())
+	t := time.NewTicker(c.cfg.MergeEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -355,7 +364,7 @@ func (c *Collector) mergeLoop() {
 // otherwise wedge the watchdog on the same lock and go unreported.
 func (c *Collector) watchdogLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.watchdogEvery())
+	t := time.NewTicker(c.cfg.WatchdogEvery)
 	defer t.Stop()
 	lastConsumed := make([]uint64, len(c.shards))
 	stuck := make([]int, len(c.shards))

@@ -36,12 +36,26 @@ func FuzzIngestInvariants(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 40, 2, 2, 6, 0, 3, 10, 5, 0})
 	f.Add([]byte{0, 3, 4, 0, 0, 7, 1, 200, 6, 1, 2, 5, 3, 1, 0, 9})
 	f.Add([]byte{4, 5, 0, 255, 1, 9, 0, 0, 2, 3, 0, 1, 6, 2})
+	// Raw datagrams the pump must reject before attribution (the input is
+	// first offered whole, see below): truncated header, declared count
+	// with no records, mid-record cuts, trailing garbage, forged empty.
+	whole := dgram(1, 0, 3, 0)
+	f.Add([]byte{})
+	f.Add(make([]byte, packet.HeaderSize))
+	f.Add(whole)
+	f.Add(whole[:packet.HeaderSize-3])
+	f.Add(whole[:packet.HeaderSize])
+	f.Add(whole[:packet.HeaderSize+packet.RecordSize+7])
+	f.Add(whole[:len(whole)-1])
+	f.Add(append(append([]byte{}, whole...), 0xca, 0xfe))
+	f.Add(dgram(1, 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type outcome struct {
-			ests []netflow.BinEstimate
-			exps []ExporterView
-			lost uint64
-			dups uint64
+			ests      []netflow.BinEstimate
+			exps      []ExporterView
+			lost      uint64
+			dups      uint64
+			malformed uint64
 		}
 		var base *outcome
 		for _, shards := range fuzzShardCounts {
@@ -55,6 +69,10 @@ func FuzzIngestInvariants(f *testing.F) {
 				lastHole: map[uint32][2]uint32{},
 				lastSent: map[uint32][]byte{},
 			}
+			// The input doubles as one raw datagram off the wire: nearly
+			// always malformed, and then it must move nothing but the
+			// malformed counter, identically at every shard count.
+			c.Inject(data)
 			for i := 0; i+1 < len(data); i += 2 {
 				op, arg := data[i], data[i+1]
 				st.step(c, op, arg)
@@ -82,14 +100,15 @@ func FuzzIngestInvariants(f *testing.F) {
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			got := &outcome{ests: c.Estimates(), exps: v.Exporters, lost: v.LostRecords, dups: v.Duplicates}
+			got := &outcome{ests: c.Estimates(), exps: v.Exporters, lost: v.LostRecords, dups: v.Duplicates, malformed: v.MalformedDatagrams}
 			if base == nil {
 				base = got
 				continue
 			}
 			// Merged view must be bit-identical to the 1-shard run.
-			if got.lost != base.lost || got.dups != base.dups {
-				t.Fatalf("shards=%d: lost/dups %d/%d != %d/%d", shards, got.lost, got.dups, base.lost, base.dups)
+			if got.lost != base.lost || got.dups != base.dups || got.malformed != base.malformed {
+				t.Fatalf("shards=%d: lost/dups/malformed %d/%d/%d != %d/%d/%d",
+					shards, got.lost, got.dups, got.malformed, base.lost, base.dups, base.malformed)
 			}
 			if len(got.ests) != len(base.ests) {
 				t.Fatalf("shards=%d: %d bins != %d", shards, len(got.ests), len(base.ests))

@@ -101,8 +101,9 @@ type Config struct {
 	// on any hardware.
 	CapacityPerShard int
 	// IntervalSeconds, Rho and Classifier configure the estimation
-	// stage (see netflow.NewEstimator). Leave Rho nil to run the tier
-	// as a pure counter (no estimator).
+	// stage: the shards bin records with Classifier, the merge feeds
+	// netflow.NewEstimator(IntervalSeconds, Rho). Leave Rho nil to run
+	// the tier as a pure counter (no estimator).
 	IntervalSeconds uint32
 	Rho             []float64
 	Classifier      netflow.ODClassifier
@@ -122,46 +123,12 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c *Config) shards() int {
-	if c.Shards <= 0 {
-		return 1
+// orDefault resolves a zero (or negative) config value to its default.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
 	}
-	return c.Shards
-}
-
-func (c *Config) ringSize() int {
-	if c.RingSize <= 0 {
-		return 1024
-	}
-	return c.RingSize
-}
-
-func (c *Config) blockDeadline() time.Duration {
-	if c.BlockDeadline <= 0 {
-		return time.Millisecond
-	}
-	return c.BlockDeadline
-}
-
-func (c *Config) mergeEvery() time.Duration {
-	if c.MergeEvery <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.MergeEvery
-}
-
-func (c *Config) watchdogEvery() time.Duration {
-	if c.WatchdogEvery <= 0 {
-		return time.Second
-	}
-	return c.WatchdogEvery
-}
-
-func (c *Config) restartBackoff() time.Duration {
-	if c.RestartBackoff <= 0 {
-		return 10 * time.Millisecond
-	}
-	return c.RestartBackoff
+	return v
 }
 
 func (c *Config) logf(format string, args ...any) {

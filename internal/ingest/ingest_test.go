@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -50,6 +52,26 @@ func dgram(exp, seq uint32, count int, start uint32) []byte {
 		b = rec.AppendTo(b)
 	}
 	return b
+}
+
+// TestNewValidatesEstimationStage: the estimator takes counts, not
+// records, so the tier itself must refuse an estimation stage it could
+// never feed, and the estimator's typed ρ rejection passes through.
+func TestNewValidatesEstimationStage(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.Classifier = nil
+	if _, err := New(cfg); err == nil {
+		t.Fatal("Rho set with a nil Classifier accepted")
+	}
+	cfg = testConfig(1)
+	cfg.Rho = []float64{0.1, math.NaN(), 1}
+	var re *netflow.RhoError
+	if _, err := New(cfg); !errors.As(err, &re) || re.Pair != 1 {
+		t.Fatalf("NaN rho: err = %v, want *netflow.RhoError for pair 1", err)
+	}
+	if _, err := New(Config{}); err != nil {
+		t.Fatalf("pure counting tier (no Rho, no Classifier): %v", err)
+	}
 }
 
 func TestRingSPSC(t *testing.T) {

@@ -82,7 +82,7 @@ func newShard(idx int, cfg *Config) *shard {
 	return &shard{
 		idx:      idx,
 		cfg:      cfg,
-		ring:     newRing(cfg.ringSize()),
+		ring:     newRing(cfg.RingSize),
 		wake:     make(chan struct{}, 1),
 		classify: cfg.Classifier,
 		numOD:    len(cfg.Rho),
@@ -125,7 +125,7 @@ func (s *shard) offer(b []byte, h *packet.Header, stamp int64, live bool) bool {
 		return true
 	}
 	if live && s.cfg.Policy == Block {
-		deadline := time.Now().Add(s.cfg.blockDeadline())
+		deadline := time.Now().Add(s.cfg.BlockDeadline)
 		for {
 			runtime.Gosched()
 			if s.ring.push(b, stamp) {

@@ -57,6 +57,7 @@ func NewCoordConfig(classify ODClassifier, ranges []packet.HashRange, coins []fl
 // (consider = false); an unclassified flow falls back to the plain base
 // rate. It allocates nothing — FastHash and Contains are pure integer
 // arithmetic on the decode path.
+//
 //netsamp:noalloc
 func (c *CoordConfig) Decide(key packet.FiveTuple, base float64) (rate float64, consider bool) {
 	od, ok := c.Classify(key) //netsamp:allocflow-ok classifier installed at config time is a pure index lookup
@@ -67,28 +68,4 @@ func (c *CoordConfig) Decide(key packet.FiveTuple, base float64) (rate float64, 
 		return 0, false
 	}
 	return c.Coins[od], true
-}
-
-// NewCoordinatedEstimator builds the estimator for a coordinated
-// deployment: rho[k] is pair k's deployed inclusion probability
-// min(1, Σ f_ki·p_i). Values above 1 (a caller passing the solver's
-// unclamped additive surrogate) are clamped to 1, matching what the
-// exporters actually apply.
-//
-// Renormalization is the same X/ρ as the independent pipeline, but the
-// variance model behind BinEstimate.RelStdErr — binomial thinning, so
-// relative standard error sqrt((1−ρ_eff)/X) — is exact here rather
-// than approximate: disjoint ranges make "packet sampled somewhere" a
-// single Bernoulli(ρ) event per packet, whereas independent monitors
-// overlap and the thinning model only approximates the duplicate-
-// counting process.
-func NewCoordinatedEstimator(intervalSeconds uint32, rho []float64, classify ODClassifier) (*Estimator, error) {
-	clamped := make([]float64, len(rho))
-	for k, r := range rho {
-		if r > 1 {
-			r = 1
-		}
-		clamped[k] = r
-	}
-	return NewEstimator(intervalSeconds, clamped, classify)
 }

@@ -151,20 +151,3 @@ func TestCoordinationNilKeepsIndependentPath(t *testing.T) {
 		}
 	}
 }
-
-func TestNewCoordinatedEstimatorClampsRho(t *testing.T) {
-	classify := func(k packet.FiveTuple) (int, bool) { return 0, true }
-	est, err := NewCoordinatedEstimator(300, []float64{1.4}, classify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A clamped rho of 1 renormalizes counts by exactly 1.
-	est.Add(packet.Record{Key: coordKey(1), Packets: 50, Start: 0, End: 10})
-	bins := est.Estimates()
-	if len(bins) != 1 {
-		t.Fatalf("%d bins", len(bins))
-	}
-	if bins[0].Estimate[0] != 50 {
-		t.Fatalf("estimate %v, want 50 (rho clamped to 1)", bins[0].Estimate[0])
-	}
-}

@@ -17,70 +17,63 @@ import (
 type ODClassifier func(key packet.FiveTuple) (od int, ok bool)
 
 // Estimator is the post-processing stage of the paper's pipeline: it
-// bins collected flow records into measurement intervals by their start
-// time (Section V-A), accumulates per-OD sampled packet counts, and
-// renormalizes by the effective sampling rate ρ of each OD pair to
-// produce size estimates X/ρ. It is safe for concurrent use.
+// holds per-OD sampled packet counts binned into measurement intervals
+// (Section V-A) and renormalizes them by the effective sampling rate ρ
+// of each OD pair to produce size estimates X/ρ. Counts in, estimates
+// out: classifying records into (interval, OD) bins is the ingest
+// tier's job (internal/ingest). It is safe for concurrent use.
 type Estimator struct {
 	interval uint32
 	rho      []float64
-	classify ODClassifier
 
 	mu   sync.Mutex
 	bins map[uint32][]uint64 // bin start → per-OD sampled packets
 	loss float64             // transport record-loss fraction in [0, 1)
 }
 
+// RhoError is NewEstimator's rejection of an effective sampling rate
+// that is not a probability: NaN, ±Inf or negative.
+type RhoError struct {
+	Pair  int
+	Value float64
+}
+
+func (e *RhoError) Error() string {
+	return fmt.Sprintf("netflow: pair %d effective rate %v is not a probability", e.Pair, e.Value)
+}
+
 // NewEstimator builds an estimator for len(rho) OD pairs over
-// measurement intervals of the given length in seconds.
-func NewEstimator(intervalSeconds uint32, rho []float64, classify ODClassifier) (*Estimator, error) {
+// measurement intervals of the given length in seconds. rho[k] is pair
+// k's inclusion probability; a non-finite or negative value is rejected
+// with a *RhoError, and a value above 1 is clamped to 1 — the solver's
+// additive surrogate Σ f·p of eq. (7) can exceed 1, while what the
+// monitors deploy is min(1, ·).
+func NewEstimator(intervalSeconds uint32, rho []float64) (*Estimator, error) {
 	if intervalSeconds == 0 {
 		return nil, fmt.Errorf("netflow: zero interval")
 	}
 	if len(rho) == 0 {
 		return nil, fmt.Errorf("netflow: no OD pairs")
 	}
-	if classify == nil {
-		return nil, fmt.Errorf("netflow: nil classifier")
+	clamped := make([]float64, len(rho))
+	for k, r := range rho {
+		if math.IsNaN(r) || math.IsInf(r, 0) || r < 0 {
+			return nil, &RhoError{Pair: k, Value: r}
+		}
+		clamped[k] = math.Min(r, 1)
 	}
 	return &Estimator{
 		interval: intervalSeconds,
-		rho:      append([]float64(nil), rho...),
-		classify: classify,
+		rho:      clamped,
 		bins:     make(map[uint32][]uint64),
 	}, nil
 }
 
-// Add accumulates one flow record. Records that do not classify to an OD
-// pair of interest are ignored.
-func (e *Estimator) Add(rec packet.Record) {
-	od, ok := e.classify(rec.Key)
-	if !ok || od < 0 || od >= len(e.rho) {
-		return
-	}
-	bin := rec.Start - rec.Start%e.interval
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	counts, ok := e.bins[bin]
-	if !ok {
-		counts = make([]uint64, len(e.rho))
-		e.bins[bin] = counts
-	}
-	counts[od] += rec.Packets
-}
-
-// AddBatch accumulates every record of a collected batch.
-func (e *Estimator) AddBatch(b Batch) {
-	for _, rec := range b.Records {
-		e.Add(rec)
-	}
-}
-
 // AddCounts folds pre-classified per-OD sampled packet counts into the
-// interval containing binStart — the sharded ingest tier's merge entry
-// point: shards accumulate locally without touching the estimator's
-// lock per record, then flush their deltas here at merge cadence.
-// Integer addition is exact and commutative, so the merged totals are
+// interval containing binStart — the ingest tier's merge entry point:
+// shards accumulate locally without touching the estimator's lock per
+// record, then flush their deltas here at merge cadence. Integer
+// addition is exact and commutative, so the merged totals are
 // independent of shard count and merge order.
 func (e *Estimator) AddCounts(binStart uint32, counts []uint64) error {
 	if len(counts) != len(e.rho) {
@@ -101,11 +94,12 @@ func (e *Estimator) AddCounts(binStart uint32, counts []uint64) error {
 }
 
 // SetTransportLoss informs the estimator of the transport-level record
-// loss fraction ℓ the collector observed via FlowSequence gaps (see
-// Collector.LossFraction). Estimates are renormalized by ρ·(1−ℓ) — the
-// true inclusion probability of a packet that must be sampled AND its
-// record delivered — and the per-estimate relative standard error is
-// inflated accordingly. Fractions outside [0, 1) are rejected.
+// loss fraction ℓ the collector observed — FlowSequence gaps plus its
+// own drops (ingest.Collector.LossFraction). Estimates are renormalized
+// by ρ·(1−ℓ) — the true inclusion probability of a packet that must be
+// sampled AND its record delivered — and the per-estimate relative
+// standard error is inflated accordingly. Fractions outside [0, 1) are
+// rejected.
 func (e *Estimator) SetTransportLoss(frac float64) error {
 	if !(frac >= 0 && frac < 1) {
 		return fmt.Errorf("netflow: transport loss fraction %v out of [0, 1)", frac)
@@ -133,6 +127,9 @@ type BinEstimate struct {
 	// Estimate[k] under binomial thinning at rate ρ_k·(1−ℓ):
 	// sqrt((1−ρ_eff)/X). Transport loss shrinks ρ_eff and so inflates
 	// the reported uncertainty. It is +Inf when nothing was sampled.
+	// The thinning model is exact under coordinated sampling (disjoint
+	// hash ranges make "sampled somewhere" one Bernoulli(ρ) per packet)
+	// and an approximation where independent monitors overlap.
 	RelStdErr []float64
 	// LowConfidence[k] flags estimates whose RelStdErr exceeds
 	// LowConfidenceRelErr — the consumer should not trust them without

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"netsamp/internal/packet"
-	"netsamp/internal/topology"
 )
 
 // MaxRecordsPerDatagram keeps an export datagram within a conservative
@@ -194,27 +193,6 @@ func (e *Exporter) Close() error {
 	return err
 }
 
-// Batch is one decoded export datagram.
-type Batch struct {
-	Exporter uint32
-	Seq      uint32
-	Records  []packet.Record
-}
-
-// CollectorStats accounts the collector's aggregate intake.
-type CollectorStats struct {
-	Datagrams   uint64
-	Records     uint64
-	Malformed   uint64
-	LostRecords uint64 // flow-sequence gaps summed over exporters
-	Duplicates  uint64 // duplicate/reordered datagrams summed over exporters
-	// DroppedRecords counts records that were decoded but never delivered
-	// on the batch channel because Close raced the hand-off: the shutdown
-	// path drops them and accounts them here instead of blocking forever
-	// on a consumer that already went away.
-	DroppedRecords uint64
-}
-
 // ExporterStats accounts one exporter's stream as seen by the
 // collector.
 type ExporterStats struct {
@@ -257,9 +235,9 @@ type seqHole struct {
 // SeqTracker is a per-exporter flow-sequence tracker: it turns the
 // NetFlow v5 FlowSequence convention into record-level loss accounting,
 // detecting gaps (lost records), reordered datagrams that refill a known
-// gap (loss credited back) and duplicates. Both the single-socket
-// Collector and the sharded ingest tier (internal/ingest) run one per
-// exporter; it is not synchronized — the owner serializes access.
+// gap (loss credited back) and duplicates. The ingest tier
+// (internal/ingest) runs one per exporter, on the exporter's shard; it
+// is not synchronized — the owner serializes access.
 type SeqTracker struct {
 	next  uint32 // expected FlowSequence of the next datagram
 	seen  bool
@@ -310,216 +288,6 @@ func (t *SeqTracker) Account(seq uint32, count uint32) (lostDelta int64, dup boo
 	t.stats.Datagrams++
 	t.stats.Received += uint64(count)
 	return lostDelta, dup
-}
-
-// Collector listens for export datagrams on UDP, decodes them and
-// delivers batches on a channel. Flow-sequence gaps are accounted per
-// exporter as lost records; duplicated and reordered datagrams are
-// detected and counted. Close stops the read loop and closes the
-// channel.
-type Collector struct {
-	conn *net.UDPConn
-	ch   chan Batch
-	// done is closed by Close before the socket: the read loop's channel
-	// hand-off selects on it, so a decoded batch nobody will consume is
-	// dropped (and accounted) instead of wedging the loop — and no send
-	// can race the shutdown.
-	done      chan struct{}
-	closeOnce sync.Once
-
-	mu    sync.Mutex
-	stats CollectorStats         //netsamp:guardedby mu
-	exps  map[uint32]*SeqTracker //netsamp:guardedby mu
-	wg    sync.WaitGroup
-}
-
-// NewCollector binds a UDP listener on addr ("127.0.0.1:0" picks an
-// ephemeral port) and starts the read loop.
-func NewCollector(addr string) (*Collector, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: resolve %q: %w", addr, err)
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, fmt.Errorf("netflow: listen: %w", err)
-	}
-	// Routers export in bursts (timeout sweeps flush many flows at
-	// once); a generous socket buffer absorbs them. Best-effort: the
-	// kernel may clamp it, and sequence gaps surface any residual loss.
-	_ = conn.SetReadBuffer(8 << 20)
-	c := &Collector{
-		conn: conn,
-		ch:   make(chan Batch, 256),
-		done: make(chan struct{}),
-		exps: make(map[uint32]*SeqTracker),
-	}
-	c.wg.Add(1)
-	//netsamp:nondeterministic-ok live socket intake is outside replay; all downstream views (Exporters, Snapshot, Estimates) are sorted, and the batch channel + wg synchronize the loop
-	go c.readLoop()
-	return c, nil
-}
-
-// Addr returns the listener's address, for exporters to dial.
-func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
-
-// Batches returns the channel of decoded batches. It is closed by Close.
-func (c *Collector) Batches() <-chan Batch { return c.ch }
-
-// Stats returns a snapshot of the collector's aggregate counters.
-func (c *Collector) Stats() CollectorStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
-
-// ExporterStats returns the per-exporter accounting of one exporter ID
-// (ok = false if the collector has never heard from it).
-func (c *Collector) ExporterStats(id uint32) (ExporterStats, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	es, ok := c.exps[id]
-	if !ok {
-		return ExporterStats{}, false
-	}
-	return es.stats, true
-}
-
-// ExporterAccount pairs an exporter ID with its accounting, for the
-// deterministic (sorted) Exporters listing.
-type ExporterAccount struct {
-	ID    uint32
-	Stats ExporterStats
-}
-
-// Exporters returns a snapshot of every known exporter's accounting in
-// ascending ID order — a deterministic listing consumers can range over
-// without inheriting map iteration order.
-func (c *Collector) Exporters() []ExporterAccount {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ExporterAccount, 0, len(c.exps))
-	for _, id := range topology.SortedKeys(c.exps) {
-		out = append(out, ExporterAccount{ID: id, Stats: c.exps[id].stats})
-	}
-	return out
-}
-
-// LossFraction returns the record-loss fraction aggregated over all
-// exporters: Σ lost / Σ (received + lost).
-func (c *Collector) LossFraction() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	total := c.stats.Records + c.stats.LostRecords
-	if total == 0 {
-		return 0
-	}
-	return float64(c.stats.LostRecords) / float64(total)
-}
-
-// Close shuts the listener down and waits for the read loop to drain.
-// A decoded batch the read loop is still holding when Close arrives is
-// counted in CollectorStats.DroppedRecords rather than sent: after Close
-// returns, no send on the batch channel can happen, even when the
-// consumer stopped reading first.
-func (c *Collector) Close() error {
-	var err error
-	c.closeOnce.Do(func() {
-		close(c.done)
-		err = c.conn.Close()
-	})
-	c.wg.Wait()
-	return err
-}
-
-func (c *Collector) readLoop() {
-	defer c.wg.Done()
-	defer close(c.ch)
-	buf := make([]byte, 65536)
-	for {
-		n, _, err := c.conn.ReadFromUDP(buf)
-		if err != nil {
-			return // closed
-		}
-		batch, ok := c.decode(buf[:n])
-		if !ok {
-			continue
-		}
-		select {
-		case c.ch <- batch:
-		case <-c.done:
-			// Shutdown raced the hand-off: nobody is draining the
-			// channel anymore, so deliverability is gone. Account the
-			// batch as dropped — received == delivered + dropped stays
-			// exact — and exit without ever sending after Close.
-			c.mu.Lock()
-			c.stats.DroppedRecords += uint64(len(batch.Records))
-			c.mu.Unlock()
-			return
-		}
-	}
-}
-
-func (c *Collector) decode(b []byte) (Batch, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var h packet.Header
-	if err := h.DecodeFromBytes(b); err != nil {
-		// Truncated, foreign or version-skewed header.
-		c.stats.Malformed++
-		return Batch{}, false
-	}
-	if h.Count == 0 {
-		// An export datagram always carries records; the exporter never
-		// sends empty ones, so this is noise or a forged header.
-		c.stats.Malformed++
-		return Batch{}, false
-	}
-	want := packet.HeaderSize + int(h.Count)*packet.RecordSize
-	if len(b) < want {
-		// The declared record count exceeds the buffer: a mid-record cut
-		// or a forged count. Reject before the record loop so it can
-		// never over-read, and never let a truncated datagram advance the
-		// sequence accounting.
-		c.stats.Malformed++
-		return Batch{}, false
-	}
-	if len(b) > want {
-		// Trailing bytes after the declared records: not ours.
-		c.stats.Malformed++
-		return Batch{}, false
-	}
-	recs := make([]packet.Record, h.Count)
-	off := packet.HeaderSize
-	for i := range recs {
-		if err := recs[i].DecodeFromBytes(b[off:]); err != nil {
-			c.stats.Malformed++
-			return Batch{}, false
-		}
-		off += packet.RecordSize
-	}
-	c.account(h)
-	return Batch{Exporter: h.Exporter, Seq: h.Seq, Records: recs}, true
-}
-
-// account updates the per-exporter flow-sequence bookkeeping for one
-// accepted datagram and folds the movement into the aggregate counters.
-//
-//netsamp:holds mu called from the decode path, which locks around the whole datagram
-func (c *Collector) account(h packet.Header) {
-	es := c.exps[h.Exporter]
-	if es == nil {
-		es = &SeqTracker{}
-		c.exps[h.Exporter] = es
-	}
-	count := uint32(h.Count)
-	lostDelta, dup := es.Account(h.Seq, count)
-	c.stats.LostRecords = uint64(int64(c.stats.LostRecords) + lostDelta)
-	if dup {
-		c.stats.Duplicates++
-	}
-	c.stats.Datagrams++
-	c.stats.Records += uint64(count)
 }
 
 // findHole returns the index of the hole containing [seq, seq+count),

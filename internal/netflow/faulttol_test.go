@@ -2,60 +2,60 @@ package netflow
 
 import (
 	"math"
-	"net"
 	"testing"
-	"time"
-
-	"netsamp/internal/faults"
-	"netsamp/internal/packet"
 )
 
-// dgram encodes one export datagram with the given flow sequence and
-// record count, bypassing the network.
-func dgram(exporter, seq uint32, count int) []byte {
-	h := packet.Header{Count: uint8(count), Seq: seq, Exporter: exporter}
-	b := h.AppendTo(nil)
-	for i := 0; i < count; i++ {
-		rec := packet.Record{Key: key(byte(i)), Packets: 1}
-		b = rec.AppendTo(b)
-	}
-	return b
+// seqStep is one datagram offered to a SeqTracker and what Account must
+// report for it: the movement of the lost-record count and whether it
+// was a duplicate.
+type seqStep struct {
+	seq, count uint32
+	lostDelta  int64
+	dup        bool
 }
 
-// offlineCollector builds a collector whose decode path can be driven
-// directly, without a socket.
-func offlineCollector() *Collector {
-	return &Collector{exps: make(map[uint32]*SeqTracker)}
+// accountAll drives a fresh tracker through steps — no socket, no
+// collector — checking Account's return on every one, and returns the
+// final per-exporter stats.
+func accountAll(t *testing.T, steps []seqStep) ExporterStats {
+	t.Helper()
+	var tr SeqTracker
+	var lost int64
+	for i, st := range steps {
+		lostDelta, dup := tr.Account(st.seq, st.count)
+		if lostDelta != st.lostDelta || dup != st.dup {
+			t.Fatalf("step %d (seq %d, count %d): lostDelta %d dup %v, want %d %v",
+				i, st.seq, st.count, lostDelta, dup, st.lostDelta, st.dup)
+		}
+		lost += lostDelta
+		if got := tr.Stats().LostRecords; int64(got) != lost {
+			t.Fatalf("step %d: LostRecords %d, deltas sum to %d", i, got, lost)
+		}
+	}
+	return tr.Stats()
 }
 
 func TestExporterStatsGap(t *testing.T) {
-	c := offlineCollector()
-	c.decode(dgram(7, 0, 10))
-	c.decode(dgram(7, 10, 5))
-	// Records 15..24 lost: next datagram starts at 25.
-	c.decode(dgram(7, 25, 5))
-	es, ok := c.ExporterStats(7)
-	if !ok {
-		t.Fatal("exporter unknown")
-	}
+	es := accountAll(t, []seqStep{
+		{seq: 0, count: 10},
+		{seq: 10, count: 5},
+		{seq: 25, count: 5, lostDelta: 10}, // records 15..24 lost
+	})
 	if es.Received != 20 || es.LostRecords != 10 || es.Duplicates != 0 || es.Datagrams != 3 {
 		t.Fatalf("stats = %+v", es)
 	}
 	if lf := es.LossFraction(); math.Abs(lf-10.0/30) > 1e-12 {
 		t.Fatalf("LossFraction = %v", lf)
 	}
-	if agg := c.Stats(); agg.LostRecords != 10 || agg.Records != 20 {
-		t.Fatalf("aggregate = %+v", agg)
-	}
 }
 
 func TestExporterStatsDuplicate(t *testing.T) {
-	c := offlineCollector()
-	c.decode(dgram(3, 0, 4))
-	c.decode(dgram(3, 4, 4))
-	c.decode(dgram(3, 4, 4)) // exact duplicate of the previous datagram
-	c.decode(dgram(3, 0, 4)) // stale replay from further back
-	es, _ := c.ExporterStats(3)
+	es := accountAll(t, []seqStep{
+		{seq: 0, count: 4},
+		{seq: 4, count: 4},
+		{seq: 4, count: 4, dup: true}, // exact duplicate of the previous datagram
+		{seq: 0, count: 4, dup: true}, // stale replay from further back
+	})
 	if es.Duplicates != 2 || es.LostRecords != 0 || es.Received != 16 {
 		t.Fatalf("stats = %+v", es)
 	}
@@ -65,26 +65,16 @@ func TestExporterStatsDuplicate(t *testing.T) {
 // previously counted gap credits the loss back instead of counting as a
 // duplicate — reordering alone must not inflate the loss estimate.
 func TestExporterStatsReorderHealsGap(t *testing.T) {
-	c := offlineCollector()
-	c.decode(dgram(1, 0, 2))
-	c.decode(dgram(1, 5, 3)) // records 2..4 missing so far
-	es, _ := c.ExporterStats(1)
-	if es.LostRecords != 3 {
-		t.Fatalf("gap not counted: %+v", es)
-	}
-	c.decode(dgram(1, 2, 3)) // the missing datagram arrives late
-	es, _ = c.ExporterStats(1)
-	if es.LostRecords != 0 || es.Duplicates != 0 {
-		t.Fatalf("reorder not healed: %+v", es)
-	}
-	if agg := c.Stats(); agg.LostRecords != 0 {
-		t.Fatalf("aggregate not healed: %+v", agg)
-	}
-	// Partial fill: lose 10, recover an interior 4.
-	c.decode(dgram(1, 18, 2)) // records 8..17 missing
-	c.decode(dgram(1, 12, 4)) // interior fill
-	es, _ = c.ExporterStats(1)
-	if es.LostRecords != 6 {
+	es := accountAll(t, []seqStep{
+		{seq: 0, count: 2},
+		{seq: 5, count: 3, lostDelta: 3},  // records 2..4 missing so far
+		{seq: 2, count: 3, lostDelta: -3}, // the missing datagram arrives late
+		// Partial fill: lose 10, recover an interior 4.
+		{seq: 18, count: 2, lostDelta: 10}, // records 8..17 missing
+		{seq: 12, count: 4, lostDelta: -4}, // interior fill splits the hole
+		{seq: 12, count: 4, dup: true},     // the same range again is a duplicate
+	})
+	if es.LostRecords != 6 || es.Duplicates != 1 {
 		t.Fatalf("partial heal wrong: %+v", es)
 	}
 }
@@ -92,154 +82,27 @@ func TestExporterStatsReorderHealsGap(t *testing.T) {
 // TestExporterStatsWraparound: FlowSequence is uint32 and wraps; gap
 // accounting must survive the wrap.
 func TestExporterStatsWraparound(t *testing.T) {
-	c := offlineCollector()
-	start := uint32(0xffffffff - 9) // 10 records before the wrap point
-	c.decode(dgram(2, start, 10))   // next expected: 0
-	c.decode(dgram(2, 0, 5))        // in order across the wrap
-	es, _ := c.ExporterStats(2)
-	if es.LostRecords != 0 || es.Duplicates != 0 {
-		t.Fatalf("wraparound misread as gap/dup: %+v", es)
-	}
-	// A gap that spans the wrap: expected 5, received 3 past the wrap.
-	c.decode(dgram(2, 8, 4))
-	es, _ = c.ExporterStats(2)
-	if es.LostRecords != 3 {
+	es := accountAll(t, []seqStep{
+		{seq: 0xffffffff - 9, count: 10}, // 10 records before the wrap; next expected: 0
+		{seq: 0, count: 5},               // in order across the wrap
+		{seq: 8, count: 4, lostDelta: 3}, // expected 5, received 8
+	})
+	if es.LostRecords != 3 || es.Duplicates != 0 {
 		t.Fatalf("gap across wrap = %+v", es)
 	}
-}
-
-func TestExporterRetryRecoversTransientErrors(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	conn, err := net.Dial("udp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := faults.NewFlakyConn(conn)
-	exp := NewExporterConn(fc, 5)
-	defer exp.Close()
-	exp.SetRetry(RetryPolicy{MaxRetries: 3, Backoff: time.Millisecond})
-
-	fc.FailNext(2) // two transient failures, then the wire heals
-	if err := exp.Export([]packet.Record{{Key: key(1), Packets: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatalf("retries did not recover: %v", err)
-	}
-	b := <-col.Batches()
-	if len(b.Records) != 1 || b.Records[0].Packets != 9 {
-		t.Fatalf("batch = %+v", b)
-	}
-	if exp.Dropped() != 0 || exp.Sent() != 1 {
-		t.Fatalf("dropped=%d sent=%d", exp.Dropped(), exp.Sent())
-	}
-	if exp.Retries() < 2 {
-		t.Fatalf("retries = %d, want >= 2", exp.Retries())
-	}
-}
-
-// TestExporterDropSurfacesAsSequenceGap: when retries are exhausted the
-// records are dropped and counted — and because the flow sequence still
-// advances, the collector sees the loss as an ordinary gap.
-func TestExporterDropSurfacesAsSequenceGap(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	conn, err := net.Dial("udp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := faults.NewFlakyConn(conn)
-	exp := NewExporterConn(fc, 6)
-	defer exp.Close()
-	exp.SetRetry(RetryPolicy{MaxRetries: 1})
-
-	send := func(n byte) error {
-		if err := exp.Export([]packet.Record{{Key: key(n), Packets: uint64(n)}}); err != nil {
-			return err
-		}
-		return exp.Flush()
-	}
-	if err := send(1); err != nil {
-		t.Fatal(err)
-	}
-	<-col.Batches()
-	fc.FailNext(10) // outage longer than the retry budget
-	if err := send(2); err == nil {
-		t.Fatal("exhausted retries reported success")
-	}
-	if exp.Dropped() != 1 {
-		t.Fatalf("Dropped = %d, want 1", exp.Dropped())
-	}
-	fc.FailNext(0)
-	if err := send(3); err != nil {
-		t.Fatal(err)
-	}
-	<-col.Batches()
-	es, ok := col.ExporterStats(6)
-	if !ok || es.LostRecords != 1 || es.Received != 2 {
-		t.Fatalf("collector missed the drop gap: %+v ok=%v", es, ok)
-	}
-}
-
-// TestChannelConnEndToEnd drives an unmodified exporter over a
-// fault-injecting channel and checks the collector's loss accounting
-// agrees with the channel's ground truth.
-func TestChannelConnEndToEnd(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	conn, err := net.Dial("udp", col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := faults.MustPlan(faults.Config{Seed: 21, DatagramLoss: 0.25})
-	ch := plan.Channel(8)
-	exp := NewExporterConn(faults.NewChannelConn(conn, ch), 8)
-	defer exp.Close()
-
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := exp.Export([]packet.Record{{Key: key(byte(i)), Packets: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ch.Lost() == 0 {
-		t.Fatal("channel injected no loss")
-	}
-	want := uint64(n) - ch.Lost()
-	deadline := time.Now().Add(5 * time.Second)
-	for col.Stats().Datagrams < want {
-		if time.Now().After(deadline) {
-			t.Fatalf("collector got %d datagrams, want %d", col.Stats().Datagrams, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	es, _ := col.ExporterStats(8)
-	// Trailing losses are invisible until a later datagram arrives; the
-	// final datagram may have been dropped, so allow the tail.
-	if es.LostRecords > ch.Lost() || ch.Lost()-es.LostRecords > 3 {
-		t.Fatalf("collector lost=%d, channel dropped=%d", es.LostRecords, ch.Lost())
-	}
-	if es.Received != want {
-		t.Fatalf("received %d, want %d", es.Received, want)
+	// A gap that itself spans the wrap point, then healed from behind it.
+	es = accountAll(t, []seqStep{
+		{seq: 0xfffffff0, count: 8},
+		{seq: 4, count: 2, lostDelta: 12},          // 0xfffffff8..3 missing
+		{seq: 0xfffffffe, count: 4, lostDelta: -4}, // refill straddles the wrap
+	})
+	if es.LostRecords != 8 || es.Duplicates != 0 {
+		t.Fatalf("hole across wrap = %+v", es)
 	}
 }
 
 func TestEstimatorTransportLossInflation(t *testing.T) {
-	classify := func(k packet.FiveTuple) (int, bool) { return 0, true }
-	est, err := NewEstimator(300, []float64{0.1}, classify)
+	est, err := NewEstimator(300, []float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +112,9 @@ func TestEstimatorTransportLossInflation(t *testing.T) {
 	if err := est.SetTransportLoss(-0.1); err == nil {
 		t.Fatal("negative loss accepted")
 	}
-	est.Add(packet.Record{Key: key(1), Packets: 100, Start: 10})
+	if err := est.AddCounts(10, []uint64{100}); err != nil {
+		t.Fatal(err)
+	}
 	// Without loss: estimate = 100 / 0.1 = 1000.
 	bins := est.Estimates()
 	if len(bins) != 1 || math.Abs(bins[0].Estimate[0]-1000) > 1e-9 {
@@ -277,14 +142,13 @@ func TestEstimatorTransportLossInflation(t *testing.T) {
 }
 
 func TestEstimatorLowConfidenceFlag(t *testing.T) {
-	classify := func(k packet.FiveTuple) (int, bool) { return int(k.SrcPort % 2), true }
-	est, err := NewEstimator(300, []float64{0.001, 0}, classify)
+	est, err := NewEstimator(300, []float64{0.001, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := packet.Record{Key: key(2), Packets: 1} // SrcPort even → OD 0
-	rec.Key.SrcPort = 1000
-	est.Add(rec)
+	if err := est.AddCounts(0, []uint64{1, 0}); err != nil {
+		t.Fatal(err)
+	}
 	bins := est.Estimates()
 	// One sampled packet at ρ = 0.001: RelStdErr ≈ 1 → flagged.
 	if !bins[0].LowConfidence[0] {

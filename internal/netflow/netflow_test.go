@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -124,156 +125,24 @@ func TestFlowTablePacketConservation(t *testing.T) {
 	}
 }
 
-func TestExporterCollectorRoundTrip(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	exp, err := NewExporter(col.Addr(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 80 records: two full datagrams of 34 plus a flushable tail of 12.
-	var recs []packet.Record
-	for i := 0; i < 80; i++ {
-		recs = append(recs, packet.Record{
-			Key:       key(byte(i)),
-			MonitorID: uint16(i % 5),
-			Packets:   uint64(i + 1),
-			Bytes:     uint64(100 * (i + 1)),
-			Start:     uint32(i),
-			End:       uint32(i + 10),
-		})
-	}
-	if err := exp.Export(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var got []packet.Record
-	for len(got) < 80 {
-		b, ok := <-col.Batches()
-		if !ok {
-			t.Fatal("collector channel closed early")
-		}
-		if b.Exporter != 42 {
-			t.Fatalf("exporter id = %d", b.Exporter)
-		}
-		got = append(got, b.Records...)
-	}
-	if exp.Sent() != 80 {
-		t.Fatalf("Sent = %d", exp.Sent())
-	}
-	for i, rec := range got {
-		if rec != recs[i] {
-			t.Fatalf("record %d mismatch: %+v != %+v", i, rec, recs[i])
-		}
-	}
-	st := col.Stats()
-	if st.Records != 80 || st.Datagrams != 3 || st.Malformed != 0 || st.LostRecords != 0 {
-		t.Fatalf("collector stats = %+v", st)
-	}
-	es, ok := col.ExporterStats(42)
-	if !ok || es.Received != 80 || es.Datagrams != 3 || es.LostRecords != 0 || es.Duplicates != 0 {
-		t.Fatalf("exporter stats = %+v ok=%v", es, ok)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Export(recs[:1]); err == nil {
-		t.Fatal("export after close accepted")
-	}
-}
-
-func TestExporterCloseFlushes(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	exp, err := NewExporter(col.Addr(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Export([]packet.Record{{Key: key(1), Packets: 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	b, ok := <-col.Batches()
-	if !ok || len(b.Records) != 1 || b.Records[0].Packets != 7 {
-		t.Fatalf("batch = %+v ok=%v", b, ok)
-	}
-}
-
-func TestCollectorCountsSequenceGaps(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	exp, err := NewExporter(col.Addr(), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	send := func() {
-		if err := exp.Export([]packet.Record{{Key: key(1), Packets: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	send()
-	<-col.Batches()
-	// Simulate two lost records by advancing the exporter's flow
-	// sequence past them (the v5 convention: Seq counts records, so the
-	// collector sees a two-record gap).
-	exp.mu.Lock()
-	exp.seq += 2
-	exp.mu.Unlock()
-	send()
-	<-col.Batches()
-	if st := col.Stats(); st.LostRecords != 2 {
-		t.Fatalf("LostRecords = %d, want 2", st.LostRecords)
-	}
-	es, ok := col.ExporterStats(9)
-	if !ok || es.LostRecords != 2 || es.Received != 2 || es.Datagrams != 2 {
-		t.Fatalf("exporter stats = %+v ok=%v", es, ok)
-	}
-	if lf := es.LossFraction(); lf != 0.5 {
-		t.Fatalf("LossFraction = %v, want 0.5", lf)
-	}
-}
-
 func TestEstimatorBinsAndRenormalizes(t *testing.T) {
-	classify := func(k packet.FiveTuple) (int, bool) {
-		switch k.DstPort {
-		case 80:
-			return 0, true
-		case 443:
-			return 1, true
-		}
-		return 0, false
-	}
-	est, err := NewEstimator(300, []float64{0.01, 0.02}, classify)
+	est, err := NewEstimator(300, []float64{0.01, 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(dport uint16, pkts uint64, start uint32) packet.Record {
-		k := key(1)
-		k.DstPort = dport
-		return packet.Record{Key: k, Packets: pkts, Start: start}
+	for _, in := range []struct {
+		start  uint32
+		counts []uint64
+	}{
+		{0, []uint64{10, 0}},
+		{299, []uint64{5, 0}}, // same bin
+		{100, []uint64{0, 8}}, // same bin, other OD
+		{300, []uint64{7, 0}}, // next bin
+	} {
+		if err := est.AddCounts(in.start, in.counts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	est.Add(mk(80, 10, 0))
-	est.Add(mk(80, 5, 299))   // same bin
-	est.Add(mk(443, 8, 100))  // same bin, other OD
-	est.Add(mk(80, 7, 300))   // next bin
-	est.Add(mk(9999, 100, 0)) // background: ignored
 	bins := est.Estimates()
 	if len(bins) != 2 {
 		t.Fatalf("bins = %d", len(bins))
@@ -291,11 +160,13 @@ func TestEstimatorBinsAndRenormalizes(t *testing.T) {
 }
 
 func TestEstimatorZeroRho(t *testing.T) {
-	est, err := NewEstimator(300, []float64{0}, func(packet.FiveTuple) (int, bool) { return 0, true })
+	est, err := NewEstimator(300, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est.Add(packet.Record{Key: key(1), Packets: 5, Start: 0})
+	if err := est.AddCounts(0, []uint64{5}); err != nil {
+		t.Fatal(err)
+	}
 	bins := est.Estimates()
 	if len(bins) != 1 || bins[0].Estimate[0] != 0 {
 		t.Fatalf("zero-rho estimate = %+v", bins)
@@ -303,75 +174,72 @@ func TestEstimatorZeroRho(t *testing.T) {
 }
 
 func TestEstimatorValidation(t *testing.T) {
-	cl := func(packet.FiveTuple) (int, bool) { return 0, true }
-	if _, err := NewEstimator(0, []float64{1}, cl); err == nil {
+	if _, err := NewEstimator(0, []float64{1}); err == nil {
 		t.Fatal("zero interval accepted")
 	}
-	if _, err := NewEstimator(300, nil, cl); err == nil {
+	if _, err := NewEstimator(300, nil); err == nil {
 		t.Fatal("no pairs accepted")
 	}
-	if _, err := NewEstimator(300, []float64{1}, nil); err == nil {
-		t.Fatal("nil classifier accepted")
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		_, err := NewEstimator(300, []float64{0.5, bad})
+		var re *RhoError
+		if !errors.As(err, &re) || re.Pair != 1 {
+			t.Fatalf("rho %v: err = %v, want *RhoError for pair 1", bad, err)
+		}
 	}
 }
 
-// TestEndToEndPipeline wires table → exporter → collector → estimator on
-// the loopback and checks the renormalized estimate is close to the true
-// size.
-func TestEndToEndPipeline(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
+// TestEstimatorClampsRho: ρ is an inclusion probability. A caller
+// passing the solver's unclamped additive surrogate (> 1) gets it
+// clamped to what the monitors deploy, so the error bar is a number —
+// sqrt of a negative (1−ρ) would be NaN, and NaN > threshold is false:
+// garbage flagged as trustworthy.
+func TestEstimatorClampsRho(t *testing.T) {
+	est, err := NewEstimator(300, []float64{1.4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := NewExporter(col.Addr(), 1)
-	if err != nil {
+	if err := est.AddCounts(0, []uint64{50}); err != nil {
 		t.Fatal(err)
 	}
-	const rate = 0.05
-	ft := NewFlowTable(3, Config{SamplingRate: rate, IdleTimeout: 30}, rng.New(8))
-	r := rng.New(9)
-	const trueSize = 100000
-	for i := 0; i < trueSize; i++ {
-		// 50 concurrent flows of the same OD pair within one bin.
-		k := key(byte(r.Intn(50)))
-		if _, ev := ft.Observe(k, 1500, uint32(i/1000)); ev != nil {
-			if err := exp.Export(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := exp.Export(ft.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	est, err := NewEstimator(300, []float64{rate}, func(packet.FiveTuple) (int, bool) { return 0, true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		for b := range col.Batches() {
-			est.AddBatch(b)
-		}
-		close(done)
-	}()
-	// Loopback UDP is reliable enough in-process; wait for all records.
-	for col.Stats().Records < ft.Stats().ExpiredFlows {
-		if col.Stats().Malformed > 0 {
-			t.Fatal("malformed datagrams")
-		}
-	}
-	col.Close()
-	<-done
 	bins := est.Estimates()
 	if len(bins) != 1 {
-		t.Fatalf("bins = %d", len(bins))
+		t.Fatalf("%d bins", len(bins))
 	}
-	got := bins[0].Estimate[0]
-	if math.Abs(got-trueSize)/trueSize > 0.05 {
-		t.Fatalf("estimate = %v, want ≈%v", got, trueSize)
+	if bins[0].Estimate[0] != 50 {
+		t.Fatalf("estimate %v, want 50 (rho clamped to 1)", bins[0].Estimate[0])
+	}
+	if bins[0].RelStdErr[0] != 0 || bins[0].LowConfidence[0] {
+		t.Fatalf("census estimate: RelStdErr %v LowConfidence %v, want 0/false",
+			bins[0].RelStdErr[0], bins[0].LowConfidence[0])
+	}
+}
+
+// TestEstimatorAddCounts pins the shard-merge entry point: repeated
+// merges into one interval add (shards flush deltas, not totals), and a
+// mis-sized slice is rejected without touching the bins.
+func TestEstimatorAddCounts(t *testing.T) {
+	est, err := NewEstimator(300, []float64{0.5, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, counts := range [][]uint64{{10, 0}, {0, 4}, {3, 0}} {
+		if err := est.AddCounts(10, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := est.AddCounts(10, []uint64{1}); err == nil {
+		t.Fatal("AddCounts accepted a mis-sized counts slice")
+	}
+	bins := est.Estimates()
+	if len(bins) != 1 || bins[0].Start != 0 {
+		t.Fatalf("bins = %+v", bins)
+	}
+	if got := bins[0].Sampled; got[0] != 13 || got[1] != 4 {
+		t.Fatalf("sampled = %v, want [13 4]", got)
+	}
+	if got := bins[0].Estimate; got[0] != 26 || got[1] != 16 {
+		t.Fatalf("estimates = %v, want [26 16]", got)
 	}
 }
 
@@ -388,58 +256,5 @@ func TestPrefixClassifier(t *testing.T) {
 	k.Dst = packet.AddrFrom4(192, 0, 2, 1)
 	if _, ok := classify(k); ok {
 		t.Fatal("background traffic classified")
-	}
-}
-
-// TestExporterConcurrent: multiple goroutines may share one exporter.
-func TestExporterConcurrent(t *testing.T) {
-	col, err := NewCollector("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	exp, err := NewExporter(col.Addr(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers, per = 4, 200
-	donech := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			for i := 0; i < per; i++ {
-				err := exp.Export([]packet.Record{{Key: key(byte(w)), Packets: uint64(i + 1)}})
-				if err != nil {
-					donech <- err
-					return
-				}
-			}
-			donech <- nil
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-donech; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := exp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Sent() != workers*per {
-		t.Fatalf("Sent = %d, want %d", exp.Sent(), workers*per)
-	}
-	// Drain what arrived; loopback may drop under burst but sequence
-	// accounting must stay consistent (received + lost*34 >= sent records
-	// is not exact because partial datagrams vary; just require decode
-	// integrity).
-	deadline := make(chan struct{})
-	go func() {
-		for range col.Batches() {
-		}
-		close(deadline)
-	}()
-	col.Close()
-	<-deadline
-	if col.Stats().Malformed != 0 {
-		t.Fatalf("malformed datagrams: %+v", col.Stats())
 	}
 }

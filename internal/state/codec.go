@@ -6,7 +6,7 @@
 //
 // The package is deliberately generic: it persists opaque payloads and
 // knows nothing about controllers or collectors. The components that own
-// state (control.Controller, netflow.Collector, the serve daemon)
+// state (control.Controller, loadtrack.Tracker, the serve daemon)
 // marshal themselves with the Encoder/Decoder below, and the daemon
 // composes the pieces into one snapshot payload. All encodings are
 // little-endian with float64 values stored as IEEE-754 bit patterns, so
