@@ -128,7 +128,7 @@ func BenchmarkFigure2Sweep(b *testing.B) {
 	thetas := eval.DefaultThetas()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure2Ctx(context.Background(), s, thetas, 5, 3, 1); err != nil {
+		if _, err := eval.Figure2(context.Background(), s, thetas, 5, 3, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func BenchmarkFigure2Parallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Figure2Ctx(context.Background(), s, thetas, 5, 3, 0); err != nil {
+		if _, err := eval.Figure2(context.Background(), s, thetas, 5, 3, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,7 +156,7 @@ func BenchmarkConvergenceStudy(b *testing.B) {
 	s := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.ConvergenceStudyCtx(context.Background(), s, 20, 11, core.Options{}, 1); err != nil {
+		if _, err := eval.ConvergenceStudy(context.Background(), s, 20, 11, core.Options{}, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func BenchmarkConvergenceStudyParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.ConvergenceStudyCtx(context.Background(), s, 20, 11, core.Options{}, 0); err != nil {
+		if _, err := eval.ConvergenceStudy(context.Background(), s, 20, 11, core.Options{}, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func BenchmarkDynamicStudy(b *testing.B) {
 	s := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.DynamicStudy(s, 6, 100000, 21); err != nil {
+		if _, err := eval.DynamicStudy(context.Background(), s, 6, 100000, 21, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func BenchmarkDetectionStudy(b *testing.B) {
 	s := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.DetectionStudy(s, 100000, 500); err != nil {
+		if _, err := eval.DetectionStudy(context.Background(), s, 100000, 500, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -336,7 +336,7 @@ func BenchmarkTMStudy(b *testing.B) {
 	s := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.TMStudy(s, 100000, 5, 5); err != nil {
+		if _, err := eval.TMStudy(context.Background(), s, 100000, 5, 5, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,7 +29,7 @@ func cmdCoordinate(args []string) error {
 	if err != nil {
 		return err
 	}
-	points, err := eval.CoordinationStudyCtx(context.Background(), s, eval.DefaultThetas(), *trials, *expSeed, *workers)
+	points, err := eval.CoordinationStudy(context.Background(), s, eval.DefaultThetas(), *trials, *expSeed, *workers)
 	if err != nil {
 		return err
 	}

@@ -1,29 +1,9 @@
 // Command netsamp regenerates the paper's evaluation on the synthetic
 // GEANT scenario.
 //
-// Usage:
-//
-//	netsamp figure1  [-points N]
-//	netsamp table1   [-theta N] [-trials N] [-seed N] [-csv] [-abilene]
-//	netsamp figure2  [-trials N] [-seed N] [-csv] [-ext] [-workers N]
-//	netsamp convergence [-runs N] [-seed N] [-nopre] [-workers N]
-//	netsamp accesslink  [-theta N]
-//	netsamp maxmin   [-theta N]
-//	netsamp detect   [-theta N] [-size N] [-workers N]
-//	netsamp tm       [-theta N] [-trials N] [-workers N]
-//	netsamp dynamic  [-intervals N] [-theta N] [-workers N]
-//	netsamp degrade  [-intervals N] [-theta N] [-overrun P] [-csv] [-workers N]
-//	netsamp regret   [-intervals N] [-theta N] [-drift V] [-step P] [-explore F] [-widen F] [-csv] [-workers N]
-//	netsamp coordinate [-trials N] [-seed N] [-csv] [-workers N]
-//	netsamp saturation [-shards N] [-ticks N] [-capacity N] [-seed N] [-csv]
-//	netsamp serve    -dir DIR [-theta N] [-seed N] [-intervals N] [-checkpoint N] [-workers N]
-//	netsamp optimize -f network.netsamp [-model M] [-maxmin] [-json]
-//	netsamp bench    [-pattern RE] [-benchtime T] [-count N] [-o FILE]
-//	netsamp topo
-//	netsamp all
-//
-// Global flags, given before the command, profile whatever the command
-// runs:
+// `netsamp help` lists the commands and `netsamp <command> -h` a
+// command's flags; flags go after the command. Global flags, given
+// before the command, profile whatever the command runs:
 //
 //	netsamp -cpuprofile cpu.out -memprofile mem.out figure2 -workers 8
 //
@@ -38,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -53,12 +34,40 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
+// commands is the one list of what netsamp can do: run dispatches on it
+// and usage prints it.
+var commands = []struct {
+	name, help string
+	run        func([]string) error
+}{
+	{"figure1", "utility function M(ρ) for two mean OD sizes (paper Fig. 1)", cmdFigure1},
+	{"table1", "optimal sampling plan for the JANET task (paper Table I)", cmdTable1},
+	{"figure2", "accuracy vs capacity θ, optimal vs UK-links-only (paper Fig. 2)", cmdFigure2},
+	{"convergence", "solver statistics over randomized instances (paper §IV-D)", cmdConvergence},
+	{"accesslink", "capacity cost of access-link-only monitoring (paper §V-C)", cmdAccessLink},
+	{"maxmin", "max-min variant of the JANET task (paper's future work)", cmdMaxMin},
+	{"detect", "anomaly-detection placement (detection-probability utility)", cmdDetect},
+	{"tm", "traffic-matrix estimation: SNMP counters vs optimized sampling", cmdTM},
+	{"dynamic", "static vs re-optimized plans under traffic/routing dynamics", cmdDynamic},
+	{"degrade", "accuracy under monitor crashes and export loss, naive vs graceful", cmdDegrade},
+	{"regret", "utility regret under load drift: plug-in vs uncertainty-aware control", cmdRegret},
+	{"coordinate", "coordinated (cSamp-style) vs independent sampling across θ", cmdCoordinate},
+	{"saturation", "ingest-tier graceful degradation at 1x/2x/4x offered load (deterministic)", cmdSaturation},
+	{"serve", "supervised control-loop daemon with crash-safe checkpointing", cmdServe},
+	{"optimize", "solve a user-provided scenario file (-f network.netsamp)", cmdOptimize},
+	{"report", "run every experiment and emit a markdown report", cmdReport},
+	{"export-spec", "dump a built-in scenario as an editable .netsamp file", cmdExportSpec},
+	{"scale", "solve generated ISP-scale instances under the deadline policy", cmdScale},
+	{"topo", "emit the synthetic GEANT topology in DOT format", cmdTopo},
+	{"all", "run every experiment in sequence", cmdAll},
+}
+
 // run is main with an exit code, so the profile-writing defers execute
-// before the process exits.
+// before the process exits — on every path, including a usage error.
 func run(argv []string) int {
 	global := flag.NewFlagSet("netsamp", flag.ContinueOnError)
 	global.SetOutput(os.Stderr)
-	global.Usage = usage
+	global.Usage = func() { usage(os.Stderr) }
 	cpuprofile := global.String("cpuprofile", "", "write a CPU profile of the command to `file`")
 	memprofile := global.String("memprofile", "", "write a heap profile taken after the command to `file`")
 	// Parse stops at the first non-flag argument, so global flags come
@@ -67,10 +76,10 @@ func run(argv []string) int {
 		return 2
 	}
 	if global.NArg() < 1 {
-		usage()
+		usage(os.Stderr)
 		return 2
 	}
-	cmd, args := global.Arg(0), global.Args()[1:]
+	name, args := global.Arg(0), global.Args()[1:]
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -101,95 +110,31 @@ func run(argv []string) int {
 			}
 		}()
 	}
-	if err := dispatch(cmd, args); err != nil {
-		fmt.Fprintf(os.Stderr, "netsamp %s: %v\n", cmd, err)
-		return 1
+	if name == "help" {
+		usage(os.Stderr)
+		return 0
 	}
-	return 0
+	for _, c := range commands {
+		if c.name != name {
+			continue
+		}
+		if err := c.run(args); err != nil {
+			fmt.Fprintf(os.Stderr, "netsamp %s: %v\n", name, err)
+			return 1
+		}
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "netsamp: unknown command %q\n", name)
+	usage(os.Stderr)
+	return 2
 }
 
-func dispatch(cmd string, args []string) error {
-	var err error
-	switch cmd {
-	case "figure1":
-		err = cmdFigure1(args)
-	case "table1":
-		err = cmdTable1(args)
-	case "figure2":
-		err = cmdFigure2(args)
-	case "convergence":
-		err = cmdConvergence(args)
-	case "accesslink":
-		err = cmdAccessLink(args)
-	case "maxmin":
-		err = cmdMaxMin(args)
-	case "detect":
-		err = cmdDetect(args)
-	case "tm":
-		err = cmdTM(args)
-	case "dynamic":
-		err = cmdDynamic(args)
-	case "degrade":
-		err = cmdDegrade(args)
-	case "regret":
-		err = cmdRegret(args)
-	case "coordinate":
-		err = cmdCoordinate(args)
-	case "saturation":
-		err = cmdSaturation(args)
-	case "serve":
-		err = cmdServe(args)
-	case "optimize":
-		err = cmdOptimize(args)
-	case "report":
-		err = cmdReport(args)
-	case "export-spec":
-		err = cmdExportSpec(args)
-	case "bench":
-		err = cmdBench(args)
-	case "topo":
-		err = cmdTopo(args)
-	case "scale":
-		err = cmdScale(args)
-	case "all":
-		err = cmdAll(args)
-	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "netsamp: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
+func usage(w io.Writer) {
+	fmt.Fprint(w, "netsamp — optimal network-wide sampling (CoNEXT 2006 reproduction)\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-12s %s\n", c.name, c.help)
 	}
-	return err
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `netsamp — optimal network-wide sampling (CoNEXT 2006 reproduction)
-
-commands:
-  figure1      utility function M(ρ) for two mean OD sizes (paper Fig. 1)
-  table1       optimal sampling plan for the JANET task (paper Table I)
-  figure2      accuracy vs capacity θ, optimal vs UK-links-only (paper Fig. 2)
-  convergence  solver statistics over randomized instances (paper §IV-D)
-  accesslink   capacity cost of access-link-only monitoring (paper §V-C)
-  maxmin       max-min variant of the JANET task (paper's future work)
-  detect       anomaly-detection placement (detection-probability utility)
-  tm           traffic-matrix estimation: SNMP counters vs optimized sampling
-  dynamic      static vs re-optimized plans under traffic/routing dynamics
-  degrade      accuracy under monitor crashes and export loss, naive vs graceful
-  regret       utility regret under load drift: plug-in vs uncertainty-aware control
-  coordinate   coordinated (cSamp-style) vs independent sampling across θ
-  saturation   ingest-tier graceful degradation at 1x/2x/4x offered load (deterministic)
-  serve        supervised control-loop daemon with crash-safe checkpointing
-  optimize     solve a user-provided scenario file (-f network.netsamp)
-  report       run every experiment and emit a markdown report
-  export-spec  dump a built-in scenario as an editable .netsamp file
-  bench        run the benchmark suite and emit BENCH_results.json (-scale for the scale suite)
-  scale        solve generated ISP-scale instances under the deadline policy
-  topo         emit the synthetic GEANT topology in DOT format
-  all          run every experiment in sequence
-
-global flags (before the command): -cpuprofile FILE, -memprofile FILE`)
+	fmt.Fprint(w, "\nglobal flags (before the command): -cpuprofile FILE, -memprofile FILE\n")
 }
 
 func scenarioFlags(fs *flag.FlagSet) *uint64 {
@@ -263,13 +208,13 @@ func cmdFigure2(args []string) error {
 		return err
 	}
 	if *ext {
-		pts, err := eval.Figure2ExtendedCtx(context.Background(), s, eval.DefaultThetas(), *trials, *seed+2000, *workers)
+		pts, err := eval.Figure2Extended(context.Background(), s, eval.DefaultThetas(), *trials, *seed+2000, *workers)
 		if err != nil {
 			return err
 		}
 		return eval.RenderFigure2Extended(os.Stdout, pts)
 	}
-	points, err := eval.Figure2Ctx(context.Background(), s, eval.DefaultThetas(), *trials, *seed+2000, *workers)
+	points, err := eval.Figure2(context.Background(), s, eval.DefaultThetas(), *trials, *seed+2000, *workers)
 	if err != nil {
 		return err
 	}
@@ -294,7 +239,7 @@ func cmdConvergence(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := eval.ConvergenceStudyCtx(context.Background(), s, *runs, *seed+3000,
+	res, err := eval.ConvergenceStudy(context.Background(), s, *runs, *seed+3000,
 		core.Options{DisablePreconditioner: *nopre}, *workers)
 	if err != nil {
 		return err
@@ -386,7 +331,7 @@ func cmdTM(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := eval.TMStudyCtx(context.Background(), s, *theta, *trials, *seed+5000, *workers)
+	res, err := eval.TMStudy(context.Background(), s, *theta, *trials, *seed+5000, *workers)
 	if err != nil {
 		return err
 	}
@@ -407,7 +352,7 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := eval.DetectionStudyCtx(context.Background(), s, *theta, *size, *workers)
+	res, err := eval.DetectionStudy(context.Background(), s, *theta, *size, *workers)
 	if err != nil {
 		return err
 	}
@@ -428,7 +373,7 @@ func cmdDynamic(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := eval.DynamicStudyCtx(context.Background(), s, *intervals, *theta, *seed+4000, *workers)
+	res, err := eval.DynamicStudy(context.Background(), s, *intervals, *theta, *seed+4000, *workers)
 	if err != nil {
 		return err
 	}

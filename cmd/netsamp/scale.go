@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -53,9 +54,7 @@ type scaleResult struct {
 	GenWall           time.Duration // generator + CSR compile
 	SolveWall         time.Duration
 	Iterations        int
-	Converged         bool
 	Approximated      bool // deadline policy routed to Frank-Wolfe
-	Objective         float64
 	GapBound          float64
 	Allocs            uint64 // mallocs during the timed solve (steady state)
 	PeakRSS           uint64 // bytes, /proc/self/status VmHWM
@@ -139,8 +138,6 @@ func runScaleSize(opt scaleOptions, links int, logf func(string, ...any)) (scale
 	}
 	res.Allocs = after.Mallocs - before.Mallocs
 	res.Iterations = sol.Stats.Iterations
-	res.Converged = sol.Stats.Converged
-	res.Objective = sol.Objective
 	res.GapBound = sol.GapBound
 	res.PeakRSS = peakRSSBytes()
 	mode := "exact"
@@ -224,50 +221,7 @@ func peakRSSBytes() uint64 {
 	return 0
 }
 
-// scaleBenchResults converts suite measurements into the bench report
-// schema so they merge into BENCH_results.json next to the go test
-// benchmarks.
-func scaleBenchResults(opt scaleOptions, results []scaleResult) []BenchResult {
-	out := make([]BenchResult, 0, len(results))
-	for _, r := range results {
-		approx := 0.0
-		if r.Approximated {
-			approx = 1
-		}
-		identical := 0.0
-		if r.ShardIdentical {
-			identical = 1
-		}
-		converged := 0.0
-		if r.Converged {
-			converged = 1
-		}
-		out = append(out, BenchResult{
-			Name:       fmt.Sprintf("ScaleSolve/links=%d", r.Links),
-			Iterations: 1,
-			Metrics: map[string]float64{
-				"ns/op":           float64(r.SolveWall.Nanoseconds()),
-				"gen-ns":          float64(r.GenWall.Nanoseconds()),
-				"allocs/op":       float64(r.Allocs),
-				"solver-iters/op": float64(r.Iterations),
-				"converged":       converged,
-				"links":           float64(r.Links),
-				"pairs":           float64(r.Pairs),
-				"nnz":             float64(r.NNZ),
-				"approx":          approx,
-				"gap-bound":       r.GapBound,
-				"objective":       r.Objective,
-				"peak-rss-bytes":  float64(r.PeakRSS),
-				"deadline-ns":     float64(opt.interval.Nanoseconds()),
-				"shard-identical": identical,
-				"shard-workers":   float64(len(opt.checkWorkers)),
-			},
-		})
-	}
-	return out
-}
-
-// parseLinksList parses a comma-separated -scale-links value.
+// parseLinksList parses a comma-separated -links value.
 func parseLinksList(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -317,8 +271,16 @@ func cmdScale(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%8s %10s %10s %12s %7s %9s %12s %6s %10s\n",
+	return reportScale(os.Stdout, results)
+}
+
+// reportScale prints the suite's table and fails if any size broke the
+// sharded kernels' bit-identity: that is the property the suite guards,
+// so a DRIFT row must not exit 0.
+func reportScale(w io.Writer, results []scaleResult) error {
+	fmt.Fprintf(w, "%8s %10s %10s %12s %7s %9s %12s %6s %10s\n",
 		"links", "pairs", "nnz", "solve", "iters", "mode", "gap", "shard", "peak-rss")
+	var drift []string
 	for _, r := range results {
 		mode := "exact"
 		if r.Approximated {
@@ -327,10 +289,14 @@ func cmdScale(args []string) error {
 		shard := "ok"
 		if !r.ShardIdentical {
 			shard = "DRIFT"
+			drift = append(drift, strconv.Itoa(r.Links))
 		}
-		fmt.Printf("%8d %10d %10d %12v %7d %9s %12.4g %6s %9.1fM\n",
+		fmt.Fprintf(w, "%8d %10d %10d %12v %7d %9s %12.4g %6s %9.1fM\n",
 			r.Links, r.Pairs, r.NNZ, r.SolveWall.Round(time.Millisecond), r.Iterations,
 			mode, r.GapBound, shard, float64(r.PeakRSS)/(1<<20))
+	}
+	if len(drift) > 0 {
+		return fmt.Errorf("sharded solve not bit-identical across worker counts at %s links", strings.Join(drift, ", "))
 	}
 	return nil
 }

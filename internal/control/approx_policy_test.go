@@ -28,11 +28,6 @@ func TestApproxPolicyValidation(t *testing.T) {
 		t.Fatal("negative exact rate accepted")
 	}
 	bad = base
-	bad.Approx.ExactIters = -5
-	if _, err := New(bad); err == nil {
-		t.Fatal("negative exact iters accepted")
-	}
-	bad = base
 	bad.Approx.Enabled = true
 	bad.Model = core.ModelIndependentExact
 	_, err := New(bad)

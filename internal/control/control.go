@@ -99,12 +99,12 @@ type RobustOptions struct {
 // exact solver's cost from problem size with a calibrated throughput
 // model:
 //
-//	predicted seconds = NNZ · ExactIters / ExactRate
+//	predicted seconds = NNZ · approxExactIters / ExactRate
 //
 // and routes the interval to core.SolveApprox whenever the prediction
 // exceeds SolveTimeout. The same instance therefore makes the same
 // choice on every machine; ExactRate is the single knob that anchors
-// the model to real hardware (see `netsamp bench -scale`).
+// the model to real hardware (see `netsamp scale`).
 type ApproxPolicy struct {
 	// Enabled turns the policy on. Requires an additive rate model:
 	// SolveApprox's gap certificate needs a concave objective, and New
@@ -114,14 +114,13 @@ type ApproxPolicy struct {
 	// NNZ·iterations per second; 0 selects 2e6, measured on a single
 	// commodity core (1000-link hierarchical instance, Newton-CG path).
 	ExactRate float64
-	// ExactIters is the iteration count the cost model charges the exact
-	// solver; 0 selects 600 (the observed order of magnitude for
-	// converged active-set runs on generated ISP-like instances).
-	ExactIters int
-	// Opts carries the inner Frank-Wolfe options for approximated
-	// intervals (zero value = SolveApprox defaults).
-	Opts core.ApproxOptions
 }
+
+// approxExactIters is the iteration count the cost model charges the
+// exact solver: the observed order of magnitude for converged active-set
+// runs on generated ISP-like instances. Only its ratio to ExactRate
+// enters the prediction, so ExactRate is the one calibration.
+const approxExactIters = 600
 
 func (ap ApproxPolicy) exactRate() float64 {
 	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
@@ -131,22 +130,15 @@ func (ap ApproxPolicy) exactRate() float64 {
 	return ap.ExactRate
 }
 
-func (ap ApproxPolicy) exactIters() int {
-	if ap.ExactIters == 0 {
-		return 600
-	}
-	return ap.ExactIters
-}
-
 // Overruns is the policy's cost model as a standalone predicate: true
 // when an exact solve over nnz compiled incidence entries is predicted
-// to exceed timeout. Exported so offline tooling (`netsamp bench
-// -scale`) routes instances exactly the way a live controller would.
+// to exceed timeout. Exported so offline tooling (`netsamp scale`)
+// routes instances exactly the way a live controller would.
 func (ap ApproxPolicy) Overruns(nnz int, timeout time.Duration) bool {
 	if timeout <= 0 {
 		return false
 	}
-	return float64(nnz)*float64(ap.exactIters())/ap.exactRate() > timeout.Seconds()
+	return float64(nnz)*approxExactIters/ap.exactRate() > timeout.Seconds()
 }
 
 // Decision is the controller's output for one interval.
@@ -207,6 +199,10 @@ type Controller struct {
 	// as long as routing and the monitor sets are stable, each interval's
 	// solves re-tune a compiled workspace instead of rebuilding it.
 	cache *plan.Cache
+	// eligCover and retCover remember the coverage-filtered matrices of
+	// the last step's eligible and retained sets, so the cache above
+	// keeps hitting while an outage leaves a pair uncovered.
+	eligCover, retCover coverage
 	// tracker maintains the per-link load confidence intervals in robust
 	// mode (nil when Robust.Mode is off); trackMeans is its point-
 	// estimate scratch, playing the role ewmaLoads plays in plain mode.
@@ -244,9 +240,6 @@ func New(opts Options) (*Controller, error) {
 	if math.IsNaN(ar) || math.IsInf(ar, 0) || ar < 0 {
 		return nil, &core.InputError{Field: "approx exact rate", Index: -1, Value: ar, Reason: "want a finite throughput > 0 in nnz·iters/s (0 = unset selects 2e6)"}
 	}
-	if opts.Approx.ExactIters < 0 {
-		return nil, &core.InputError{Field: "approx exact iters", Index: -1, Value: float64(opts.Approx.ExactIters), Reason: "want >= 0 iterations (0 = unset selects 600)"}
-	}
 	if opts.Approx.Enabled && opts.Model != nil && !opts.Model.Additive() {
 		return nil, &core.InputError{Field: "approx policy", Index: -1, Reason: "rate model " + opts.Model.Name() + " is not additive: SolveApprox's gap certificate needs a concave objective"}
 	}
@@ -264,11 +257,6 @@ func New(opts Options) (*Controller, error) {
 		opts.Robust.WidenFactor = 1.25
 	}
 	return &Controller{opts: opts, probation: make(map[topology.LinkID]int), cache: plan.NewCache()}, nil
-}
-
-// ActiveSet returns the currently active monitor links (sorted copy).
-func (c *Controller) ActiveSet() []topology.LinkID {
-	return append([]topology.LinkID(nil), c.active...)
 }
 
 // Steps returns how many intervals the controller has processed.
@@ -454,13 +442,9 @@ func (c *Controller) StepResilient(ctx context.Context, in StepInput) (*Decision
 	// Pairs whose entire path lost its monitors are unmeasurable this
 	// interval; dropping them (instead of failing the solve outright)
 	// keeps the optimization alive for everyone else.
-	eligMatrix, eligInv, uncovered := coverageFilter(in.Matrix, in.InvSizes, eligible)
+	eligMatrix, eligInv, uncovered := c.eligCover.filter(in.Matrix, in.InvSizes, eligible)
 
-	solveOn := func(cands []topology.LinkID) (*core.Solution, error) {
-		m, inv := eligMatrix, eligInv
-		if len(cands) != len(eligible) {
-			m, inv, _ = coverageFilter(in.Matrix, in.InvSizes, cands)
-		}
+	solveOn := func(cands []topology.LinkID, m *routing.Matrix, inv []float64) (*core.Solution, error) {
 		if len(m.Pairs) == 0 {
 			return nil, fmt.Errorf("control: no pair measurable on %d eligible links", len(cands))
 		}
@@ -505,8 +489,7 @@ func (c *Controller) StepResilient(ctx context.Context, in StepInput) (*Decision
 			}
 		}
 		if c.approxNeeded(comp.Solver()) {
-			aopt := c.opts.Approx.Opts
-			aopt.Initial = opt.Initial
+			aopt := core.ApproxOptions{Initial: opt.Initial}
 			if robust {
 				return comp.Solver().SolveRobustApprox(c.opts.Robust.Mode, lo, hi, aopt)
 			}
@@ -550,13 +533,16 @@ func (c *Controller) StepResilient(ctx context.Context, in StepInput) (*Decision
 				return errInjectedSolve
 			}
 			var err error
-			full, err = solveOn(eligible)
+			full, err = solveOn(eligible, eligMatrix, eligInv)
 			return err
 		},
 	}
 	if len(retained) > 0 && !retainedIsFull {
+		// Filtered here, not inside the job: the memo belongs to the
+		// step's goroutine.
+		retMatrix, retInv, _ := c.retCover.filter(in.Matrix, in.InvSizes, retained)
 		jobs = append(jobs, func(context.Context, *rng.Source) error {
-			retainedSol, _ = solveOn(retained)
+			retainedSol, _ = solveOn(retained, retMatrix, retInv)
 			return nil
 		})
 	}
@@ -787,12 +773,22 @@ func (c *Controller) fallback(cause error, eligible, excluded []topology.LinkID,
 	return &Decision{Plan: fb, SetChanged: changed, Degraded: true, Excluded: excluded}, nil
 }
 
-// coverageFilter drops OD pairs that traverse no link of cands: their
+// coverage is one remembered coverage-filtered matrix: plan.Cache keys
+// on the matrix pointer, so a filter over the same source matrix and
+// candidate set must return the matrix it built last time, not an equal
+// copy — otherwise every interval of a held outage recompiles.
+type coverage struct {
+	src   *routing.Matrix
+	cands []topology.LinkID
+	m     *routing.Matrix
+}
+
+// filter drops OD pairs that traverse no link of cands: their
 // measurement is impossible on that monitor set, and failing the whole
 // interval for them would be the opposite of graceful degradation. It
 // returns the (possibly shared) filtered matrix, the matching utility
 // parameters, and the number of pairs dropped.
-func coverageFilter(m *routing.Matrix, inv []float64, cands []topology.LinkID) (*routing.Matrix, []float64, int) {
+func (cv *coverage) filter(m *routing.Matrix, inv []float64, cands []topology.LinkID) (*routing.Matrix, []float64, int) {
 	set := make(map[topology.LinkID]bool, len(cands))
 	for _, lid := range cands {
 		set[lid] = true
@@ -813,8 +809,16 @@ func coverageFilter(m *routing.Matrix, inv []float64, cands []topology.LinkID) (
 	if dropped == 0 {
 		return m, inv, 0
 	}
+	finv := make([]float64, 0, len(m.Pairs)-dropped)
+	for k := range m.Pairs {
+		if keep[k] {
+			finv = append(finv, inv[k])
+		}
+	}
+	if cv.src == m && equalSets(cv.cands, cands) {
+		return cv.m, finv, dropped
+	}
 	fm := &routing.Matrix{}
-	var finv []float64
 	for k := range m.Pairs {
 		if !keep[k] {
 			continue
@@ -824,8 +828,8 @@ func coverageFilter(m *routing.Matrix, inv []float64, cands []topology.LinkID) (
 		if m.Fracs != nil {
 			fm.Fracs = append(fm.Fracs, m.Fracs[k])
 		}
-		finv = append(finv, inv[k])
 	}
+	*cv = coverage{src: m, cands: append([]topology.LinkID(nil), cands...), m: fm}
 	return fm, finv, dropped
 }
 

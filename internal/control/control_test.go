@@ -51,8 +51,8 @@ func TestFirstStepAdopts(t *testing.T) {
 	if !d.SetChanged {
 		t.Fatal("first step must adopt a set")
 	}
-	if len(d.Plan) == 0 || len(c.ActiveSet()) != len(d.Plan) {
-		t.Fatalf("plan/active mismatch: %d vs %d", len(d.Plan), len(c.ActiveSet()))
+	if len(d.Plan) == 0 || len(c.active) != len(d.Plan) {
+		t.Fatalf("plan/active mismatch: %d vs %d", len(d.Plan), len(c.active))
 	}
 	if c.Steps() != 1 {
 		t.Fatalf("steps = %d", c.Steps())
@@ -72,7 +72,7 @@ func TestHysteresisKeepsSetUnderNoise(t *testing.T) {
 	if _, err := step(c, s.Matrix, s.Loads, s.MonitorLinks, inv); err != nil {
 		t.Fatal(err)
 	}
-	first := c.ActiveSet()
+	first := c.active
 	// Ten noisy intervals: ±5% load jitter must not churn the set.
 	r := rng.New(9)
 	for i := 0; i < 10; i++ {
@@ -92,7 +92,7 @@ func TestHysteresisKeepsSetUnderNoise(t *testing.T) {
 			t.Fatal("empty plan")
 		}
 	}
-	if !sameSet(first, c.ActiveSet()) {
+	if !sameSet(first, c.active) {
 		t.Fatal("active set drifted")
 	}
 }
@@ -320,7 +320,7 @@ func TestStepWorkerCountDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(da.Plan, db.Plan) {
 			t.Fatalf("interval %d: plans diverged", i)
 		}
-		if !sameSet(a.ActiveSet(), b.ActiveSet()) {
+		if !sameSet(a.active, b.active) {
 			t.Fatalf("interval %d: active sets diverged", i)
 		}
 	}

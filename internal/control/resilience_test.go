@@ -297,7 +297,10 @@ func TestFallbackRespectsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := faults.MustPlan(faults.Config{Seed: 11, MonitorCrash: 0.15, MeanOutage: 2})
+	fp, err := faults.NewPlan(faults.Config{Seed: 11, MonitorCrash: 0.15, MeanOutage: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	loads := append([]float64(nil), s.Loads...)
 	fallbacks := 0
 	for tick := 0; tick < 12; tick++ {
@@ -336,5 +339,78 @@ func TestFallbackRespectsBudget(t *testing.T) {
 	}
 	if fallbacks != 11 || c.Fallbacks() != 11 {
 		t.Fatalf("fallbacks = %d / %d", fallbacks, c.Fallbacks())
+	}
+}
+
+// TestHeldOutageKeepsPlanCacheWarm: while the same monitor stays down
+// and leaves a pair uncovered, the compiled-plan cache must stop missing
+// once every set the controller solves on has been seen (the filtered
+// matrix is handed back, not rebuilt): one compile without hysteresis,
+// a second for the retained set — which first exists at step 1 — with
+// it. And reusing the matrix must not move a bit: each decision equals
+// that of a controller restored from the previous step's state, whose
+// cache and memo are cold.
+func TestHeldOutageKeepsPlanCacheWarm(t *testing.T) {
+	s, inv := setup(t)
+	cand := make(map[topology.LinkID]bool, len(s.MonitorLinks))
+	for _, lid := range s.MonitorLinks {
+		cand[lid] = true
+	}
+	sole := topology.LinkID(-1)
+	for _, row := range s.Matrix.Rows {
+		var on []topology.LinkID
+		for _, lid := range row {
+			if cand[lid] {
+				on = append(on, lid)
+			}
+		}
+		if len(on) == 1 {
+			sole = on[0]
+			break
+		}
+	}
+	if sole < 0 {
+		t.Fatal("scenario has no pair monitored by a single link")
+	}
+	in := StepInput{Matrix: s.Matrix, Loads: s.Loads, Candidates: s.MonitorLinks, InvSizes: inv, Down: []topology.LinkID{sole}}
+	for _, gain := range []float64{0, 0.01} {
+		opts := Options{Budget: core.BudgetPerInterval(100000, 300), SwitchGain: gain}
+		c, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1 // compiled plans: the eligible set's ...
+		if gain > 0 {
+			want = 2 // ... and the retained set's
+		}
+		for step := 0; step < 5; step++ {
+			cold, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.Restore(c.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			ref, err := cold.StepResilient(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.StepResilient(context.Background(), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Uncovered == 0 {
+				t.Fatalf("gain %v step %d: outage on link %d uncovered no pair", gain, step, sole)
+			}
+			if !sameDecision(got, ref) {
+				t.Fatalf("gain %v step %d: decision differs from a cold-cache controller's", gain, step)
+			}
+			if _, misses := c.cache.Stats(); misses > want {
+				t.Fatalf("gain %v step %d: %d plan-cache misses, want %d for the whole outage", gain, step, misses, want)
+			}
+		}
+		if n := c.cache.Len(); n != want {
+			t.Fatalf("gain %v: cache holds %d compiled plans after a held outage, want %d", gain, n, want)
+		}
 	}
 }

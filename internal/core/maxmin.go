@@ -10,12 +10,6 @@ import (
 type MaxMinOptions struct {
 	// Rounds is the number of reweighting rounds (0 selects 40).
 	Rounds int
-	// Eta is the softmax sharpness of the reweighting (0 selects 60).
-	// Larger values focus more weight on the currently-worst pairs.
-	Eta float64
-	// Damping blends consecutive weight vectors, w ← (1−d)·w + d·w_new
-	// (0 selects 0.5).
-	Damping float64
 	// Solve carries the inner gradient-projection options.
 	Solve Options
 }
@@ -27,19 +21,14 @@ func (o MaxMinOptions) rounds() int {
 	return o.Rounds
 }
 
-func (o MaxMinOptions) eta() float64 {
-	if o.Eta <= 0 {
-		return 60
-	}
-	return o.Eta
-}
-
-func (o MaxMinOptions) damping() float64 {
-	if o.Damping <= 0 || o.Damping > 1 {
-		return 0.5
-	}
-	return o.Damping
-}
+const (
+	// maxMinEta is the softmax sharpness of the reweighting: larger
+	// values focus more weight on the currently-worst pairs.
+	maxMinEta = 60
+	// maxMinDamping blends consecutive weight vectors,
+	// w ← (1−d)·w + d·w_new.
+	maxMinDamping = 0.5
+)
 
 // SolveMaxMin approximately maximizes the alternative objective the
 // paper defers to future work (Section III): min_k M(ρ_k(p)), i.e. the
@@ -49,7 +38,7 @@ func (o MaxMinOptions) damping() float64 {
 // the Newton line search (the paper makes exactly this observation), so
 // SolveMaxMin uses iterated reweighting: the weighted-sum problem is
 // solved repeatedly with weights concentrated — by a softmax of
-// sharpness Eta — on the pairs whose utility is currently lowest. Each
+// sharpness maxMinEta — on the pairs whose utility is currently lowest. Each
 // round is a full KKT-verified convex solve; across rounds the weight
 // vector converges toward the optimal dual weights of the max-min
 // program. The best-minimum solution over all rounds is returned.
@@ -78,7 +67,6 @@ func SolveMaxMinContext(ctx context.Context, p *Problem, opt MaxMinOptions) (*So
 
 	var best *Solution
 	bestMin := math.Inf(-1)
-	damp := opt.damping()
 	for round := 0; round < opt.rounds(); round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -111,12 +99,12 @@ func SolveMaxMinContext(ctx context.Context, p *Problem, opt MaxMinOptions) (*So
 		sum := 0.0
 		next := make([]float64, nPairs)
 		for k := range next {
-			next[k] = math.Exp(opt.eta() * (minU - sol.Utilities[k]))
+			next[k] = math.Exp(maxMinEta * (minU - sol.Utilities[k]))
 			sum += next[k]
 		}
 		for k := range next {
 			next[k] *= float64(nPairs) / sum
-			weights[k] = (1-damp)*weights[k] + damp*next[k]
+			weights[k] = (1-maxMinDamping)*weights[k] + maxMinDamping*next[k]
 		}
 	}
 	return best, nil

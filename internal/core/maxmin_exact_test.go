@@ -16,8 +16,8 @@ func TestRateForUtilityExactRoundTrip(t *testing.T) {
 	}{
 		{"SRE", MustSRE(0.002)},
 		{"SRE-small-c", MustSRE(1e-6)},
-		{"Detection", MustDetection(500)},
-		{"LogCoverage", MustLogCoverage(0.01)},
+		{"Detection", must(NewDetection(500))},
+		{"LogCoverage", must(NewLogCoverage(0.01))},
 	}
 	for _, tc := range utils {
 		inv := tc.u.(Inverter)
@@ -128,8 +128,8 @@ func TestSolveMaxMinExactWithDetectionUtility(t *testing.T) {
 		Loads:  []float64{40000, 800},
 		Budget: 60,
 		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustDetection(500)},
-			{Name: "b", Links: []int{1}, Utility: MustDetection(500)},
+			{Name: "a", Links: []int{0}, Utility: must(NewDetection(500))},
+			{Name: "b", Links: []int{1}, Utility: must(NewDetection(500))},
 		},
 	}
 	sol, err := SolveMaxMinExact(p, 0)

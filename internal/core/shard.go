@@ -104,9 +104,6 @@ func (s *Solver) Shard(pool ForPool) {
 	s.sh.pool = pool
 }
 
-// Sharded reports whether a worker pool is attached.
-func (s *Solver) Sharded() bool { return s.sh.pool != nil }
-
 // shardChunk executes one chunk of the current task. Chunks own disjoint
 // pair ranges and disjoint output slots, so chunk bodies never touch
 // shared state; the pool's completion barrier publishes their writes

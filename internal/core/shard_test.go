@@ -42,7 +42,7 @@ func solveSharded(t testing.TB, cp *CSRProblem, workers int, approx bool) *Solut
 		pool := engine.NewPool(workers)
 		defer pool.Close()
 		s.Shard(pool)
-		if !s.Sharded() {
+		if s.sh.pool == nil {
 			t.Fatal("Shard did not attach")
 		}
 		defer s.Shard(nil)
@@ -168,8 +168,8 @@ func TestShardDetachRestoresSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Shard(nil)
-	if s.Sharded() {
-		t.Fatal("Sharded() true after detach")
+	if s.sh.pool != nil {
+		t.Fatal("pool still attached after detach")
 	}
 	sol, err := s.Solve(Options{MaxIter: shardIters(24)})
 	if err != nil {

@@ -38,15 +38,6 @@ func NewDetection(size int) (*Detection, error) {
 	return &Detection{Size: size}, nil
 }
 
-// MustDetection is NewDetection that panics on error.
-func MustDetection(size int) *Detection {
-	u, err := NewDetection(size)
-	if err != nil {
-		panic(err)
-	}
-	return u
-}
-
 // Value implements Utility.
 //netsamp:noalloc
 func (u *Detection) Value(rho float64) float64 {
@@ -117,15 +108,6 @@ func NewLogCoverage(c float64) (*LogCoverage, error) {
 		return nil, fmt.Errorf("core: log-coverage scale %v, want > 0", c)
 	}
 	return &LogCoverage{C: c, norm: 1 / math.Log1p(1/c)}, nil
-}
-
-// MustLogCoverage is NewLogCoverage that panics on error.
-func MustLogCoverage(c float64) *LogCoverage {
-	u, err := NewLogCoverage(c)
-	if err != nil {
-		panic(err)
-	}
-	return u
 }
 
 // Value implements Utility.

@@ -5,6 +5,14 @@ import (
 	"testing"
 )
 
+// must unwraps a known-good utility constructor inside a literal.
+func must[U Utility](u U, err error) U {
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
 // checkUtilityContract verifies the framework's requirements on [0, 1]:
 // M(0)=0, strictly increasing, strictly concave, derivatives consistent
 // with finite differences.
@@ -52,12 +60,12 @@ func checkUtilityContract(t *testing.T, name string, u Utility) {
 
 func TestDetectionContract(t *testing.T) {
 	for _, size := range []int{2, 10, 1000} {
-		checkUtilityContract(t, "Detection", MustDetection(size))
+		checkUtilityContract(t, "Detection", must(NewDetection(size)))
 	}
 }
 
 func TestDetectionSemantics(t *testing.T) {
-	u := MustDetection(100)
+	u := must(NewDetection(100))
 	// P(detect) of a 100-packet event at ρ=0.01 is 1-(0.99)^100 ≈ 0.634.
 	if got := u.Value(0.01); math.Abs(got-(1-math.Pow(0.99, 100))) > 1e-12 {
 		t.Fatalf("Value(0.01) = %v", got)
@@ -66,7 +74,7 @@ func TestDetectionSemantics(t *testing.T) {
 		t.Fatal("full sampling must detect with certainty")
 	}
 	// Bigger events are easier to detect.
-	if MustDetection(1000).Value(0.005) <= MustDetection(10).Value(0.005) {
+	if must(NewDetection(1000)).Value(0.005) <= must(NewDetection(10)).Value(0.005) {
 		t.Fatal("larger event not easier to detect")
 	}
 }
@@ -81,12 +89,12 @@ func TestDetectionValidation(t *testing.T) {
 
 func TestLogCoverageContract(t *testing.T) {
 	for _, c := range []float64{0.001, 0.05, 1} {
-		checkUtilityContract(t, "LogCoverage", MustLogCoverage(c))
+		checkUtilityContract(t, "LogCoverage", must(NewLogCoverage(c)))
 	}
 }
 
 func TestLogCoverageNormalization(t *testing.T) {
-	u := MustLogCoverage(0.01)
+	u := must(NewLogCoverage(0.01))
 	if got := u.Value(1); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("M(1) = %v, want 1", got)
 	}
@@ -107,9 +115,9 @@ func TestSolveWithDetectionUtility(t *testing.T) {
 		Loads:  []float64{40000, 3000, 800},
 		Budget: 60,
 		Pairs: []Pair{
-			{Name: "scan-a", Links: []int{0, 1}, Utility: MustDetection(500)},
-			{Name: "scan-b", Links: []int{1, 2}, Utility: MustDetection(200)},
-			{Name: "scan-c", Links: []int{2}, Utility: MustDetection(2000)},
+			{Name: "scan-a", Links: []int{0, 1}, Utility: must(NewDetection(500))},
+			{Name: "scan-b", Links: []int{1, 2}, Utility: must(NewDetection(200))},
+			{Name: "scan-c", Links: []int{2}, Utility: must(NewDetection(2000))},
 		},
 	}
 	sol, err := Solve(p, Options{})
@@ -135,8 +143,8 @@ func TestSolveWithMixedUtilities(t *testing.T) {
 		Budget: 40,
 		Pairs: []Pair{
 			{Name: "size", Links: []int{0}, Utility: MustSRE(0.0001)},
-			{Name: "detect", Links: []int{1}, Utility: MustDetection(300)},
-			{Name: "cover", Links: []int{0, 1}, Utility: MustLogCoverage(0.005)},
+			{Name: "detect", Links: []int{1}, Utility: must(NewDetection(300))},
+			{Name: "cover", Links: []int{0, 1}, Utility: must(NewLogCoverage(0.005))},
 		},
 	}
 	sol, err := Solve(p, Options{})

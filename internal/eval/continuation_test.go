@@ -198,3 +198,47 @@ func TestSecondOrderMatchesFirstOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestApproxGapSoundOnGEANTThetaGrid pins the Frank-Wolfe certificate
+// on the paper's own scenario across the Figure 2 budget sweep: at
+// every θ the exact optimum must lie within [approx, approx + gap].
+func TestApproxGapSoundOnGEANTThetaGrid(t *testing.T) {
+	s := geant.MustBuild(1)
+	inv := s.UtilityParams(Interval)
+	for _, theta := range DefaultThetas() {
+		budget := core.BudgetPerInterval(theta, Interval)
+		prob, _, err := plan.Build(plan.Input{
+			Matrix:       s.Matrix,
+			Loads:        s.Loads,
+			Candidates:   s.MonitorLinks,
+			InvMeanSizes: inv,
+			Budget:       budget,
+		})
+		if err != nil {
+			t.Fatalf("θ=%v: %v", theta, err)
+		}
+		exact, err := core.Solve(prob, core.Options{})
+		if err != nil {
+			t.Fatalf("θ=%v: exact: %v", theta, err)
+		}
+		solver, err := core.NewSolver(prob)
+		if err != nil {
+			t.Fatalf("θ=%v: %v", theta, err)
+		}
+		apx, err := solver.SolveApprox(core.ApproxOptions{})
+		if err != nil {
+			t.Fatalf("θ=%v: approx: %v", theta, err)
+		}
+		if !apx.Approx || apx.GapBound < 0 || math.IsNaN(apx.GapBound) {
+			t.Fatalf("θ=%v: bad certificate: approx=%v gap=%v", theta, apx.Approx, apx.GapBound)
+		}
+		scale := math.Max(1, math.Abs(exact.Objective))
+		if apx.Objective > exact.Objective+1e-7*scale {
+			t.Errorf("θ=%v: approx objective %v beats exact %v", theta, apx.Objective, exact.Objective)
+		}
+		if exact.Objective > apx.Objective+apx.GapBound+1e-7*scale {
+			t.Errorf("θ=%v: gap bound unsound: exact %v > approx %v + gap %v",
+				theta, exact.Objective, apx.Objective, apx.GapBound)
+		}
+	}
+}

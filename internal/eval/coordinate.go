@@ -51,19 +51,14 @@ type CoordinationPoint struct {
 	MeanGainSameRates float64
 }
 
-// CoordinationStudy sweeps the default θ grid on the GEANT scenario.
-func CoordinationStudy(s *geant.Scenario, thetas []float64, trials int, seed uint64) ([]CoordinationPoint, error) {
-	return CoordinationStudyCtx(context.Background(), s, thetas, trials, seed, 0)
-}
-
-// CoordinationStudyCtx is CoordinationStudy with cancellation and an
-// explicit worker count (0 selects GOMAXPROCS). Like Figure2Ctx it runs
+// CoordinationStudy sweeps the θ grid (nil selects DefaultThetas) on the
+// GEANT scenario; workers = 0 selects GOMAXPROCS. Like Figure2 it runs
 // in two phases: a continuation phase that sweeps θ top-down in
 // fixed-size chunks — one chain per (rate model, chunk), compiled once
 // and re-tuned per grid point with warm starts — and a simulation phase
 // with one split-seeded engine job per θ. Both phases are bit-identical
 // for every worker count.
-func CoordinationStudyCtx(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]CoordinationPoint, error) {
+func CoordinationStudy(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]CoordinationPoint, error) {
 	if len(thetas) == 0 {
 		thetas = DefaultThetas()
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 func TestCoordinationStudyDominates(t *testing.T) {
 	s := scenario(t)
 	thetas := []float64{100000, 1000000}
-	points, err := CoordinationStudy(s, thetas, 5, 7)
+	points, err := CoordinationStudy(context.Background(), s, thetas, 5, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestCoordinationTheoremPerPair(t *testing.T) {
 func TestCoordinationStudyDeterministic(t *testing.T) {
 	s := scenario(t)
 	thetas := []float64{50000}
-	a, err := CoordinationStudy(s, thetas, 4, 11)
+	a, err := CoordinationStudy(context.Background(), s, thetas, 4, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoordinationStudy(s, thetas, 4, 11)
+	b, err := CoordinationStudy(context.Background(), s, thetas, 4, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

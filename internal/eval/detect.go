@@ -39,15 +39,11 @@ type DetectionResult struct {
 }
 
 // DetectionStudy solves the detection-utility placement at θ packets per
-// interval for anomalies of the given footprint.
-func DetectionStudy(s *geant.Scenario, theta float64, eventSize int) (*DetectionResult, error) {
-	return DetectionStudyCtx(context.Background(), s, theta, eventSize, 0)
-}
-
-// DetectionStudyCtx is DetectionStudy with cancellation; the three
-// competing placements (sum-objective optimum, exact max-min, uniform)
-// are independent, so they run as concurrent engine jobs.
-func DetectionStudyCtx(ctx context.Context, s *geant.Scenario, theta float64, eventSize int, workers int) (*DetectionResult, error) {
+// interval for anomalies of the given footprint. The three competing
+// placements (sum-objective optimum, exact max-min, uniform) are
+// independent, so they run as concurrent engine jobs (workers = 0
+// selects GOMAXPROCS).
+func DetectionStudy(ctx context.Context, s *geant.Scenario, theta float64, eventSize int, workers int) (*DetectionResult, error) {
 	budget := core.BudgetPerInterval(theta, Interval)
 	util, err := core.NewDetection(eventSize)
 	if err != nil {

@@ -76,12 +76,6 @@ type DynamicResult struct {
 	TotalChurn int
 }
 
-// DynamicStudy runs the study for the given number of intervals at
-// θ packets per interval.
-func DynamicStudy(s *geant.Scenario, intervals int, theta float64, seed uint64) (*DynamicResult, error) {
-	return DynamicStudyCtx(context.Background(), s, intervals, theta, seed, 0)
-}
-
 // dynamicChunkSize is the continuation chunk of the per-interval
 // re-optimization: each chunk of consecutive intervals is one warm-start
 // chain. Fixed (never derived from the worker count) so the chains, and
@@ -100,15 +94,16 @@ type dynamicInterval struct {
 	anomaly    bool
 }
 
-// DynamicStudyCtx runs the study in three phases: a sequential input
-// phase that plays out the traffic/routing dynamics (it mutates the
-// scenario graph and consumes one jitter stream, so order matters), a
-// parallel phase that re-optimizes every interval on the engine's worker
-// pool, and a sequential aggregation phase (the static-vs-dynamic
-// comparison and churn depend on interval order). The per-interval
-// optimizations dominate the cost and are order-independent, so the
-// result is identical for every worker count.
-func DynamicStudyCtx(ctx context.Context, s *geant.Scenario, intervals int, theta float64, seed uint64, workers int) (*DynamicResult, error) {
+// DynamicStudy runs the study for the given number of intervals at θ
+// packets per interval (workers = 0 selects GOMAXPROCS), in three
+// phases: a sequential input phase that plays out the traffic/routing
+// dynamics (it mutates the scenario graph and consumes one jitter
+// stream, so order matters), a parallel phase that re-optimizes every
+// interval on the engine's worker pool, and a sequential aggregation
+// phase (the static-vs-dynamic comparison and churn depend on interval
+// order). The per-interval optimizations dominate the cost and are
+// order-independent, so the result is identical for every worker count.
+func DynamicStudy(ctx context.Context, s *geant.Scenario, intervals int, theta float64, seed uint64, workers int) (*DynamicResult, error) {
 	if intervals <= 0 {
 		intervals = 24
 	}
@@ -166,40 +161,16 @@ func DynamicStudyCtx(ctx context.Context, s *geant.Scenario, intervals int, thet
 		}
 
 		// Current traffic: diurnal background, jittered JANET demands.
-		factor := profile.Factor(t, r)
-		rates := make([]float64, len(s.Rates))
-		for k := range rates {
-			rates[k] = s.Rates[k] * r.LogNormal(0, 0.15)
-		}
-		if anomaly {
-			rates[len(rates)-1] *= 0.1 // the smallest pair collapses
-		}
-		demands := &traffic.Matrix{}
-		for _, d := range s.Demands.Demands {
-			nd := d
-			isJANET := false
-			for k, pr := range s.Pairs {
-				if d.Pair.Name == pr.Name {
-					nd.Rate = rates[k]
-					isJANET = true
-					break
-				}
+		w, err := synthesizeWorld(s, tbl, profile, t, r, func(rates []float64) {
+			if anomaly {
+				rates[len(rates)-1] *= 0.1 // the smallest pair collapses
 			}
-			if !isJANET {
-				nd.Rate *= factor
-			}
-			demands.Demands = append(demands.Demands, nd)
-		}
-		loads, err := traffic.LinkLoads(s.Graph, tbl, demands)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("eval: interval %d: %w", t, err)
 		}
-		inv := make([]float64, len(rates))
-		for k := range rates {
-			inv[k] = math.Min(1, 1/(rates[k]*Interval))
-		}
 		worlds[t] = dynamicInterval{
-			matrix: matrix, candidates: candidates, loads: loads, inv: inv,
+			matrix: matrix, candidates: candidates, loads: w.Loads, inv: w.Inv,
 			failed: failed, anomaly: anomaly,
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"netsamp/internal/geant"
 	"netsamp/internal/plan"
 	"netsamp/internal/rng"
-	"netsamp/internal/routing"
 	"netsamp/internal/sampling"
 	"netsamp/internal/topology"
 	"netsamp/internal/traffic"
@@ -170,15 +169,6 @@ type Figure2Point struct {
 	UKOnly  sampling.Summary
 }
 
-// Figure2 sweeps θ and, for each value, simulates the accuracy of the
-// full optimal solution and of the optimizer restricted to the six UK
-// links (the paper's comparison). The sweep runs on the engine's worker
-// pool (one job per θ); see Figure2Ctx for cancellation and an explicit
-// worker count.
-func Figure2(s *geant.Scenario, thetas []float64, trials int, seed uint64) ([]Figure2Point, error) {
-	return Figure2Ctx(context.Background(), s, thetas, trials, seed, 0)
-}
-
 // figure2ChunkSize is the continuation chunk of the Figure 2 sweep:
 // each (candidate set, chunk of the θ grid) pair is one continuation
 // chain. The chunking is a fixed function of the grid — never of the
@@ -186,8 +176,10 @@ func Figure2(s *geant.Scenario, thetas []float64, trials int, seed uint64) ([]Fi
 // bit-identical for every worker count.
 const figure2ChunkSize = 4
 
-// Figure2Ctx is Figure2 with cancellation and an explicit worker count
-// (0 selects GOMAXPROCS). It runs in two phases. The optimization phase
+// Figure2 sweeps θ and, for each value, simulates the accuracy of the
+// full optimal solution and of the optimizer restricted to the six UK
+// links (the paper's comparison), on the engine's worker pool (workers
+// = 0 selects GOMAXPROCS). It runs in two phases. The optimization phase
 // sweeps θ in continuation chains: each candidate-set variant compiles
 // its problem once (plan.Compile), re-tunes only the budget between
 // grid points, and warm-starts every solve from the previous θ's
@@ -197,7 +189,7 @@ const figure2ChunkSize = 4
 // random stream, so the result is bit-identical for every worker count
 // (the chains are chunked by the fixed figure2ChunkSize, and the solves
 // consume no randomness at all).
-func Figure2Ctx(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]Figure2Point, error) {
+func Figure2(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]Figure2Point, error) {
 	inv := s.UtilityParams(Interval)
 	sizes := s.PairSizes(Interval)
 	variants := [][]topology.LinkID{s.MonitorLinks, s.UKLinks}
@@ -306,38 +298,27 @@ type ConvergenceResult struct {
 	MaxIterations  int
 }
 
-// ConvergenceStudy runs the solver on `runs` randomized instances:
-// per-run jitter on OD sizes, link loads and θ, as in the paper ("each
-// time with a different set of input parameters").
-func ConvergenceStudy(s *geant.Scenario, runs int, seed uint64) (*ConvergenceResult, error) {
-	return ConvergenceStudyCtx(context.Background(), s, runs, seed, core.Options{}, 0)
-}
-
-// ConvergenceStudyWithOptions is ConvergenceStudy under explicit solver
-// options. Passing DisablePreconditioner reproduces the behaviour of the
-// paper's plain gradient-projection method (slower convergence, more
-// constraint-removal events).
-func ConvergenceStudyWithOptions(s *geant.Scenario, runs int, seed uint64, opt core.Options) (*ConvergenceResult, error) {
-	return ConvergenceStudyCtx(context.Background(), s, runs, seed, opt, 0)
-}
-
 // convergenceChunkSize is the number of randomized runs each worker job
 // solves on one shared compiled plan. Like figure2ChunkSize it is a
 // fixed function of the run grid, never of the worker count.
 const convergenceChunkSize = 16
 
-// ConvergenceStudyCtx runs the randomized instances on the engine's
-// worker pool and aggregates the per-run statistics in run order. The
-// runs are grouped into fixed-size chunks; each chunk compiles the
-// problem structure once (the matrix and candidate set never change —
-// only loads, utility parameters and θ are jittered) and re-tunes it
-// per run through the plan.Compiled path. Every run still draws its
-// jitter from its own split-seeded stream (rng.SplitSeed(seed, run))
-// and starts cold from the waterfilling point, so the per-run solver
-// statistics — the study's whole output — are bit-identical to solving
-// each instance from scratch, for every worker count. workers = 0
-// selects GOMAXPROCS.
-func ConvergenceStudyCtx(ctx context.Context, s *geant.Scenario, runs int, seed uint64, opt core.Options, workers int) (*ConvergenceResult, error) {
+// ConvergenceStudy runs the solver on `runs` randomized instances —
+// per-run jitter on OD sizes, link loads and θ, as in the paper ("each
+// time with a different set of input parameters") — under the solver
+// options opt (DisablePreconditioner reproduces the paper's plain
+// gradient-projection method: slower convergence, more constraint-
+// removal events). The instances run on the engine's worker pool and
+// the per-run statistics aggregate in run order. The runs are grouped
+// into fixed-size chunks; each chunk compiles the problem structure once
+// (the matrix and candidate set never change — only loads, utility
+// parameters and θ are jittered) and re-tunes it per run through the
+// plan.Compiled path. Every run still draws its jitter from its own
+// split-seeded stream (rng.SplitSeed(seed, run)) and starts cold from
+// the waterfilling point, so the per-run solver statistics — the
+// study's whole output — are bit-identical to solving each instance
+// from scratch, for every worker count. workers = 0 selects GOMAXPROCS.
+func ConvergenceStudy(ctx context.Context, s *geant.Scenario, runs int, seed uint64, opt core.Options, workers int) (*ConvergenceResult, error) {
 	if runs <= 0 {
 		runs = 200
 	}
@@ -470,16 +451,6 @@ func AccessLinkComparison(s *geant.Scenario, theta float64) (*AccessComparison, 
 	}, nil
 }
 
-// ODPairsByName returns the scenario pair index by name (test helper
-// shared by the CLI).
-func ODPairsByName(pairs []routing.ODPair) map[string]int {
-	out := make(map[string]int, len(pairs))
-	for k, p := range pairs {
-		out[p.Name] = k
-	}
-	return out
-}
-
 // Figure2ExtPoint extends a Figure 2 abscissa with the baseline series
 // the paper discusses but does not plot: uniform network-wide sampling
 // (the ISP practice of the introduction) and the two-phase
@@ -492,17 +463,12 @@ type Figure2ExtPoint struct {
 }
 
 // Figure2Extended runs the Figure 2 sweep with two extra baseline
-// series.
-func Figure2Extended(s *geant.Scenario, thetas []float64, trials int, seed uint64) ([]Figure2ExtPoint, error) {
-	return Figure2ExtendedCtx(context.Background(), s, thetas, trials, seed, 0)
-}
-
-// Figure2ExtendedCtx is Figure2Extended on the engine's worker pool: the
-// baseline assignments of each θ are built concurrently through
-// baseline.CompareAll and the per-θ simulations are independent engine
-// jobs, deterministically seeded per θ index.
-func Figure2ExtendedCtx(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]Figure2ExtPoint, error) {
-	base, err := Figure2Ctx(ctx, s, thetas, trials, seed, workers)
+// series on the engine's worker pool: the baseline assignments of each
+// θ are built concurrently through baseline.CompareAll and the per-θ
+// simulations are independent engine jobs, deterministically seeded per
+// θ index.
+func Figure2Extended(ctx context.Context, s *geant.Scenario, thetas []float64, trials int, seed uint64, workers int) ([]Figure2ExtPoint, error) {
+	base, err := Figure2(ctx, s, thetas, trials, seed, workers)
 	if err != nil {
 		return nil, err
 	}

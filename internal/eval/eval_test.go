@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
+	"netsamp/internal/core"
 	"netsamp/internal/geant"
 )
 
@@ -123,7 +125,7 @@ func TestTable1UtilityTracksAccuracy(t *testing.T) {
 func TestFigure2Shape(t *testing.T) {
 	s := scenario(t)
 	thetas := []float64{20000, 100000, 500000}
-	points, err := Figure2(s, thetas, 10, 3)
+	points, err := Figure2(context.Background(), s, thetas, 10, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestConvergenceStudy(t *testing.T) {
 	s := scenario(t)
-	r, err := ConvergenceStudy(s, 60, 11)
+	r, err := ConvergenceStudy(context.Background(), s, 60, 11, core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +235,7 @@ func TestRenderers(t *testing.T) {
 		t.Fatal("figure 1 render missing header")
 	}
 	b.Reset()
-	pts, err := Figure2(s, []float64{50000}, 3, 1)
+	pts, err := Figure2(context.Background(), s, []float64{50000}, 3, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +246,7 @@ func TestRenderers(t *testing.T) {
 		t.Fatal("figure 2 render missing columns")
 	}
 	b.Reset()
-	conv, err := ConvergenceStudy(s, 5, 1)
+	conv, err := ConvergenceStudy(context.Background(), s, 5, 1, core.Options{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,17 +285,9 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestODPairsByName(t *testing.T) {
-	s := scenario(t)
-	idx := ODPairsByName(s.Pairs)
-	if idx["JANET-LU"] != 19 || idx["JANET-NL"] != 0 {
-		t.Fatalf("index = %v", idx)
-	}
-}
-
 func TestDynamicStudy(t *testing.T) {
 	s := scenario(t)
-	r, err := DynamicStudy(s, 12, 100000, 21)
+	r, err := DynamicStudy(context.Background(), s, 12, 100000, 21, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +352,7 @@ func TestDynamicStudy(t *testing.T) {
 
 func TestDetectionStudy(t *testing.T) {
 	s := scenario(t)
-	r, err := DetectionStudy(s, 100000, 500)
+	r, err := DetectionStudy(context.Background(), s, 100000, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,14 +383,14 @@ func TestDetectionStudy(t *testing.T) {
 
 func TestDetectionStudyErrors(t *testing.T) {
 	s := scenario(t)
-	if _, err := DetectionStudy(s, 100000, 1); err == nil {
+	if _, err := DetectionStudy(context.Background(), s, 100000, 1, 0); err == nil {
 		t.Fatal("event size 1 accepted")
 	}
 }
 
 func TestDetectionStudyMaxMinLiftsWorst(t *testing.T) {
 	s := scenario(t)
-	r, err := DetectionStudy(s, 100000, 500)
+	r, err := DetectionStudy(context.Background(), s, 100000, 500, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,22 +414,6 @@ func TestCSVExports(t *testing.T) {
 	if len(h) != 5 || len(rows) != len(t1.Links)+len(t1.Rows) {
 		t.Fatalf("Table1CSV shape: %d/%d", len(h), len(rows))
 	}
-	dyn, err := DynamicStudy(s, 4, 100000, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, rows = DynamicCSV(dyn)
-	if len(h) != 9 || len(rows) != 4 {
-		t.Fatalf("DynamicCSV shape: %d/%d", len(h), len(rows))
-	}
-	det, err := DetectionStudy(s, 100000, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, rows = DetectionCSV(det)
-	if len(h) != 4 || len(rows) != 20 {
-		t.Fatalf("DetectionCSV shape: %d/%d", len(h), len(rows))
-	}
 	var b strings.Builder
 	if err := WriteCSV(&b, h, rows); err != nil {
 		t.Fatal(err)
@@ -447,7 +425,7 @@ func TestCSVExports(t *testing.T) {
 
 func TestTMStudy(t *testing.T) {
 	s := scenario(t)
-	r, err := TMStudy(s, 100000, 20, 5)
+	r, err := TMStudy(context.Background(), s, 100000, 20, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +457,10 @@ func TestTMStudy(t *testing.T) {
 // TestTable1ShapeOnAbilene checks the paper's generality claim: the
 // qualitative Table I properties hold on a very different backbone.
 func TestTable1ShapeOnAbilene(t *testing.T) {
-	s := geant.MustBuildAbilene(1)
+	s, err := geant.BuildAbilene(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r, err := Table1(s, 60000, 20, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -552,7 +533,7 @@ func TestWriteReport(t *testing.T) {
 
 func TestFigure2Extended(t *testing.T) {
 	s := scenario(t)
-	pts, err := Figure2Extended(s, []float64{50000, 200000}, 8, 13)
+	pts, err := Figure2Extended(context.Background(), s, []float64{50000, 200000}, 8, 13, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

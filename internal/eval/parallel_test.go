@@ -32,11 +32,11 @@ func TestFigure2DeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	thetas := []float64{50000, 100000, 200000}
-	serial, err := Figure2Ctx(context.Background(), s, thetas, 5, 42, 1)
+	serial, err := Figure2(context.Background(), s, thetas, 5, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Figure2Ctx(context.Background(), s, thetas, 5, 42, 8)
+	parallel, err := Figure2(context.Background(), s, thetas, 5, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestConvergenceDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := ConvergenceStudyCtx(context.Background(), s, 24, 42, core.Options{}, 1)
+	serial, err := ConvergenceStudy(context.Background(), s, 24, 42, core.Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := ConvergenceStudyCtx(context.Background(), s, 24, 42, core.Options{}, 8)
+	parallel, err := ConvergenceStudy(context.Background(), s, 24, 42, core.Options{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestTMStudyDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := TMStudyCtx(context.Background(), s, 100000, 5, 42, 1)
+	serial, err := TMStudy(context.Background(), s, 100000, 5, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TMStudyCtx(context.Background(), s, 100000, 5, 42, 8)
+	parallel, err := TMStudy(context.Background(), s, 100000, 5, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestDynamicStudyDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := DynamicStudyCtx(context.Background(), s, 8, 100000, 42, 1)
+	serial, err := DynamicStudy(context.Background(), s, 8, 100000, 42, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := DynamicStudyCtx(context.Background(), s, 8, 100000, 42, 8)
+	parallel, err := DynamicStudy(context.Background(), s, 8, 100000, 42, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,36 +165,3 @@ func Table1CSV(r *Table1Result) (header []string, rows [][]string) {
 	}
 	return header, rows
 }
-
-// DynamicCSV converts the dynamic study to CSV.
-func DynamicCSV(r *DynamicResult) (header []string, rows [][]string) {
-	header = []string{"interval", "static_obj", "dynamic_obj", "static_worst", "dynamic_worst", "static_spend", "churn", "failed", "anomaly"}
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Interval),
-			fmt.Sprintf("%.6f", p.StaticObj),
-			fmt.Sprintf("%.6f", p.DynamicObj),
-			fmt.Sprintf("%.6f", p.StaticWorst),
-			fmt.Sprintf("%.6f", p.DynamicWorst),
-			fmt.Sprintf("%.4f", p.StaticSpend),
-			fmt.Sprintf("%d", p.Churn),
-			fmt.Sprintf("%v", p.Failed),
-			fmt.Sprintf("%v", p.Anomaly),
-		})
-	}
-	return header, rows
-}
-
-// DetectionCSV converts the detection study to CSV.
-func DetectionCSV(r *DetectionResult) (header []string, rows [][]string) {
-	header = []string{"pair", "p_detect_sum", "p_detect_maxmin", "p_detect_uniform"}
-	for k, name := range r.Pairs {
-		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.6f", r.OptimalProb[k]),
-			fmt.Sprintf("%.6f", r.MaxMinProb[k]),
-			fmt.Sprintf("%.6f", r.UniformProb[k]),
-		})
-	}
-	return header, rows
-}

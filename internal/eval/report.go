@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"io"
 
+	"netsamp/internal/core"
 	"netsamp/internal/geant"
 )
 
@@ -62,7 +64,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Figure 2 — accuracy vs capacity")
-	f2, err := Figure2(s, DefaultThetas(), cfg.Trials, cfg.Seed+2000)
+	f2, err := Figure2(context.Background(), s, DefaultThetas(), cfg.Trials, cfg.Seed+2000, 0)
 	if err != nil {
 		return err
 	}
@@ -72,7 +74,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Figure 2 (extended) — all baselines, worst-pair accuracy")
-	f2x, err := Figure2Extended(s, DefaultThetas(), cfg.Trials, cfg.Seed+2000)
+	f2x, err := Figure2Extended(context.Background(), s, DefaultThetas(), cfg.Trials, cfg.Seed+2000, 0)
 	if err != nil {
 		return err
 	}
@@ -82,7 +84,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Solver convergence (§IV-D)")
-	conv, err := ConvergenceStudy(s, cfg.ConvergenceRuns, cfg.Seed+3000)
+	conv, err := ConvergenceStudy(context.Background(), s, cfg.ConvergenceRuns, cfg.Seed+3000, core.Options{}, 0)
 	if err != nil {
 		return err
 	}
@@ -102,7 +104,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Traffic-matrix estimation comparison")
-	tm, err := TMStudy(s, cfg.Theta, cfg.Trials, cfg.Seed+5000)
+	tm, err := TMStudy(context.Background(), s, cfg.Theta, cfg.Trials, cfg.Seed+5000, 0)
 	if err != nil {
 		return err
 	}
@@ -112,7 +114,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Anomaly-detection placement")
-	det, err := DetectionStudy(s, cfg.Theta, 500)
+	det, err := DetectionStudy(context.Background(), s, cfg.Theta, 500, 0)
 	if err != nil {
 		return err
 	}
@@ -122,7 +124,7 @@ func WriteReport(w io.Writer, s *geant.Scenario, cfg ReportConfig) error {
 	endSection()
 
 	section("Dynamic re-optimization")
-	dyn, err := DynamicStudy(s, cfg.DynamicSteps, cfg.Theta, cfg.Seed+4000)
+	dyn, err := DynamicStudy(context.Background(), s, cfg.DynamicSteps, cfg.Theta, cfg.Seed+4000, 0)
 	if err != nil {
 		return err
 	}

@@ -42,17 +42,12 @@ type TMResult struct {
 }
 
 // TMStudy runs the comparison at θ packets per interval with the given
-// number of sampling trials per pair.
-func TMStudy(s *geant.Scenario, theta float64, trials int, seed uint64) (*TMResult, error) {
-	return TMStudyCtx(context.Background(), s, theta, trials, seed, 0)
-}
-
-// TMStudyCtx is TMStudy with cancellation and a parallel Monte-Carlo
-// phase: the per-pair sampling experiments run as engine jobs, each on
-// its own split-seeded stream, so the result is identical for every
-// worker count. The tomogravity estimate and the optimizer solve are
-// shared work computed once, up front.
-func TMStudyCtx(ctx context.Context, s *geant.Scenario, theta float64, trials int, seed uint64, workers int) (*TMResult, error) {
+// number of sampling trials per pair. The per-pair sampling experiments
+// run as engine jobs (workers = 0 selects GOMAXPROCS), each on its own
+// split-seeded stream, so the result is identical for every worker
+// count. The tomogravity estimate and the optimizer solve are shared
+// work computed once, up front.
+func TMStudy(ctx context.Context, s *geant.Scenario, theta float64, trials int, seed uint64, workers int) (*TMResult, error) {
 	// Estimate the FULL traffic matrix from link loads; score only the
 	// JANET pairs (the measurement task).
 	allPairs := make([]routing.ODPair, len(s.Demands.Demands))

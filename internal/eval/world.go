@@ -6,6 +6,7 @@ import (
 
 	"netsamp/internal/geant"
 	"netsamp/internal/rng"
+	"netsamp/internal/routing"
 	"netsamp/internal/traffic"
 )
 
@@ -40,11 +41,26 @@ func IntervalWorld(s *geant.Scenario, t int, seed uint64) (*World, error) {
 	}
 	r := rng.New(rng.SplitSeed(rng.SplitSeed(seed, worldDomain), uint64(t)))
 	profile := traffic.Diurnal{Period: DefaultDiurnalPeriod, Trough: 0.5, Peak: 1.2, Noise: 0.1}
-	factor := profile.Factor(t, r)
+	w, err := synthesizeWorld(s, s.Table, profile, t, r, nil)
+	if err != nil {
+		return nil, fmt.Errorf("eval: interval %d loads: %w", t, err)
+	}
+	return w, nil
+}
 
+// synthesizeWorld draws interval t's traffic from r — the diurnal
+// background factor first, then one lognormal jitter per JANET pair; the
+// draw order is part of every golden — and routes it over tbl. adjust,
+// when non-nil, edits the jittered JANET rates before they load the
+// links.
+func synthesizeWorld(s *geant.Scenario, tbl *routing.Table, profile traffic.Diurnal, t int, r *rng.Source, adjust func(rates []float64)) (*World, error) {
+	factor := profile.Factor(t, r)
 	rates := make([]float64, len(s.Rates))
 	for k := range rates {
 		rates[k] = s.Rates[k] * r.LogNormal(0, 0.15)
+	}
+	if adjust != nil {
+		adjust(rates)
 	}
 	demands := &traffic.Matrix{}
 	for _, d := range s.Demands.Demands {
@@ -62,9 +78,9 @@ func IntervalWorld(s *geant.Scenario, t int, seed uint64) (*World, error) {
 		}
 		demands.Demands = append(demands.Demands, nd)
 	}
-	loads, err := traffic.LinkLoads(s.Graph, s.Table, demands)
+	loads, err := traffic.LinkLoads(s.Graph, tbl, demands)
 	if err != nil {
-		return nil, fmt.Errorf("eval: interval %d loads: %w", t, err)
+		return nil, err
 	}
 	inv := make([]float64, len(rates))
 	for k := range rates {

@@ -8,21 +8,21 @@ import (
 )
 
 func TestLoadDriftDisabledIsIdentity(t *testing.T) {
-	p := MustPlan(Config{Seed: 7})
+	p := mustPlan(t, Config{Seed: 7})
 	for _, tt := range []int{0, 1, 5} {
 		if f := p.LoadDrift(tt, 3); f != 1 {
 			t.Fatalf("drift disabled: factor %v at t=%d, want 1", f, tt)
 		}
 	}
-	p = MustPlan(Config{Seed: 7, DriftVol: 0.2})
+	p = mustPlan(t, Config{Seed: 7, DriftVol: 0.2})
 	if f := p.LoadDrift(0, 3); f != 1 {
 		t.Fatalf("interval 0 factor %v, want 1 (reference)", f)
 	}
 }
 
 func TestLoadDriftDeterministicAndBounded(t *testing.T) {
-	p := MustPlan(Config{Seed: 42, DriftVol: 0.3, DriftStep: 0.1})
-	q := MustPlan(Config{Seed: 42, DriftVol: 0.3, DriftStep: 0.1})
+	p := mustPlan(t, Config{Seed: 42, DriftVol: 0.3, DriftStep: 0.1})
+	q := mustPlan(t, Config{Seed: 42, DriftVol: 0.3, DriftStep: 0.1})
 	moved := false
 	for tt := 1; tt <= 64; tt++ {
 		for link := topology.LinkID(0); link < 5; link++ {
@@ -46,7 +46,7 @@ func TestLoadDriftDeterministicAndBounded(t *testing.T) {
 		t.Fatal("two links share a drift path")
 	}
 	// Step changes fire even without volatility.
-	s := MustPlan(Config{Seed: 1, DriftStep: 0.5})
+	s := mustPlan(t, Config{Seed: 1, DriftStep: 0.5})
 	stepped := false
 	for tt := 1; tt <= 16 && !stepped; tt++ {
 		stepped = math.Abs(s.LoadDrift(tt, 0)-1) > 1e-9
@@ -71,7 +71,7 @@ func TestLoadDriftValidation(t *testing.T) {
 			t.Errorf("case %d: NewPlan accepted %+v", i, cfg)
 		}
 	}
-	p := MustPlan(Config{DriftStep: 0.1})
+	p := mustPlan(t, Config{DriftStep: 0.1})
 	if got := p.Config().DriftStepMax; got != 4 {
 		t.Fatalf("DriftStepMax default %v, want 4", got)
 	}

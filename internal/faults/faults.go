@@ -153,15 +153,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 	return &Plan{cfg: cfg}, nil
 }
 
-// MustPlan is NewPlan for known-good configurations; it panics on error.
-func MustPlan(cfg Config) *Plan {
-	p, err := NewPlan(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Config returns the validated configuration (defaults filled in).
 func (p *Plan) Config() Config { return p.cfg }
 

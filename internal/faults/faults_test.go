@@ -12,6 +12,15 @@ import (
 	"netsamp/internal/topology"
 )
 
+func mustPlan(t *testing.T, cfg Config) *Plan {
+	t.Helper()
+	p, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestNewPlanValidation(t *testing.T) {
 	bad := []Config{
 		{MonitorCrash: -0.1},
@@ -43,9 +52,9 @@ func TestNewPlanValidation(t *testing.T) {
 // with the same seed, agree; a different seed gives a different history.
 func TestMonitorDownDeterministic(t *testing.T) {
 	cfg := Config{Seed: 11, MonitorCrash: 0.2, MeanOutage: 2}
-	a, b := MustPlan(cfg), MustPlan(cfg)
+	a, b := mustPlan(t, cfg), mustPlan(t, cfg)
 	cfg.Seed = 12
-	c := MustPlan(cfg)
+	c := mustPlan(t, cfg)
 	// Query a forward and b backward: evaluation order must not matter.
 	forward := make(map[[2]int]bool)
 	for tt := 0; tt < 64; tt++ {
@@ -77,7 +86,7 @@ func TestMonitorDownDeterministic(t *testing.T) {
 // TestMonitorDownConcurrent: Plan must be queryable from many
 // goroutines (run under -race).
 func TestMonitorDownConcurrent(t *testing.T) {
-	p := MustPlan(Config{Seed: 3, MonitorCrash: 0.3, MeanOutage: 3})
+	p := mustPlan(t, Config{Seed: 3, MonitorCrash: 0.3, MeanOutage: 3})
 	var wg sync.WaitGroup
 	results := make([][]bool, 8)
 	for g := 0; g < 8; g++ {
@@ -104,7 +113,7 @@ func TestMonitorDownConcurrent(t *testing.T) {
 }
 
 func TestMonitorDownRateAndOutages(t *testing.T) {
-	p := MustPlan(Config{Seed: 7, MonitorCrash: 0.1, MeanOutage: 3, MaxOutage: 6})
+	p := mustPlan(t, Config{Seed: 7, MonitorCrash: 0.1, MeanOutage: 3, MaxOutage: 6})
 	const links, intervals = 40, 400
 	down := 0
 	for tt := 0; tt < intervals; tt++ {
@@ -141,7 +150,7 @@ func TestMonitorDownRateAndOutages(t *testing.T) {
 }
 
 func TestRateFactorAndSolverOverrun(t *testing.T) {
-	p := MustPlan(Config{Seed: 5, RateClamp: 0.5, ClampFactor: 0.25, SolverOverrun: 0.5})
+	p := mustPlan(t, Config{Seed: 5, RateClamp: 0.5, ClampFactor: 0.25, SolverOverrun: 0.5})
 	clamped, overruns := 0, 0
 	for tt := 0; tt < 1000; tt++ {
 		switch f := p.RateFactor(tt, 1); f {
@@ -161,7 +170,7 @@ func TestRateFactorAndSolverOverrun(t *testing.T) {
 	if overruns < 400 || overruns > 600 {
 		t.Fatalf("overrun count %d far from 500", overruns)
 	}
-	none := MustPlan(Config{Seed: 5})
+	none := mustPlan(t, Config{Seed: 5})
 	for tt := 0; tt < 50; tt++ {
 		if none.RateFactor(tt, 1) != 1 || none.SolverOverrun(tt) || none.MonitorDown(tt, 1) {
 			t.Fatal("zero-probability plan injected a fault")
@@ -170,7 +179,7 @@ func TestRateFactorAndSolverOverrun(t *testing.T) {
 }
 
 func TestChannelLossDupReorder(t *testing.T) {
-	p := MustPlan(Config{Seed: 9, DatagramLoss: 0.2, DatagramDup: 0.1, DatagramReorder: 0.1})
+	p := mustPlan(t, Config{Seed: 9, DatagramLoss: 0.2, DatagramDup: 0.1, DatagramReorder: 0.1})
 	run := func() ([]string, *Channel) {
 		ch := p.Channel(1)
 		var got []string
@@ -208,7 +217,7 @@ func TestChannelReorderSwapsAdjacent(t *testing.T) {
 	// probability 1 every datagram wants to be held, but a datagram is
 	// only held when no other is pending, so the stream becomes a
 	// pairwise swap: (1,0), (3,2), ...
-	p := MustPlan(Config{Seed: 1, DatagramReorder: 1})
+	p := mustPlan(t, Config{Seed: 1, DatagramReorder: 1})
 	ch := p.Channel(0)
 	var got []byte
 	deliver := func(b []byte) { got = append(got, b[0]) }
@@ -223,7 +232,7 @@ func TestChannelReorderSwapsAdjacent(t *testing.T) {
 }
 
 func TestChannelFlushReleasesHeld(t *testing.T) {
-	p := MustPlan(Config{Seed: 2, DatagramReorder: 1})
+	p := mustPlan(t, Config{Seed: 2, DatagramReorder: 1})
 	ch := p.Channel(0)
 	var got []byte
 	ch.Transmit([]byte{42}, func(b []byte) { got = append(got, b[0]) })

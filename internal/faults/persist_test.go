@@ -38,7 +38,7 @@ func TestConfigRoundTrip(t *testing.T) {
 	if back != cfg {
 		t.Fatalf("round trip: %+v != %+v", back, cfg)
 	}
-	p1, p2 := MustPlan(cfg), MustPlan(back)
+	p1, p2 := mustPlan(t, cfg), mustPlan(t, back)
 	for interval := 0; interval < 50; interval++ {
 		for link := topology.LinkID(0); link < 10; link++ {
 			if p1.MonitorDown(interval, link) != p2.MonitorDown(interval, link) {

@@ -141,12 +141,3 @@ func BuildAbilene(seed uint64) (*Scenario, error) {
 		UKLinks:      seaLinks, // the ingress PoP's links (the restricted baseline)
 	}, nil
 }
-
-// MustBuildAbilene is BuildAbilene that panics on error.
-func MustBuildAbilene(seed uint64) *Scenario {
-	s, err := BuildAbilene(seed)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -5,8 +5,17 @@ import (
 	"testing"
 )
 
+func abilene(t *testing.T, seed uint64) *Scenario {
+	t.Helper()
+	s, err := BuildAbilene(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestAbileneShape(t *testing.T) {
-	s := MustBuildAbilene(1)
+	s := abilene(t, 1)
 	// 11 Abilene PoPs + the customer node.
 	if got := s.Graph.NumNodes(); got != 12 {
 		t.Fatalf("nodes = %d, want 12", got)
@@ -40,7 +49,7 @@ func TestAbileneShape(t *testing.T) {
 }
 
 func TestAbileneDeterministic(t *testing.T) {
-	a, b := MustBuildAbilene(3), MustBuildAbilene(3)
+	a, b := abilene(t, 3), abilene(t, 3)
 	for i := range a.Loads {
 		if a.Loads[i] != b.Loads[i] {
 			t.Fatal("nondeterministic loads")
@@ -49,7 +58,7 @@ func TestAbileneDeterministic(t *testing.T) {
 }
 
 func TestAbileneUtilityParams(t *testing.T) {
-	s := MustBuildAbilene(1)
+	s := abilene(t, 1)
 	params := s.UtilityParams(300)
 	if len(params) != 10 {
 		t.Fatalf("params = %d", len(params))

@@ -281,18 +281,6 @@ func (s *Scenario) UtilityParams(intervalSeconds float64) []float64 {
 	return out
 }
 
-// FlowMeanInverseSizes returns the per-flow E[1/S] of each pair's flow
-// size distribution, used by the flow-level NetFlow pipeline (not by
-// the utility function, which is parameterized on OD-pair sizes — see
-// UtilityParams).
-func (s *Scenario) FlowMeanInverseSizes() []float64 {
-	out := make([]float64, len(s.SizeDists))
-	for k, d := range s.SizeDists {
-		out[k] = d.MeanInverse()
-	}
-	return out
-}
-
 // PairSizes returns the true OD sizes in packets for a measurement
 // interval of the given length in seconds.
 func (s *Scenario) PairSizes(intervalSeconds float64) []int64 {

@@ -145,7 +145,8 @@ func TestUtilityParams(t *testing.T) {
 
 func TestFlowMeanInverseSizesInPaperRange(t *testing.T) {
 	s := MustBuild(1)
-	for k, c := range s.FlowMeanInverseSizes() {
+	for k, d := range s.SizeDists {
+		c := d.MeanInverse()
 		// Figure 1 plots E[1/S] between ≈1/1500 and 0.002; the bounded
 		// Pareto discretization lands close to that band.
 		if c < 0.0004 || c > 0.004 {

@@ -44,7 +44,7 @@ func newBenchHarness(b *testing.B, shards, exporters, ring int) *benchHarness {
 func (h *benchHarness) inject(e int, stamp int64) bool {
 	h.seqs[e] += netflow.MaxRecordsPerDatagram
 	binary.LittleEndian.PutUint32(h.bufs[e][4:], h.seqs[e])
-	return h.col.InjectStamped(h.bufs[e], stamp)
+	return h.col.ingest(h.bufs[e], stamp)
 }
 
 // BenchmarkIngestSteadyState4Shards is the headline throughput number:
@@ -95,7 +95,7 @@ func BenchmarkIngestSteadyState4Shards(b *testing.B) {
 // processes exactly budget per shard, so the rings fill and the
 // drop-newest policy sheds the excess. Reported metrics: delivered
 // records/s, the steady-state drop fraction, and the p99 hand-off
-// latency (InjectStamped → consume, sampled with the benchmark's
+// latency (stamped inject → consume, sampled with the benchmark's
 // clock).
 func BenchmarkIngestOverload(b *testing.B) {
 	for _, multiple := range []int{1, 2, 4} {

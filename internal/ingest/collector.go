@@ -96,11 +96,6 @@ func (c *Collector) ingest(b []byte, stamp int64) bool {
 // are single-producer/single-consumer).
 func (c *Collector) Inject(b []byte) bool { return c.ingest(b, 0) }
 
-// InjectStamped is Inject with a caller-supplied hand-off timestamp in
-// nanoseconds (feeds the latency histogram; load generators pass their
-// own clock so step mode stays clock-free).
-func (c *Collector) InjectStamped(b []byte, stampNanos int64) bool { return c.ingest(b, stampNanos) }
-
 // ProcessAvailable consumes up to maxRecords queued records on the
 // given shard (datagram granularity, so it may run over by at most one
 // datagram) and returns how many it consumed. This is the step-mode
@@ -113,7 +108,7 @@ func (c *Collector) ProcessAvailable(shard, maxRecords int) int {
 
 // ProcessAvailableAt is ProcessAvailable with a caller-supplied clock
 // reading in nanoseconds: records consumed are latency-sampled against
-// their InjectStamped stamps, so a load generator can measure hand-off
+// their hand-off stamps, so a load generator can measure hand-off
 // latency without the tier owning a clock.
 func (c *Collector) ProcessAvailableAt(shard, maxRecords int, nowNanos int64) int {
 	if shard < 0 || shard >= len(c.shards) {

@@ -289,7 +289,7 @@ func (s *shard) processBatch(maxDatagrams int, coarse bool, nowNanos int64) (dat
 // at least maxRecords records have been consumed (datagram granularity)
 // or the ring is empty. Deterministic — no clock of its own, no coarse
 // heuristics; nowNanos != 0 (a caller-supplied clock) enables hand-off
-// latency sampling against InjectStamped stamps.
+// latency sampling against the hand-off stamps.
 func (s *shard) processBudget(maxRecords int, nowNanos int64) int {
 	done := 0
 	for done < maxRecords {

@@ -16,12 +16,6 @@ func TestVectorOps(t *testing.T) {
 	if got := v.Dot(w); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	if got := v.Norm2(); !almostEqual(got, math.Sqrt(14), 1e-12) {
-		t.Fatalf("Norm2 = %v", got)
-	}
-	if got := w.NormInf(); got != 6 {
-		t.Fatalf("NormInf = %v", got)
-	}
 	if got := v.Sum(); got != 6 {
 		t.Fatalf("Sum = %v", got)
 	}
@@ -76,23 +70,15 @@ func TestMatrixMulVec(t *testing.T) {
 func TestMatrixMulIdentity(t *testing.T) {
 	m := NewMatrix(3, 3)
 	copy(m.Data, []float64{2, -1, 0, 1, 3, 7, 0, 0, 5})
-	got := m.Mul(Identity(3))
+	id := NewMatrix(3, 3)
+	for i := 0; i < 3; i++ {
+		id.Set(i, i, 1)
+	}
+	got := m.Mul(id)
 	for i := range got.Data {
 		if got.Data[i] != m.Data[i] {
 			t.Fatalf("M*I != M: %v", got.Data)
 		}
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("Transpose dims %dx%d", tr.Rows, tr.Cols)
-	}
-	if tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Fatalf("Transpose values wrong: %v", tr.Data)
 	}
 }
 
@@ -127,18 +113,6 @@ func TestLUSingular(t *testing.T) {
 func TestLUNonSquare(t *testing.T) {
 	if _, err := FactorLU(NewMatrix(2, 3)); err == nil {
 		t.Fatal("expected non-square error")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float64{3, 8, 4, 6})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), -14, 1e-10) {
-		t.Fatalf("Det = %v, want -14", f.Det())
 	}
 }
 
@@ -221,8 +195,11 @@ func TestCholeskySolveRandomSPD(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = r.NormFloat64()
 		}
-		a := b.Mul(b.Transpose())
+		a := NewMatrix(n, n)
 		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, Vector(b.Data[i*n:(i+1)*n]).Dot(b.Data[j*n:(j+1)*n]))
+			}
 			a.Set(i, i, a.At(i, i)+1)
 		}
 		x := make(Vector, n)

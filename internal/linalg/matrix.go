@@ -28,15 +28,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -47,17 +38,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Transpose returns m^T as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
 	return out
 }
 
@@ -100,9 +80,8 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 
 // LU is an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Matrix // packed L (unit diagonal, below) and U (diagonal and above)
-	piv  []int   // row permutation
-	sign int     // determinant sign of the permutation
+	lu  *Matrix // packed L (unit diagonal, below) and U (diagonal and above)
+	piv []int   // row permutation
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -117,7 +96,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		// Partial pivoting: pick the largest magnitude in this column.
 		p := col
@@ -135,7 +113,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				lu.Data[p*n+j], lu.Data[col*n+j] = lu.Data[col*n+j], lu.Data[p*n+j]
 			}
 			piv[p], piv[col] = piv[col], piv[p]
-			sign = -sign
 		}
 		d := lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -149,7 +126,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve returns x with A*x = b for the factored A.
@@ -183,15 +160,6 @@ func (f *LU) Solve(b Vector) (Vector, error) {
 		x[i] = s / d
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve solves A*x = b for square A using LU with partial pivoting.

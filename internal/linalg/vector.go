@@ -10,16 +10,10 @@
 // with partial pivoting are both adequate and easy to verify.
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense column vector.
 type Vector []float64
-
-// NewVector returns a zero vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
 
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {
@@ -39,20 +33,6 @@ func (v Vector) Dot(w Vector) float64 {
 		s += x * w[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
-// NormInf returns the maximum absolute entry of v (0 for an empty vector).
-func (v Vector) NormInf() float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Scale multiplies every entry of v by a in place and returns v.

@@ -37,24 +37,27 @@ type Config struct {
 	// interval it goes unobserved (default 1.25; must be >= 1). 1 turns
 	// widening off: staleness then only shows in Age.
 	WidenFactor float64
-	// BoundSigma is the confidence half-width in units of relative
-	// standard error (default 2: a ~95% normal interval).
-	BoundSigma float64
-	// MinRel floors the relative standard error (default 0.02): the
-	// tracker never claims an estimate is exact, because the underlying
-	// quantity drifts between observations.
-	MinRel float64
-	// MaxRel caps the relative standard error (default 4): beyond this
-	// the interval says "anything plausible" and growing it further
-	// only destabilizes the bounds.
-	MaxRel float64
 }
 
-// minLowerFrac floors the lower bound at this fraction of the point
-// estimate: the optimizer requires strictly positive loads, and a lower
-// bound collapsing to zero would let an optimistic solve assign absurd
-// sampling rates to a link that merely went unobserved.
-const minLowerFrac = 0.05
+const (
+	// boundSigma is the confidence half-width in units of relative
+	// standard error: a ~95% normal interval.
+	boundSigma = 2
+	// minRel floors the relative standard error: the tracker never
+	// claims an estimate is exact, because the underlying quantity
+	// drifts between observations.
+	minRel = 0.02
+	// maxRel caps the relative standard error: beyond this the interval
+	// says "anything plausible" and growing it further only destabilizes
+	// the bounds.
+	maxRel = 4
+	// minLowerFrac floors the lower bound at this fraction of the point
+	// estimate: the optimizer requires strictly positive loads, and a
+	// lower bound collapsing to zero would let an optimistic solve
+	// assign absurd sampling rates to a link that merely went
+	// unobserved.
+	minLowerFrac = 0.05
+)
 
 func (c Config) withDefaults() Config {
 	out := c
@@ -65,18 +68,6 @@ func (c Config) withDefaults() Config {
 	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
 	if out.WidenFactor == 0 {
 		out.WidenFactor = 1.25
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if out.BoundSigma == 0 {
-		out.BoundSigma = 2
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if out.MinRel == 0 {
-		out.MinRel = 0.02
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if out.MaxRel == 0 {
-		out.MaxRel = 4
 	}
 	return out
 }
@@ -89,9 +80,6 @@ func (c Config) validate() error {
 	}{
 		{"Alpha", c.Alpha, c.Alpha > 0 && c.Alpha <= 1},
 		{"WidenFactor", c.WidenFactor, c.WidenFactor >= 1 && !math.IsInf(c.WidenFactor, 0)},
-		{"BoundSigma", c.BoundSigma, c.BoundSigma > 0 && !math.IsInf(c.BoundSigma, 0)},
-		{"MinRel", c.MinRel, c.MinRel > 0 && !math.IsInf(c.MinRel, 0)},
-		{"MaxRel", c.MaxRel, c.MaxRel >= c.MinRel && !math.IsInf(c.MaxRel, 0)},
 	} {
 		if !f.ok {
 			return fmt.Errorf("loadtrack: %s = %v out of range", f.name, f.v)
@@ -128,7 +116,7 @@ func New(n int, cfg Config) (*Tracker, error) {
 	}
 	for i := range t.age {
 		t.age[i] = -1
-		t.rel[i] = cfg.MaxRel
+		t.rel[i] = maxRel
 	}
 	return t, nil
 }
@@ -156,7 +144,7 @@ func (t *Tracker) Config() Config { return t.cfg }
 // the error combined from the filter's memory and the observation's own
 // error; an unobserved link keeps its estimate frozen and widens by
 // WidenFactor. A link that has never been observed adopts the supplied
-// value as its prior, at MaxRel width — the best available anchor
+// value as its prior, at maxRel width — the best available anchor
 // (typically the deployment-time load table) rather than an unusable
 // zero. An observation with a non-finite relative error (the netflow
 // estimator's degenerate no-sample case) counts as unobserved.
@@ -192,9 +180,9 @@ func (t *Tracker) Observe(values, relErr []float64, observed []bool) error {
 			if t.age[i] < 0 {
 				// Never observed: adopt the supplied value as the prior.
 				t.mean[i] = values[i]
-				t.rel[i] = t.cfg.MaxRel
+				t.rel[i] = maxRel
 			} else {
-				t.rel[i] = math.Min(t.cfg.MaxRel, t.rel[i]*t.cfg.WidenFactor)
+				t.rel[i] = math.Min(maxRel, t.rel[i]*t.cfg.WidenFactor)
 				t.age[i]++
 			}
 			continue
@@ -218,7 +206,7 @@ func (t *Tracker) Observe(values, relErr []float64, observed []bool) error {
 			fresh := a * se * v
 			r = math.Sqrt(carried*carried+fresh*fresh) / nm
 		} else {
-			r = t.cfg.MaxRel
+			r = maxRel
 		}
 		t.mean[i] = nm
 		t.rel[i] = t.clampRel(r)
@@ -228,7 +216,7 @@ func (t *Tracker) Observe(values, relErr []float64, observed []bool) error {
 }
 
 func (t *Tracker) clampRel(r float64) float64 {
-	return math.Min(t.cfg.MaxRel, math.Max(t.cfg.MinRel, r))
+	return math.Min(maxRel, math.Max(minRel, r))
 }
 
 // Mean returns link i's point estimate.
@@ -241,13 +229,13 @@ func (t *Tracker) Rel(i int) float64 { return t.rel[i] }
 func (t *Tracker) Age(i int) int { return int(t.age[i]) }
 
 // Bounds returns link i's confidence envelope [lo, hi]: the point
-// estimate widened by BoundSigma relative standard errors, with the
+// estimate widened by boundSigma relative standard errors, with the
 // lower edge floored at a small positive fraction of the estimate so a
 // robust solve always sees usable loads.
 //netsamp:noalloc
 func (t *Tracker) Bounds(i int) (lo, hi float64) {
 	m := t.mean[i]
-	w := t.cfg.BoundSigma * t.rel[i]
+	w := boundSigma * t.rel[i]
 	lo = m * math.Max(minLowerFrac, 1-w)
 	hi = m * (1 + w)
 	return lo, hi

@@ -15,7 +15,7 @@ func TestNewDefaultsAndValidation(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	cfg := tr.Config()
-	if cfg.Alpha != 1 || cfg.WidenFactor != 1.25 || cfg.BoundSigma != 2 || cfg.MinRel != 0.02 || cfg.MaxRel != 4 {
+	if cfg.Alpha != 1 || cfg.WidenFactor != 1.25 {
 		t.Fatalf("defaults not filled: %+v", cfg)
 	}
 	for i := 0; i < 3; i++ {
@@ -26,7 +26,6 @@ func TestNewDefaultsAndValidation(t *testing.T) {
 	bad := []Config{
 		{Alpha: -0.1}, {Alpha: 1.5}, {Alpha: math.NaN()},
 		{WidenFactor: 0.9}, {WidenFactor: math.Inf(1)},
-		{BoundSigma: -1}, {MinRel: -0.5}, {MinRel: 3, MaxRel: 2},
 	}
 	for _, c := range bad {
 		if _, err := New(1, c); err == nil {
@@ -69,14 +68,14 @@ func TestObserveTightensAndWidens(t *testing.T) {
 	if tr.Age(1) != 1 {
 		t.Fatalf("unobserved age %d, want 1", tr.Age(1))
 	}
-	// Widening saturates at MaxRel.
+	// Widening saturates at maxRel.
 	for i := 0; i < 50; i++ {
 		if err := tr.Observe([]float64{100, 999}, nil, []bool{true, false}); err != nil {
 			t.Fatalf("Observe: %v", err)
 		}
 	}
-	if got := tr.Rel(1); got != tr.Config().MaxRel {
-		t.Fatalf("widening saturated at %v, want MaxRel %v", got, tr.Config().MaxRel)
+	if got := tr.Rel(1); got != maxRel {
+		t.Fatalf("widening saturated at %v, want maxRel %v", got, maxRel)
 	}
 }
 
@@ -85,7 +84,7 @@ func TestNeverObservedAdoptsPrior(t *testing.T) {
 	if err := tr.Observe([]float64{42}, nil, []bool{false}); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}
-	if tr.Mean(0) != 42 || tr.Rel(0) != tr.Config().MaxRel || tr.Age(0) != -1 {
+	if tr.Mean(0) != 42 || tr.Rel(0) != maxRel || tr.Age(0) != -1 {
 		t.Fatalf("prior adoption: mean %v rel %v age %d", tr.Mean(0), tr.Rel(0), tr.Age(0))
 	}
 	lo, hi := tr.Bounds(0)
@@ -112,7 +111,7 @@ func TestInfiniteRelErrCountsAsUnobserved(t *testing.T) {
 }
 
 func TestBoundsEnvelope(t *testing.T) {
-	tr := MustNew(1, Config{BoundSigma: 2})
+	tr := MustNew(1, Config{})
 	if err := tr.Observe([]float64{100}, []float64{0.1}, nil); err != nil {
 		t.Fatalf("Observe: %v", err)
 	}

@@ -284,7 +284,10 @@ func TestExporterDropSurfacesAsSequenceGap(t *testing.T) {
 // agrees with the channel's ground truth.
 func TestChannelConnEndToEnd(t *testing.T) {
 	col := listen(t, ingest.Config{})
-	plan := faults.MustPlan(faults.Config{Seed: 21, DatagramLoss: 0.25})
+	plan, err := faults.NewPlan(faults.Config{Seed: 21, DatagramLoss: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ch := plan.Channel(8)
 	exp := netflow.NewExporterConn(faults.NewChannelConn(dial(t, col), ch), 8)
 	defer exp.Close()

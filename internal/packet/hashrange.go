@@ -25,21 +25,6 @@ func (r HashRange) Contains(h uint64) bool {
 //netsamp:noalloc
 func (r HashRange) Empty() bool { return r.Lo > r.Hi }
 
-// Width returns the number of hashes the range contains, saturating at
-// MaxUint64 for the full-space range [0, MaxUint64] (whose true width,
-// 2^64, does not fit a uint64).
-//netsamp:noalloc
-func (r HashRange) Width() uint64 {
-	if r.Empty() {
-		return 0
-	}
-	w := r.Hi - r.Lo
-	if w == ^uint64(0) {
-		return w
-	}
-	return w + 1
-}
-
 // PartitionHashSpace splits the hash space into len(shares) contiguous
 // inclusive ranges with widths proportional to the (positive) shares,
 // writing them into dst (which must have len(shares) entries). The

@@ -151,33 +151,6 @@ func (r *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
-// Poisson returns a Poisson(lambda) variate. For small lambda it uses
-// Knuth's product method; for large lambda a normal approximation with
-// continuity correction, which is accurate to well under the noise floor
-// of our statistical experiments.
-func (r *Source) Poisson(lambda float64) int64 {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda < 30 {
-		l := math.Exp(-lambda)
-		var k int64
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	v := math.Floor(lambda + math.Sqrt(lambda)*r.NormFloat64() + 0.5)
-	if v < 0 {
-		return 0
-	}
-	return int64(v)
-}
-
 // Binomial returns a Binomial(n, p) variate: the number of successes in
 // n independent trials of probability p. This is the exact distribution
 // of the number of sampled packets of a flow of size n under i.i.d.
@@ -237,47 +210,4 @@ func (r *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Zipf draws ranks in [1, n] with probability proportional to
-// rank^-alpha. The cumulative table is precomputed, so Draw is a binary
-// search; build one Zipf per (n, alpha) and reuse it.
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf returns a Zipf sampler over ranks 1..n with exponent alpha.
-// It panics if n <= 0 or alpha < 0.
-func NewZipf(n int, alpha float64) *Zipf {
-	if n <= 0 {
-		panic("rng: NewZipf with non-positive n")
-	}
-	if alpha < 0 {
-		panic("rng: NewZipf with negative alpha")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Pow(float64(i+1), -alpha)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Draw returns a rank in [1, n].
-func (z *Zipf) Draw(r *Source) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
 }

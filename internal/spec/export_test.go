@@ -62,7 +62,10 @@ func TestExportRoundTripGEANT(t *testing.T) {
 }
 
 func TestExportRoundTripAbilene(t *testing.T) {
-	s := geant.MustBuildAbilene(1)
+	s, err := geant.BuildAbilene(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := Export(&b, s.Graph, s.Demands, s.Pairs, s.Rates, 60000, 300); err != nil {
 		t.Fatal(err)
