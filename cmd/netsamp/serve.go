@@ -39,7 +39,6 @@ func cmdServe(args []string) error {
 	explore := fs.Float64("explore", 0.1, "budget fraction reserved for probing uncertain links (robust mode)")
 	widen := fs.Float64("widen", 1.3, "per-unobserved-interval confidence widening factor (robust mode)")
 	crash := fs.Float64("crash", 0, "per-interval monitor crash probability")
-	clamp := fs.Float64("clamp", 0, "per-interval per-link rate-clamp probability")
 	overrun := fs.Float64("overrun", 0, "per-interval solver overrun probability")
 	drift := fs.Float64("drift", 0, "per-interval load random-walk volatility (load drift fault)")
 	driftStep := fs.Float64("drift-step", 0, "per-interval per-link step-change probability (load drift fault)")
@@ -88,7 +87,6 @@ func cmdServe(args []string) error {
 		Robust:          robustOpts,
 		Faults: faults.Config{
 			MonitorCrash:  *crash,
-			RateClamp:     *clamp,
 			SolverOverrun: *overrun,
 			DriftVol:      *drift,
 			DriftStep:     *driftStep,

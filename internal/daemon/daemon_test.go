@@ -17,7 +17,7 @@ import (
 )
 
 // baseConfig is the shared run configuration of the recovery tests: a
-// fault plan that exercises monitor outages, rate clamps and solver
+// fault plan that exercises monitor outages and solver
 // overruns, so recovered runs must reproduce fallback and probation
 // decisions too, not just the happy path.
 func baseConfig(dir string) Config {
@@ -34,7 +34,6 @@ func baseConfig(dir string) Config {
 			MonitorCrash:  0.05,
 			MeanOutage:    2,
 			MaxOutage:     4,
-			RateClamp:     0.1,
 			SolverOverrun: 0.08,
 		},
 	}

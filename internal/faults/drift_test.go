@@ -1,9 +1,12 @@
 package faults
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"netsamp/internal/state"
 	"netsamp/internal/topology"
 )
 
@@ -77,10 +80,13 @@ func TestLoadDriftValidation(t *testing.T) {
 	}
 }
 
-func TestConfigCodecV2RoundTripAndV1Compat(t *testing.T) {
+// TestConfigCodecRejectsOldVersions: the current version round-trips
+// exactly; version 1 and 2 payloads (which carried the deleted
+// rate-clamp fields) are an unknown-version state.ErrCodec, never a
+// shifted decode.
+func TestConfigCodecRejectsOldVersions(t *testing.T) {
 	cfg := Config{
 		Seed: 99, MonitorCrash: 0.1, MeanOutage: 2.5, MaxOutage: 6,
-		RateClamp: 0.05, ClampFactor: 0.7,
 		DatagramLoss: 0.01, DatagramDup: 0.02, DatagramReorder: 0.03,
 		SolverOverrun: 0.2, DriftVol: 0.15, DriftStep: 0.04, DriftStepMax: 3,
 	}
@@ -95,17 +101,18 @@ func TestConfigCodecV2RoundTripAndV1Compat(t *testing.T) {
 	if back != cfg {
 		t.Fatalf("round trip: %+v != %+v", back, cfg)
 	}
-	// A version-1 payload (pre-drift) decodes with drift disabled.
-	v1 := append([]byte{}, blob...)
-	v1[0] = 1
-	v1 = v1[:len(v1)-24] // strip the three drift floats
-	var old Config
-	if err := old.UnmarshalBinary(v1); err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	want := cfg
-	want.DriftVol, want.DriftStep, want.DriftStepMax = 0, 0, 0
-	if old != want {
-		t.Fatalf("v1 decode: %+v, want %+v", old, want)
+	// Old layouts, at their true lengths: v2 had two more floats than
+	// v3, v1 one fewer (no drift fields, but the two clamp floats).
+	for _, o := range []struct {
+		v    byte
+		size int
+	}{{1, len(blob) - 8}, {2, len(blob) + 16}} {
+		old := make([]byte, o.size)
+		copy(old, blob)
+		old[0] = o.v
+		var c Config
+		if err := c.UnmarshalBinary(old); !errors.Is(err, state.ErrCodec) || !strings.Contains(err.Error(), "unknown config version") {
+			t.Errorf("v%d payload: err = %v, want an unknown-version state.ErrCodec", o.v, err)
+		}
 	}
 }

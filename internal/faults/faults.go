@@ -48,14 +48,6 @@ type Config struct {
 	// bounds the lookback window of MonitorDown, keeping queries O(cap).
 	MaxOutage int
 
-	// RateClamp is the per-interval probability that a monitor only
-	// achieves ClampFactor of its assigned sampling rate (a router
-	// rejecting or degrading a configured 1-in-N interval).
-	RateClamp float64
-	// ClampFactor is the achieved fraction of the assigned rate when a
-	// clamp fault fires (default 0.5).
-	ClampFactor float64
-
 	// DatagramLoss, DatagramDup and DatagramReorder drive the Channel
 	// injector on the exporter→collector UDP path: each transmitted
 	// datagram is independently dropped, duplicated, or held back one
@@ -92,7 +84,9 @@ type Plan struct {
 // decorrelated even when they share (interval, entity) coordinates.
 const (
 	domCrash uint64 = iota + 1
-	domClamp
+	// 2 drew the deleted rate-clamp fault; skipping it keeps every later
+	// domain's stream, and so every recorded fault history, unchanged.
+	_
 	domSolver
 	domChannel
 	domDrift
@@ -113,7 +107,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 		v    float64
 	}{
 		{"MonitorCrash", cfg.MonitorCrash},
-		{"RateClamp", cfg.RateClamp},
 		{"DatagramLoss", cfg.DatagramLoss},
 		{"DatagramDup", cfg.DatagramDup},
 		{"DatagramReorder", cfg.DatagramReorder},
@@ -137,18 +130,11 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.MaxOutage < 0 {
 		return nil, fmt.Errorf("faults: MaxOutage = %d, want >= 0", cfg.MaxOutage)
 	}
-	if cfg.ClampFactor < 0 || cfg.ClampFactor > 1 {
-		return nil, fmt.Errorf("faults: ClampFactor = %v, want in [0, 1]", cfg.ClampFactor)
-	}
 	if cfg.MaxOutage == 0 {
 		cfg.MaxOutage = 8
 	}
 	if cfg.MeanOutage < 1 {
 		cfg.MeanOutage = 1
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if cfg.ClampFactor == 0 {
-		cfg.ClampFactor = 0.5
 	}
 	return &Plan{cfg: cfg}, nil
 }
@@ -213,20 +199,6 @@ func (p *Plan) DownSet(t int, candidates []topology.LinkID) []topology.LinkID {
 		}
 	}
 	return down
-}
-
-// RateFactor returns the fraction of its assigned sampling rate the
-// monitor on link actually achieves at interval t: 1 normally,
-// ClampFactor when a rate-clamp fault fires.
-func (p *Plan) RateFactor(t int, link topology.LinkID) float64 {
-	if p.cfg.RateClamp <= 0 || t < 0 {
-		return 1
-	}
-	r := p.source(domClamp, uint64(t), uint64(link))
-	if r.Bernoulli(p.cfg.RateClamp) {
-		return p.cfg.ClampFactor
-	}
-	return 1
 }
 
 // SolverOverrun reports whether interval t's solve blows its deadline.

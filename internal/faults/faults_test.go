@@ -25,12 +25,10 @@ func TestNewPlanValidation(t *testing.T) {
 	bad := []Config{
 		{MonitorCrash: -0.1},
 		{MonitorCrash: 1.5},
-		{RateClamp: 2},
 		{DatagramLoss: math.NaN()},
 		{DatagramDup: -1},
 		{DatagramReorder: 1.01},
 		{SolverOverrun: -0.5},
-		{ClampFactor: 1.5},
 		{MaxOutage: -1},
 	}
 	for i, cfg := range bad {
@@ -42,7 +40,7 @@ func TestNewPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c := p.Config(); c.MaxOutage != 8 || c.MeanOutage != 1 || c.ClampFactor != 0.5 {
+	if c := p.Config(); c.MaxOutage != 8 || c.MeanOutage != 1 {
 		t.Fatalf("defaults not applied: %+v", c)
 	}
 }
@@ -149,30 +147,20 @@ func TestMonitorDownRateAndOutages(t *testing.T) {
 	}
 }
 
-func TestRateFactorAndSolverOverrun(t *testing.T) {
-	p := mustPlan(t, Config{Seed: 5, RateClamp: 0.5, ClampFactor: 0.25, SolverOverrun: 0.5})
-	clamped, overruns := 0, 0
+func TestSolverOverrun(t *testing.T) {
+	p := mustPlan(t, Config{Seed: 5, SolverOverrun: 0.5})
+	overruns := 0
 	for tt := 0; tt < 1000; tt++ {
-		switch f := p.RateFactor(tt, 1); f {
-		case 0.25:
-			clamped++
-		case 1:
-		default:
-			t.Fatalf("rate factor %v", f)
-		}
 		if p.SolverOverrun(tt) {
 			overruns++
 		}
-	}
-	if clamped < 400 || clamped > 600 {
-		t.Fatalf("clamp count %d far from 500", clamped)
 	}
 	if overruns < 400 || overruns > 600 {
 		t.Fatalf("overrun count %d far from 500", overruns)
 	}
 	none := mustPlan(t, Config{Seed: 5})
 	for tt := 0; tt < 50; tt++ {
-		if none.RateFactor(tt, 1) != 1 || none.SolverOverrun(tt) || none.MonitorDown(tt, 1) {
+		if none.SolverOverrun(tt) || none.MonitorDown(tt, 1) {
 			t.Fatal("zero-probability plan injected a fault")
 		}
 	}

@@ -12,9 +12,10 @@ import (
 // recovery guarantee re-executes intervals against it. The encoding is
 // versioned and bit-exact (floats as IEEE-754 bits).
 
-// configVersion stamps the Config binary encoding. Version 2 added the
-// load-drift fields; version-1 payloads decode with drift disabled.
-const configVersion = 2
+// configVersion stamps the Config binary encoding. Version 3 dropped the
+// rate-clamp fields; a version-1 or -2 payload may carry a fault this
+// plan can no longer draw, so it is rejected rather than half-decoded.
+const configVersion = 3
 
 // MarshalBinary encodes the configuration deterministically.
 func (c Config) MarshalBinary() ([]byte, error) {
@@ -24,8 +25,6 @@ func (c Config) MarshalBinary() ([]byte, error) {
 	e.F64(c.MonitorCrash)
 	e.F64(c.MeanOutage)
 	e.I64(int64(c.MaxOutage))
-	e.F64(c.RateClamp)
-	e.F64(c.ClampFactor)
 	e.F64(c.DatagramLoss)
 	e.F64(c.DatagramDup)
 	e.F64(c.DatagramReorder)
@@ -37,33 +36,25 @@ func (c Config) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary decodes a configuration produced by MarshalBinary,
-// rejecting unknown versions and malformed payloads. Version-1 payloads
-// (pre-drift) are accepted with the drift fields zero. The decoded
-// values are exactly the encoded ones; re-validate with NewPlan before
-// use.
+// rejecting malformed payloads and every version but the current one
+// with an error wrapping state.ErrCodec. The decoded values are exactly
+// the encoded ones; re-validate with NewPlan before use.
 func (c *Config) UnmarshalBinary(b []byte) error {
 	d := state.NewDecoder(b)
 	v := d.U16()
-	if d.Err() == nil && v != 1 && v != configVersion {
-		return fmt.Errorf("faults: unknown config version %d", v)
+	if d.Err() == nil && v != configVersion {
+		return fmt.Errorf("faults: unknown config version %d: %w", v, state.ErrCodec)
 	}
 	c.Seed = d.U64()
 	c.MonitorCrash = d.F64()
 	c.MeanOutage = d.F64()
 	c.MaxOutage = int(d.I64())
-	c.RateClamp = d.F64()
-	c.ClampFactor = d.F64()
 	c.DatagramLoss = d.F64()
 	c.DatagramDup = d.F64()
 	c.DatagramReorder = d.F64()
 	c.SolverOverrun = d.F64()
-	c.DriftVol = 0
-	c.DriftStep = 0
-	c.DriftStepMax = 0
-	if v >= configVersion {
-		c.DriftVol = d.F64()
-		c.DriftStep = d.F64()
-		c.DriftStepMax = d.F64()
-	}
+	c.DriftVol = d.F64()
+	c.DriftStep = d.F64()
+	c.DriftStepMax = d.F64()
 	return d.Finish()
 }

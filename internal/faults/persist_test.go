@@ -16,8 +16,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		MonitorCrash:    0.03,
 		MeanOutage:      2.5,
 		MaxOutage:       6,
-		RateClamp:       0.1,
-		ClampFactor:     0.25,
 		DatagramLoss:    0.02,
 		DatagramDup:     0.01,
 		DatagramReorder: 0.005,
@@ -43,9 +41,6 @@ func TestConfigRoundTrip(t *testing.T) {
 		for link := topology.LinkID(0); link < 10; link++ {
 			if p1.MonitorDown(interval, link) != p2.MonitorDown(interval, link) {
 				t.Fatalf("fault history diverged at t=%d link=%d", interval, link)
-			}
-			if p1.RateFactor(interval, link) != p2.RateFactor(interval, link) {
-				t.Fatalf("rate factor diverged at t=%d link=%d", interval, link)
 			}
 		}
 		if p1.SolverOverrun(interval) != p2.SolverOverrun(interval) {

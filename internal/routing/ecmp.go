@@ -1,11 +1,6 @@
 package routing
 
-import (
-	"fmt"
-	"sort"
-
-	"netsamp/internal/topology"
-)
+import "netsamp/internal/topology"
 
 // ECMP support: real backbones split traffic across equal-cost paths.
 // Under flow-hash splitting, a packet of OD pair k crosses link i with
@@ -15,10 +10,10 @@ import (
 // (approximation (7)) becomes ρ_k = Σ_i f_ki·p_i, the probability that
 // a random packet of the pair is sampled.
 //
-// Fractions are computed by equal splitting over the shortest-path DAG:
-// every node forwards its share of the pair's traffic uniformly across
-// its equal-cost next hops toward the destination (the standard
-// per-flow ECMP model with balanced hashing).
+// Fractions are computed by topology.Router's equal splitting over the
+// shortest-path DAG: every node forwards its share of the pair's traffic
+// uniformly across its equal-cost next hops toward the destination (the
+// standard per-flow ECMP model with balanced hashing).
 
 // Hop is one link of an ECMP route with the traffic fraction it carries.
 type Hop struct {
@@ -30,114 +25,21 @@ type Hop struct {
 // flow under equal-cost multipath splitting. The returned hops are in
 // ascending LinkID order. It returns an error if dst is unreachable.
 func (t *Table) Fractions(src, dst topology.NodeID) ([]Hop, error) {
-	if src == dst {
-		return nil, nil
+	links, fracs, err := t.route(topology.NewRouter(t.g), src, dst, true)
+	if err != nil || len(links) == 0 {
+		return nil, err
 	}
-	if !t.Reachable(src, dst) {
-		return nil, fmt.Errorf("routing: %v unreachable from %v", dst, src)
+	hops := make([]Hop, len(links))
+	for i, lid := range links {
+		hops[i] = Hop{Link: lid, Frac: fracs[i]}
 	}
-	// Admissible links form the shortest-path DAG toward dst:
-	// dist(u, dst) == weight(u->v) + dist(v, dst).
-	distTo := func(n topology.NodeID) int { return t.dist[n][dst] }
-	// Node mass: fraction of the pair's traffic passing through the node.
-	mass := map[topology.NodeID]float64{src: 1}
-	linkFrac := map[topology.LinkID]float64{}
-	// Process nodes in decreasing distance-to-dst: every admissible link
-	// strictly decreases dist-to-dst, so this is a topological order of
-	// the DAG.
-	type nd struct {
-		id topology.NodeID
-		d  int
-	}
-	var order []nd
-	seen := map[topology.NodeID]bool{src: true}
-	queue := []topology.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		order = append(order, nd{u, distTo(u)})
-		if u == dst {
-			continue
-		}
-		for _, lid := range t.g.Out(u) {
-			l := t.g.Link(lid)
-			if l.Down {
-				continue
-			}
-			if distTo(u) != l.Weight+distTo(l.Dst) {
-				continue
-			}
-			if !seen[l.Dst] {
-				seen[l.Dst] = true
-				queue = append(queue, l.Dst)
-			}
-		}
-	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].d > order[j].d })
-	for _, n := range order {
-		u := n.id
-		if u == dst {
-			continue
-		}
-		m := mass[u]
-		if m == 0 {
-			continue
-		}
-		var next []topology.LinkID
-		for _, lid := range t.g.Out(u) {
-			l := t.g.Link(lid)
-			if l.Down {
-				continue
-			}
-			if distTo(u) == l.Weight+distTo(l.Dst) {
-				next = append(next, lid)
-			}
-		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("routing: broken ECMP DAG at node %v toward %v", u, dst)
-		}
-		share := m / float64(len(next))
-		for _, lid := range next {
-			linkFrac[lid] += share
-			mass[t.g.Link(lid).Dst] += share
-		}
-	}
-	hops := make([]Hop, 0, len(linkFrac))
-	for lid, f := range linkFrac {
-		hops = append(hops, Hop{Link: lid, Frac: f})
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i].Link < hops[j].Link })
 	return hops, nil
 }
 
 // BuildMatrixECMP routes every OD pair over the full equal-cost DAG and
 // assembles a fractional routing matrix: Rows[k] lists the links pair k
 // can cross, Fracs[k] the traffic fraction on each.
-func BuildMatrixECMP(t *Table, pairs []ODPair) (*Matrix, error) {
-	m := &Matrix{
-		Pairs: make([]ODPair, len(pairs)),
-		Rows:  make([][]topology.LinkID, len(pairs)),
-		Fracs: make([][]float64, len(pairs)),
-	}
-	copy(m.Pairs, pairs)
-	for k, pr := range pairs {
-		if pr.Src == pr.Dst {
-			return nil, fmt.Errorf("routing: OD pair %q has identical endpoints", pr.Name)
-		}
-		hops, err := t.Fractions(pr.Src, pr.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("routing: OD pair %q: %w", pr.Name, err)
-		}
-		row := make([]topology.LinkID, len(hops))
-		frac := make([]float64, len(hops))
-		for i, h := range hops {
-			row[i], frac[i] = h.Link, h.Frac
-		}
-		m.Rows[k] = row
-		m.Fracs[k] = frac
-	}
-	return m, nil
-}
+func BuildMatrixECMP(t *Table, pairs []ODPair) (*Matrix, error) { return buildMatrix(t, pairs, true) }
 
 // Frac returns the traffic fraction of OD pair k on link id (1 for a
 // traversed link of a single-path matrix, 0 if not traversed).

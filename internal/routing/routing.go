@@ -1,20 +1,20 @@
-// Package routing computes intradomain shortest-path routes (an ISIS-like
-// SPF) over a topology.Graph and derives the routing matrix R the
-// optimization framework consumes: r[k][i] = 1 iff OD pair k traverses
-// link i (paper, Section III).
+// Package routing derives, from a topology.Graph, the routing matrix R
+// the optimization framework consumes: r[k][i] is the fraction of OD
+// pair k's traffic that crosses link i (paper, Section III) — 1 on every
+// link of the pair's path under single-path routing, the equal-split
+// share under ECMP.
 //
-// Routing is deterministic: ties between equal-cost paths are broken by
-// preferring the path whose next node has the smaller NodeID, so that a
-// given topology always yields the same routing matrix (experiments must
-// be reproducible). ECMP splitting is intentionally out of scope; the
-// paper's formulation assigns each OD pair a single set of traversed
-// links.
+// The shortest-path computation itself (an ISIS-like SPF with a
+// deterministic tie-break), the path walk and the equal-cost splitter
+// live in topology.Router, shared with the instance generator; this
+// package keeps the all-pairs Table of its trees and assembles Matrix
+// rows from them, so a given topology always yields the same routing
+// matrix (experiments must be reproducible).
 package routing
 
 import (
-	"container/heap"
 	"fmt"
-	"math"
+	"slices"
 
 	"netsamp/internal/topology"
 )
@@ -33,35 +33,12 @@ type Path struct {
 	Cost  int
 }
 
-// Table holds the shortest path between every ordered pair of nodes.
+// Table holds the shortest-path tree of every node, i.e. the shortest
+// path between every ordered pair of nodes. It is read-only after
+// ComputeTable and safe for concurrent use.
 type Table struct {
-	g *topology.Graph
-	// next[src][dst] is the first link on the path src->dst, -1 if
-	// unreachable or src == dst.
-	next [][]topology.LinkID
-	dist [][]int
-}
-
-const unreachable = math.MaxInt32
-
-// item is a priority-queue entry for Dijkstra.
-type item struct {
-	node topology.NodeID
-	dist int
-}
-
-type pq []item
-
-func (q pq) Len() int            { return len(q) }
-func (q pq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x interface{}) { *q = append(*q, x.(item)) }
-func (q *pq) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	g     *topology.Graph
+	trees []topology.Tree
 }
 
 // ComputeTable runs SPF from every node and returns the routing table.
@@ -69,125 +46,64 @@ func (q *pq) Pop() interface{} {
 // must ingress/egress through them); only the monitorability decision
 // treats them specially.
 func ComputeTable(g *topology.Graph) *Table {
-	n := g.NumNodes()
-	t := &Table{
-		g:    g,
-		next: make([][]topology.LinkID, n),
-		dist: make([][]int, n),
-	}
-	for src := 0; src < n; src++ {
-		t.next[src], t.dist[src] = sssp(g, topology.NodeID(src))
+	t := &Table{g: g, trees: make([]topology.Tree, g.NumNodes())}
+	r := topology.NewRouter(g)
+	for src := range t.trees {
+		r.SPF(topology.NodeID(src), &t.trees[src])
 	}
 	return t
 }
 
-// sssp computes single-source shortest paths with deterministic
-// tie-breaking and returns, per destination, the first link of the path
-// and the distance.
-func sssp(g *topology.Graph, src topology.NodeID) ([]topology.LinkID, []int) {
-	n := g.NumNodes()
-	dist := make([]int, n)
-	// prev[d] is the link used to reach d on the best path found so far.
-	prev := make([]topology.LinkID, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = unreachable
-		prev[i] = -1
-	}
-	dist[src] = 0
-	q := &pq{{node: src, dist: 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(q).(item)
-		u := it.node
-		if done[u] || it.dist > dist[u] {
-			continue
-		}
-		done[u] = true
-		for _, lid := range g.Out(u) {
-			l := g.Link(lid)
-			if l.Down {
-				continue
-			}
-			nd := dist[u] + l.Weight
-			v := l.Dst
-			if nd < dist[v] {
-				dist[v] = nd
-				prev[v] = lid
-				heap.Push(q, item{node: v, dist: nd})
-			} else if nd == dist[v] && prev[v] >= 0 {
-				// Deterministic tie-break: prefer the path whose
-				// predecessor node has the smaller ID; on a further tie,
-				// the smaller link ID.
-				cur := g.Link(prev[v])
-				if u < cur.Src || (u == cur.Src && lid < prev[v]) {
-					prev[v] = lid
-				}
-			}
+// tree returns src's shortest-path tree if dst is reachable in it. A
+// NodeID outside the table is a *topology.NodeRangeError.
+func (t *Table) tree(src, dst topology.NodeID) (*topology.Tree, error) {
+	for _, id := range [...]topology.NodeID{src, dst} {
+		if id < 0 || int(id) >= len(t.trees) {
+			return nil, &topology.NodeRangeError{ID: id, Nodes: len(t.trees)}
 		}
 	}
-	// Convert prev pointers into first-hop links.
-	next := make([]topology.LinkID, n)
-	for d := 0; d < n; d++ {
-		next[d] = -1
+	tr := &t.trees[src]
+	if tr.Dist[dst] == topology.Unreachable {
+		return nil, fmt.Errorf("routing: %v unreachable from %v", dst, src)
 	}
-	for d := 0; d < n; d++ {
-		if topology.NodeID(d) == src || dist[d] == unreachable {
-			continue
-		}
-		// Walk back from d to src collecting nothing; we only need the
-		// first hop, found by walking predecessors until we reach src.
-		cur := topology.NodeID(d)
-		var first topology.LinkID = -1
-		for cur != src {
-			l := g.Link(prev[cur])
-			first = prev[cur]
-			cur = l.Src
-		}
-		next[d] = first
-	}
-	return next, dist
+	return tr, nil
 }
 
 // Reachable reports whether dst is reachable from src.
 func (t *Table) Reachable(src, dst topology.NodeID) bool {
-	return src == dst || t.dist[src][dst] != unreachable
+	_, err := t.tree(src, dst)
+	return err == nil
 }
 
 // Cost returns the IGP cost of the path src->dst. It returns an error if
 // dst is unreachable.
 func (t *Table) Cost(src, dst topology.NodeID) (int, error) {
-	if !t.Reachable(src, dst) {
-		return 0, fmt.Errorf("routing: %v unreachable from %v", dst, src)
+	tr, err := t.tree(src, dst)
+	if err != nil {
+		return 0, err
 	}
-	return t.dist[src][dst], nil
+	return tr.Dist[dst], nil
+}
+
+// route returns the links (and, under ecmp, fractions) of src->dst as
+// scratch of r; see topology.Router.Route.
+func (t *Table) route(r *topology.Router, src, dst topology.NodeID, ecmp bool) ([]topology.LinkID, []float64, error) {
+	tr, err := t.tree(src, dst)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Route(tr, dst, ecmp)
 }
 
 // PathBetween returns the shortest path from src to dst. An empty path
 // with zero cost is returned when src == dst. It returns an error if dst
 // is unreachable.
 func (t *Table) PathBetween(src, dst topology.NodeID) (Path, error) {
-	if src == dst {
-		return Path{}, nil
+	links, _, err := t.route(topology.NewRouter(t.g), src, dst, false)
+	if err != nil || len(links) == 0 {
+		return Path{}, err
 	}
-	if !t.Reachable(src, dst) {
-		return Path{}, fmt.Errorf("routing: %v unreachable from %v", dst, src)
-	}
-	var p Path
-	cur := src
-	for cur != dst {
-		lid := t.next[cur][dst]
-		if lid < 0 {
-			return Path{}, fmt.Errorf("routing: broken next-hop chain at node %v toward %v", cur, dst)
-		}
-		p.Links = append(p.Links, lid)
-		l := t.g.Link(lid)
-		p.Cost += l.Weight
-		cur = l.Dst
-		if len(p.Links) > t.g.NumLinks() {
-			return Path{}, fmt.Errorf("routing: next-hop loop from %v to %v", src, dst)
-		}
-	}
-	return p, nil
+	return Path{Links: links, Cost: t.trees[src].Dist[dst]}, nil
 }
 
 // Matrix is the routing matrix restricted to a set of OD pairs: one
@@ -205,20 +121,26 @@ type Matrix struct {
 
 // BuildMatrix routes every OD pair and assembles the routing matrix. It
 // returns an error if any pair is unroutable or degenerate (src == dst).
-func BuildMatrix(t *Table, pairs []ODPair) (*Matrix, error) {
-	m := &Matrix{Pairs: make([]ODPair, len(pairs)), Rows: make([][]topology.LinkID, len(pairs))}
-	copy(m.Pairs, pairs)
+func BuildMatrix(t *Table, pairs []ODPair) (*Matrix, error) { return buildMatrix(t, pairs, false) }
+
+func buildMatrix(t *Table, pairs []ODPair, ecmp bool) (*Matrix, error) {
+	m := &Matrix{Pairs: slices.Clone(pairs), Rows: make([][]topology.LinkID, len(pairs))}
+	if ecmp {
+		m.Fracs = make([][]float64, len(pairs))
+	}
+	r := topology.NewRouter(t.g)
 	for k, pr := range pairs {
 		if pr.Src == pr.Dst {
 			return nil, fmt.Errorf("routing: OD pair %q has identical endpoints", pr.Name)
 		}
-		p, err := t.PathBetween(pr.Src, pr.Dst)
+		links, fracs, err := t.route(r, pr.Src, pr.Dst, ecmp)
 		if err != nil {
 			return nil, fmt.Errorf("routing: OD pair %q: %w", pr.Name, err)
 		}
-		row := make([]topology.LinkID, len(p.Links))
-		copy(row, p.Links)
-		m.Rows[k] = row
+		m.Rows[k] = slices.Clone(links)
+		if ecmp {
+			m.Fracs[k] = slices.Clone(fracs)
+		}
 	}
 	return m, nil
 }
@@ -242,16 +164,7 @@ func (m *Matrix) LinkSet() []topology.LinkID {
 			seen[l] = true
 		}
 	}
-	out := make([]topology.LinkID, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	return topology.SortedKeys(seen)
 }
 
 // PairsOnLink returns the indices of OD pairs that traverse link id.

@@ -1,8 +1,11 @@
 package topology_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"netsamp/internal/routing"
@@ -10,8 +13,8 @@ import (
 )
 
 // The generator's contract: exact link-count targets, a valid three-tier
-// structure, bitwise seed-determinism, and routing rows that agree with
-// internal/routing on instances small enough to cross-check.
+// structure, bitwise seed-determinism, and routing rows identical to the
+// ones internal/routing builds over the same graph.
 
 func mustGenerate(t *testing.T, cfg topology.GenConfig) *topology.ScaleInstance {
 	t.Helper()
@@ -290,8 +293,7 @@ func TestGenerateCSRShape(t *testing.T) {
 	}
 }
 
-// smallCfg is a hand-sized instance where cross-checking every pair
-// against internal/routing's all-pairs machinery is cheap.
+// smallCfg is a hand-sized instance with every ordered edge pair sampled.
 func smallCfg(ecmp bool) topology.GenConfig {
 	return topology.GenConfig{
 		Seed:      3,
@@ -303,65 +305,88 @@ func smallCfg(ecmp bool) topology.GenConfig {
 	}
 }
 
-func TestGenerateSinglePathMatchesRouting(t *testing.T) {
-	inst := mustGenerate(t, smallCfg(false))
-	tab := routing.ComputeTable(inst.Graph)
-	for k := 0; k < inst.NumPairs(); k++ {
-		src, dst := inst.PairSrc[k], inst.PairDst[k]
-		want, err := tab.Cost(src, dst)
-		if err != nil {
-			t.Fatalf("pair %d: %v", k, err)
+// checkRowsEqualRouting: the generator's CSR and routing.BuildMatrix*
+// over the same graph and pairs come from one router, so they agree
+// link for link and fraction bit for fraction bit — no tolerance.
+func checkRowsEqualRouting(t *testing.T, ecmp bool) {
+	t.Helper()
+	inst, err := topology.GenerateScale(topology.ScaleConfig{Seed: 3, Links: 300, ECMP: ecmp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]routing.ODPair, inst.NumPairs())
+	for k := range pairs {
+		pairs[k] = routing.ODPair{Name: strconv.Itoa(k), Src: inst.PairSrc[k], Dst: inst.PairDst[k]}
+	}
+	build := routing.BuildMatrix
+	if ecmp {
+		build = routing.BuildMatrixECMP
+	}
+	m, err := build(routing.ComputeTable(inst.Graph), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if (m.Fracs != nil) != ecmp || (inst.Fracs != nil) != ecmp {
+		t.Fatalf("ecmp=%v: matrix Fracs nil=%v, instance Fracs nil=%v", ecmp, m.Fracs == nil, inst.Fracs == nil)
+	}
+	for k, row := range m.Rows {
+		lo, hi := inst.Start[k], inst.Start[k+1]
+		if int(hi-lo) != len(row) {
+			t.Fatalf("pair %d: %d links, routing says %d", k, hi-lo, len(row))
 		}
-		got, cur := 0, src
-		for _, l := range inst.Links[inst.Start[k]:inst.Start[k+1]] {
-			link := inst.Graph.Link(topology.LinkID(l))
-			if link.Src != cur {
-				t.Fatalf("pair %d: row is not a contiguous path (link %d starts at %d, walk at %d)",
-					k, l, link.Src, cur)
+		for i, lid := range row {
+			if inst.Links[int(lo)+i] != int32(lid) {
+				t.Fatalf("pair %d entry %d: link %d, routing says %d", k, i, inst.Links[int(lo)+i], lid)
 			}
-			got += link.Weight
-			cur = link.Dst
-		}
-		if cur != dst {
-			t.Fatalf("pair %d: path ends at %d, want %d", k, cur, dst)
-		}
-		if got != want {
-			t.Errorf("pair %d (%d->%d): path cost %d, routing says %d", k, src, dst, got, want)
+			if !ecmp {
+				continue
+			}
+			if got, want := inst.Fracs[int(lo)+i], m.Fracs[k][i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("pair %d link %d: frac %x, routing says %x", k, lid, math.Float64bits(got), math.Float64bits(want))
+			}
 		}
 	}
 }
 
-func TestGenerateECMPMatchesRouting(t *testing.T) {
-	inst := mustGenerate(t, smallCfg(true))
-	tab := routing.ComputeTable(inst.Graph)
-	for k := 0; k < inst.NumPairs(); k++ {
-		src, dst := inst.PairSrc[k], inst.PairDst[k]
-		hops, err := tab.Fractions(src, dst)
+func TestGenerateSinglePathMatchesRouting(t *testing.T) { checkRowsEqualRouting(t, false) }
+
+func TestGenerateECMPMatchesRouting(t *testing.T) { checkRowsEqualRouting(t, true) }
+
+// TestGenerateGolden pins the generated routing CSR to hashes recorded
+// before routing and the generator shared one router: the generator's
+// arithmetic is the copy that survived, so its output must not move.
+func TestGenerateGolden(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		ecmp bool
+		want uint64
+	}{
+		{1, false, 0xa29b1322eafc8f93},
+		{1, true, 0x740a28ff8528a98c},
+		{7, false, 0xb942a606a53c6545},
+		{7, true, 0x3616acc8305b7f6f},
+	} {
+		inst, err := topology.GenerateScale(topology.ScaleConfig{Seed: c.seed, Links: 300, ECMP: c.ecmp})
 		if err != nil {
-			t.Fatalf("pair %d: %v", k, err)
+			t.Fatal(err)
 		}
-		lo, hi := inst.Start[k], inst.Start[k+1]
-		if int(hi-lo) != len(hops) {
-			t.Fatalf("pair %d (%d->%d): %d links, routing says %d", k, src, dst, hi-lo, len(hops))
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
 		}
-		outFrac := 0.0
-		for j := lo; j < hi; j++ {
-			h := hops[j-lo]
-			if int32(h.Link) != inst.Links[j] {
-				t.Fatalf("pair %d: link %d, routing says %d", k, inst.Links[j], h.Link)
-			}
-			if diff := math.Abs(h.Frac - inst.Fracs[j]); diff > 1e-12 {
-				t.Errorf("pair %d link %d: frac %g, routing says %g (diff %g)",
-					k, inst.Links[j], inst.Fracs[j], h.Frac, diff)
-			}
-			if inst.Graph.Link(topology.LinkID(inst.Links[j])).Src == src {
-				outFrac += inst.Fracs[j]
-			}
+		for _, s := range inst.Start {
+			put(uint64(s))
 		}
-		// Mass conservation: the source's outgoing fractions carry the
-		// whole flow.
-		if math.Abs(outFrac-1) > 1e-9 {
-			t.Errorf("pair %d: source out-fractions sum to %g, want 1", k, outFrac)
+		for _, l := range inst.Links {
+			put(uint64(l))
+		}
+		for _, f := range inst.Fracs {
+			put(math.Float64bits(f))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("seed %d ecmp %v: CSR hash = %#x, want %#x", c.seed, c.ecmp, got, c.want)
 		}
 	}
 }

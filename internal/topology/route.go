@@ -1,79 +1,95 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// CSR routing-matrix emission for generated instances. The generator
-// cannot afford internal/routing's all-pairs table (next/dist are O(V²),
-// and Matrix materializes one []LinkID per pair): at 10⁶ pairs the rows
-// alone would dwarf the solver. Instead the sampled pairs arrive sorted
-// by source, one Dijkstra runs per distinct source PoP, and each pair's
-// row is appended straight into the shared CSR arrays.
+// The router: the one shortest-path computation, path walk and
+// equal-cost splitter in the tree. internal/routing's all-pairs Table
+// keeps one Tree per node and the generator keeps one Tree per distinct
+// source of its sorted pair sample; both turn trees into routing-matrix
+// rows through Router.Route, so a row carries the same links and the
+// same fraction bits whichever side built it.
 //
-// The Dijkstra replicates internal/routing's deterministic tie-break
-// exactly (prefer the predecessor node with the smaller NodeID, then the
-// smaller LinkID), so single-path rows have the same cost as
-// routing.PathBetween and ECMP rows match routing.Fractions' equal-cost
-// DAG; the tests in gen_test.go cross-check both on small instances.
+// Ties between equal-cost paths are broken deterministically: a node's
+// predecessor is the tight in-link with the smaller source NodeID, then
+// the smaller LinkID, so a topology always yields the same rows.
 
-const genUnreachable = math.MaxInt32
+// Unreachable is the Tree.Dist of a node the source cannot reach.
+const Unreachable = math.MaxInt32
 
-// genRouter carries per-source Dijkstra state and per-pair DAG scratch,
-// reused across all sources of one routeCSR call.
-type genRouter struct {
+// Tree is the shortest-path tree rooted at one source: Dist[v] is the
+// IGP cost Src→v and Prev[v] the last link of the chosen path (-1 at Src
+// and at unreachable nodes).
+type Tree struct {
+	Src  NodeID
+	Dist []int
+	Prev []LinkID
+}
+
+// NodeRangeError reports a NodeID that names no node of the routed graph.
+type NodeRangeError struct {
+	ID    NodeID
+	Nodes int
+}
+
+func (e *NodeRangeError) Error() string {
+	return fmt.Sprintf("topology: node %d out of range [0,%d)", e.ID, e.Nodes)
+}
+
+// Router carries the scratch of SPF and Route, reused across calls and
+// sized on first use; it is not safe for concurrent use.
+type Router struct {
 	g    *Graph
-	dist []int
-	prev []LinkID
 	done []bool
-	heap []genHeapItem
+	heap []heapItem
 
-	// Per-pair equal-cost-DAG scratch; stamp arrays avoid O(V+E) clears.
+	// Per-route equal-cost-DAG scratch; stamp arrays avoid O(V+E) clears.
 	epoch     int
 	nodeStamp []int
 	mass      []float64
 	dagNodes  []NodeID
 	linkStamp []int
 	linkFrac  []float64
-	touched   []LinkID
+	links     []LinkID
+	fracs     []float64
 }
 
-type genHeapItem struct {
+type heapItem struct {
 	node NodeID
 	dist int
 }
 
-func newGenRouter(g *Graph) *genRouter {
-	nv, ne := g.NumNodes(), g.NumLinks()
-	return &genRouter{
-		g:         g,
-		dist:      make([]int, nv),
-		prev:      make([]LinkID, nv),
-		done:      make([]bool, nv),
-		nodeStamp: make([]int, nv),
-		mass:      make([]float64, nv),
-		linkStamp: make([]int, ne),
-		linkFrac:  make([]float64, ne),
-	}
-}
+// NewRouter returns a router over g. Down links are ignored; access links
+// are routed over normally (traffic must ingress and egress through
+// them).
+func NewRouter(g *Graph) *Router { return &Router{g: g} }
 
-// dijkstra computes shortest paths from src with internal/routing's
-// tie-break, filling r.dist and r.prev.
-func (r *genRouter) dijkstra(src NodeID) {
+// SPF fills t with the shortest-path tree from src (Dijkstra).
+func (r *Router) SPF(src NodeID, t *Tree) {
 	g := r.g
-	for i := range r.dist {
-		r.dist[i] = genUnreachable
-		r.prev[i] = -1
+	n := g.NumNodes()
+	if len(t.Dist) != n {
+		t.Dist, t.Prev = make([]int, n), make([]LinkID, n)
+	}
+	if len(r.done) != n {
+		r.done = make([]bool, n)
+	}
+	t.Src = src
+	for i := range t.Dist {
+		t.Dist[i] = Unreachable
+		t.Prev[i] = -1
 		r.done[i] = false
 	}
-	r.dist[src] = 0
-	r.heap = append(r.heap[:0], genHeapItem{node: src})
+	t.Dist[src] = 0
+	r.heap = append(r.heap[:0], heapItem{node: src})
 	for len(r.heap) > 0 {
 		it := r.heapPop()
 		u := it.node
-		if r.done[u] || it.dist > r.dist[u] {
+		if r.done[u] || it.dist > t.Dist[u] {
 			continue
 		}
 		r.done[u] = true
@@ -82,25 +98,25 @@ func (r *genRouter) dijkstra(src NodeID) {
 			if l.Down {
 				continue
 			}
-			nd := r.dist[u] + l.Weight
+			nd := t.Dist[u] + l.Weight
 			v := l.Dst
-			if nd < r.dist[v] {
-				r.dist[v] = nd
-				r.prev[v] = lid
-				r.heapPush(genHeapItem{node: v, dist: nd})
-			} else if nd == r.dist[v] && r.prev[v] >= 0 {
-				// Same tie-break as routing.sssp: prefer the smaller
-				// predecessor node, then the smaller link.
-				cur := g.Link(r.prev[v])
-				if u < cur.Src || (u == cur.Src && lid < r.prev[v]) {
-					r.prev[v] = lid
+			if nd < t.Dist[v] {
+				t.Dist[v] = nd
+				t.Prev[v] = lid
+				r.heapPush(heapItem{node: v, dist: nd})
+			} else if nd == t.Dist[v] && t.Prev[v] >= 0 {
+				// Tie-break: the smaller predecessor node, then the
+				// smaller link.
+				cur := g.Link(t.Prev[v])
+				if u < cur.Src || (u == cur.Src && lid < t.Prev[v]) {
+					t.Prev[v] = lid
 				}
 			}
 		}
 	}
 }
 
-func (r *genRouter) heapPush(it genHeapItem) {
+func (r *Router) heapPush(it heapItem) {
 	r.heap = append(r.heap, it)
 	i := len(r.heap) - 1
 	for i > 0 {
@@ -113,7 +129,7 @@ func (r *genRouter) heapPush(it genHeapItem) {
 	}
 }
 
-func (r *genRouter) heapPop() genHeapItem {
+func (r *Router) heapPop() heapItem {
 	top := r.heap[0]
 	last := len(r.heap) - 1
 	r.heap[0] = r.heap[last]
@@ -136,36 +152,35 @@ func (r *genRouter) heapPop() genHeapItem {
 	return top
 }
 
-// appendPath walks the predecessor chain dst→src and appends the path's
-// links, in src→dst order, to links. This reproduces routing.sssp's
-// source-rooted shortest-path tree for the pair.
-func (r *genRouter) appendPath(src, dst NodeID, links []int32) ([]int32, error) {
-	if r.dist[dst] == genUnreachable {
-		return nil, fmt.Errorf("topology: generated node %d unreachable from %d", dst, src)
-	}
-	first := len(links)
-	for cur := dst; cur != src; {
-		lid := r.prev[cur]
-		links = append(links, int32(lid))
-		cur = r.g.Link(lid).Src
-	}
-	// The walk collected the path back-to-front; reverse in place.
-	for i, j := first, len(links)-1; i < j; i, j = i+1, j-1 {
-		links[i], links[j] = links[j], links[i]
-	}
-	return links, nil
-}
-
-// appendECMP discovers the pair's equal-cost DAG (every link on some
-// shortest src→dst path) and appends its links with their traffic
-// fractions: at each DAG node the incoming mass splits equally over the
-// tight outgoing links, exactly routing/ecmp's flow model. Links are
-// appended in ascending LinkID order.
-func (r *genRouter) appendECMP(src, dst NodeID, links []int32, fracs []float64) ([]int32, []float64, error) {
-	if r.dist[dst] == genUnreachable {
-		return nil, nil, fmt.Errorf("topology: generated node %d unreachable from %d", dst, src)
+// Route returns the links that traffic from t.Src to dst crosses. Single
+// path (ecmp false): the predecessor chain in src→dst order, fracs nil.
+// ECMP: every link on some shortest path, in ascending LinkID order, with
+// the traffic fraction each carries when every node splits its share
+// equally over its tight out-links (per-flow ECMP with balanced hashing);
+// fractions lie in (0, 1]. The slices are scratch, valid until the next
+// call. dst == t.Src yields an empty route; t must come from SPF over
+// this router's graph and dst must be one of its nodes.
+func (r *Router) Route(t *Tree, dst NodeID, ecmp bool) (links []LinkID, fracs []float64, err error) {
+	src := t.Src
+	if t.Dist[dst] == Unreachable {
+		return nil, nil, fmt.Errorf("topology: node %d unreachable from %d", dst, src)
 	}
 	g := r.g
+	r.links = r.links[:0]
+	if !ecmp {
+		for cur := dst; cur != src; {
+			lid := t.Prev[cur]
+			r.links = append(r.links, lid)
+			cur = g.Link(lid).Src
+		}
+		slices.Reverse(r.links)
+		return r.links, nil, nil
+	}
+
+	if len(r.nodeStamp) != g.NumNodes() || len(r.linkStamp) != g.NumLinks() {
+		r.nodeStamp, r.mass = make([]int, g.NumNodes()), make([]float64, g.NumNodes())
+		r.linkStamp, r.linkFrac = make([]int, g.NumLinks()), make([]float64, g.NumLinks())
+	}
 	r.epoch++
 	ep := r.epoch
 
@@ -183,7 +198,7 @@ func (r *genRouter) appendECMP(src, dst NodeID, links []int32, fracs []float64) 
 				continue
 			}
 			u := l.Src
-			if r.dist[u] == genUnreachable || r.dist[u]+l.Weight != r.dist[v] {
+			if t.Dist[u] == Unreachable || t.Dist[u]+l.Weight != t.Dist[v] {
 				continue
 			}
 			if r.nodeStamp[u] != ep {
@@ -194,67 +209,63 @@ func (r *genRouter) appendECMP(src, dst NodeID, links []int32, fracs []float64) 
 		}
 	}
 	if r.nodeStamp[src] != ep {
-		return nil, nil, fmt.Errorf("topology: no tight path from %d to %d", src, dst)
+		return nil, nil, fmt.Errorf("topology: no tight path from %d to %d: links went down after SPF", src, dst)
 	}
 
 	// Tight edges only go strictly downhill in dist (positive weights),
 	// so ascending (dist, NodeID) is a topological order of the DAG.
-	sort.Slice(r.dagNodes, func(i, j int) bool {
-		a, b := r.dagNodes[i], r.dagNodes[j]
-		if r.dist[a] != r.dist[b] {
-			return r.dist[a] < r.dist[b]
-		}
-		return a < b
+	slices.SortFunc(r.dagNodes, func(a, b NodeID) int {
+		return cmp.Or(cmp.Compare(t.Dist[a], t.Dist[b]), cmp.Compare(a, b))
 	})
 
 	r.mass[src] = 1
-	r.touched = r.touched[:0]
 	for _, u := range r.dagNodes {
 		if u == dst || r.mass[u] == 0 {
 			continue
 		}
+		tight := func(l Link) bool {
+			return !l.Down && r.nodeStamp[l.Dst] == ep && t.Dist[u]+l.Weight == t.Dist[l.Dst]
+		}
 		deg := 0
 		for _, lid := range g.Out(u) {
-			l := g.Link(lid)
-			if !l.Down && r.nodeStamp[l.Dst] == ep && r.dist[u]+l.Weight == r.dist[l.Dst] {
+			if tight(g.Link(lid)) {
 				deg++
 			}
 		}
 		share := r.mass[u] / float64(deg)
 		for _, lid := range g.Out(u) {
 			l := g.Link(lid)
-			if l.Down || r.nodeStamp[l.Dst] != ep || r.dist[u]+l.Weight != r.dist[l.Dst] {
+			if !tight(l) {
 				continue
 			}
 			if r.linkStamp[lid] != ep {
 				r.linkStamp[lid] = ep
 				r.linkFrac[lid] = 0
-				r.touched = append(r.touched, lid)
+				r.links = append(r.links, lid)
 			}
 			r.linkFrac[lid] += share
 			r.mass[l.Dst] += share
 		}
 	}
 
-	sort.Slice(r.touched, func(i, j int) bool { return r.touched[i] < r.touched[j] })
-	for _, lid := range r.touched {
-		f := r.linkFrac[lid]
+	slices.Sort(r.links)
+	r.fracs = r.fracs[:0]
+	for _, lid := range r.links {
 		// Summed splits can exceed 1 by an ulp; the solver requires ≤ 1.
-		if f > 1 {
-			f = 1
-		}
-		links = append(links, int32(lid))
-		fracs = append(fracs, f)
+		r.fracs = append(r.fracs, min(r.linkFrac[lid], 1))
 	}
-	return links, fracs, nil
+	return r.links, r.fracs, nil
 }
 
 // routeCSR fills inst.Start/Links/Fracs for the sampled pairs. PairSrc
 // is ascending (samplePairIndices sorts the global indices), so pairs
-// group by source and each distinct source costs one Dijkstra.
+// group by source and each distinct source costs one SPF: the generator
+// cannot afford an all-pairs table, nor one []LinkID per pair, at 10⁶
+// pairs.
 func (inst *ScaleInstance) routeCSR() error {
 	nPairs := len(inst.PairSrc)
-	r := newGenRouter(inst.Graph)
+	r := NewRouter(inst.Graph)
+	tree := Tree{Src: -1}
 	inst.Start = make([]int32, nPairs+1)
 	// Hierarchical shortest paths run edge→agg→core→agg→edge: ~6 hops
 	// typical, a little more for ECMP DAGs.
@@ -263,22 +274,18 @@ func (inst *ScaleInstance) routeCSR() error {
 	if inst.Config.ECMP {
 		inst.Fracs = make([]float64, 0, est)
 	}
-	curSrc := NodeID(-1)
-	for k := 0; k < nPairs; k++ {
-		src, dst := inst.PairSrc[k], inst.PairDst[k]
-		if src != curSrc {
-			r.dijkstra(src)
-			curSrc = src
+	for k, src := range inst.PairSrc {
+		if src != tree.Src {
+			r.SPF(src, &tree)
 		}
-		var err error
-		if inst.Config.ECMP {
-			inst.Links, inst.Fracs, err = r.appendECMP(src, dst, inst.Links, inst.Fracs)
-		} else {
-			inst.Links, err = r.appendPath(src, dst, inst.Links)
-		}
+		links, fracs, err := r.Route(&tree, inst.PairDst[k], inst.Config.ECMP)
 		if err != nil {
 			return err
 		}
+		for _, lid := range links {
+			inst.Links = append(inst.Links, int32(lid))
+		}
+		inst.Fracs = append(inst.Fracs, fracs...)
 		inst.Start[k+1] = int32(len(inst.Links))
 	}
 	return nil

@@ -108,23 +108,7 @@ func (m *Matrix) Merge(others ...*Matrix) *Matrix {
 // packet rates U_e (indexed by topology.LinkID). Demands between
 // identical endpoints are rejected; unroutable demands return an error.
 func LinkLoads(g *topology.Graph, tbl *routing.Table, m *Matrix) ([]float64, error) {
-	loads := make([]float64, g.NumLinks())
-	for _, d := range m.Demands {
-		if d.Rate < 0 {
-			return nil, fmt.Errorf("traffic: negative rate for %q", d.Pair.Name)
-		}
-		if d.Pair.Src == d.Pair.Dst {
-			return nil, fmt.Errorf("traffic: demand %q has identical endpoints", d.Pair.Name)
-		}
-		p, err := tbl.PathBetween(d.Pair.Src, d.Pair.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: demand %q: %w", d.Pair.Name, err)
-		}
-		for _, lid := range p.Links {
-			loads[lid] += d.Rate
-		}
-	}
-	return loads, nil
+	return linkLoads(g, tbl, m, routing.BuildMatrix)
 }
 
 // LinkLoadsECMP routes every demand over the full equal-cost multipath
@@ -133,20 +117,31 @@ func LinkLoads(g *topology.Graph, tbl *routing.Table, m *Matrix) ([]float64, err
 // routing.BuildMatrixECMP when the network load-balances across equal
 // IGP costs.
 func LinkLoadsECMP(g *topology.Graph, tbl *routing.Table, m *Matrix) ([]float64, error) {
-	loads := make([]float64, g.NumLinks())
-	for _, d := range m.Demands {
+	return linkLoads(g, tbl, m, routing.BuildMatrixECMP)
+}
+
+// linkLoads routes the demands' pairs with build — the rows the
+// optimizer would see for them — and sums rate × fraction per link.
+func linkLoads(g *topology.Graph, tbl *routing.Table, m *Matrix, build func(*routing.Table, []routing.ODPair) (*routing.Matrix, error)) ([]float64, error) {
+	pairs := make([]routing.ODPair, len(m.Demands))
+	for k, d := range m.Demands {
 		if d.Rate < 0 {
 			return nil, fmt.Errorf("traffic: negative rate for %q", d.Pair.Name)
 		}
-		if d.Pair.Src == d.Pair.Dst {
-			return nil, fmt.Errorf("traffic: demand %q has identical endpoints", d.Pair.Name)
-		}
-		hops, err := tbl.Fractions(d.Pair.Src, d.Pair.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("traffic: demand %q: %w", d.Pair.Name, err)
-		}
-		for _, h := range hops {
-			loads[h.Link] += d.Rate * h.Frac
+		pairs[k] = d.Pair
+	}
+	rm, err := build(tbl, pairs)
+	if err != nil {
+		return nil, fmt.Errorf("traffic: %w", err)
+	}
+	loads := make([]float64, g.NumLinks())
+	for k, row := range rm.Rows {
+		for i, lid := range row {
+			f := 1.0
+			if rm.Fracs != nil {
+				f = rm.Fracs[k][i]
+			}
+			loads[lid] += m.Demands[k].Rate * f
 		}
 	}
 	return loads, nil

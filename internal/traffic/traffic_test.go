@@ -107,10 +107,15 @@ func TestLinkLoadsErrors(t *testing.T) {
 	bad := []*Matrix{
 		{Demands: []Demand{{Pair: routing.ODPair{Name: "x", Src: ids[0], Dst: ids[0]}, Rate: 1}}},
 		{Demands: []Demand{{Pair: routing.ODPair{Name: "y", Src: ids[0], Dst: ids[1]}, Rate: -1}}},
+		// A node the table has never seen is an error, not an index panic.
+		{Demands: []Demand{{Pair: routing.ODPair{Name: "z", Src: ids[0], Dst: 99}, Rate: 1}}},
 	}
 	for i, m := range bad {
 		if _, err := LinkLoads(g, tbl, m); err == nil {
 			t.Errorf("case %d accepted", i)
+		}
+		if _, err := LinkLoadsECMP(g, tbl, m); err == nil {
+			t.Errorf("case %d accepted under ECMP", i)
 		}
 	}
 }
