@@ -111,8 +111,16 @@ type ApproxPolicy struct {
 	// rejects the combination up front rather than failing intervals.
 	Enabled bool
 	// ExactRate is the calibrated exact-solver throughput in
-	// NNZ·iterations per second; 0 selects 2e6, measured on a single
-	// commodity core (1000-link hierarchical instance, Newton-CG path).
+	// NNZ·iterations per second; 0 selects 2e6. Since the Newton-CG inner
+	// solve is truncated at the box, `netsamp scale` on one commodity
+	// core measures 4.2e6 at 1k links × 3 pairs/link (23k nnz, 624
+	// iterations in 3.5 s — the dense KKT factorizations of the last
+	// ≤512-free-link steps dominate there) and 4.9e7 at 2k links × 3
+	// pairs/link (43k nnz, 1290 iterations in 1.1 s); they were 1.5e6 and
+	// 2.5e6. The default is deliberately left where it was: it sits below
+	// every measured rate, so it can only err toward SolveApprox, whose
+	// answer carries a gap certificate, and re-calibrating belongs with
+	// the dense-threshold change that will move these rates again.
 	ExactRate float64
 }
 

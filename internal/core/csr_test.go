@@ -180,6 +180,28 @@ func csrFeasibility(t *testing.T, p *CSRProblem, sol *Solution, budgetSlack bool
 	}
 }
 
+// matchesRecorded compares s's optimum with the objective and budget
+// multiplier an earlier commit's solver reached, to 1e-9 relative. Both
+// sides run at Tol 1e-10 — the default 1e-6 pins λ only to ~1e-8 — so
+// sol, a converged default-tolerance solve, is first polished from its
+// own rates (a Newton step or two).
+func matchesRecorded(t *testing.T, s *Solver, sol *Solution, objective, lambda float64) {
+	t.Helper()
+	tight, err := s.Solve(Options{Tol: 1e-10, Initial: sol.Rates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tight.Stats.Converged {
+		t.Fatalf("Tol 1e-10 polish did not converge in %d iterations", tight.Stats.Iterations)
+	}
+	if math.Abs(tight.Objective-objective) > 1e-9*math.Abs(objective) {
+		t.Errorf("objective %.17g, recorded %.17g", tight.Objective, objective)
+	}
+	if math.Abs(tight.Lambda-lambda) > 1e-9*math.Abs(lambda) {
+		t.Errorf("λ %.17g, recorded %.17g", tight.Lambda, lambda)
+	}
+}
+
 // TestCSRLargeNewtonCG drives the matrix-free Newton-KKT path (the free
 // set exceeds the dense-KKT bound) and brackets its optimum with the
 // Frank-Wolfe duality gap: exact must land inside [approx, approx+gap]
@@ -202,6 +224,9 @@ func TestCSRLargeNewtonCG(t *testing.T) {
 		t.Fatalf("exact solve did not converge in %d iterations", sol.Stats.Iterations)
 	}
 	csrFeasibility(t, cp, sol, false)
+	checkKKT(t, cp, sol, 1e-6)
+	// The optimum the untruncated, unpreconditioned CG solver reached.
+	matchesRecorded(t, s, sol, 2991.3250609657312, 7.4182011420309994e-06)
 
 	sa, err := NewSolverCSR(cp)
 	if err != nil {

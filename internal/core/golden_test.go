@@ -115,16 +115,14 @@ func TestGoldenBitsScale(t *testing.T) {
 		{"sharded-2", small, 2, false, 0x3b71d4461575a9ab},
 		{"sharded-5", small, 5, false, 0x3b71d4461575a9ab},
 		{"approx", small, 0, true, 0x5828b19ec6d5ac01},
-		{"multi-chunk/serial", multi, 0, false, 0x700c1e4050e2b636},
-		{"multi-chunk/sharded-2", multi, 2, false, 0xb7b3cf68671ef087},
-		{"multi-chunk/sharded-5", multi, 5, false, 0xb7b3cf68671ef087},
+		{"multi-chunk/serial", multi, 0, false, 0xa68b3c2ee8e9b6f9},
+		{"multi-chunk/sharded-2", multi, 2, false, 0xb050cf65e7523eb0},
+		{"multi-chunk/sharded-5", multi, 5, false, 0xb050cf65e7523eb0},
 		{"multi-chunk/approx-sharded-2", multi, 2, true, 0x2360dcded60580a6},
 	} {
-		if raceTest && c.inst == multi {
-			continue // minutes under the race detector; the small cases cover the kernels
-		}
+		cp := csrFromInstance(t, genInstance(t, c.inst.links, c.inst.pairs, 7, true), 0.1)
 		sol := func() *Solution {
-			s, err := NewSolverCSR(csrFromInstance(t, genInstance(t, c.inst.links, c.inst.pairs, 7, true), 0.1))
+			s, err := NewSolverCSR(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,5 +145,29 @@ func TestGoldenBitsScale(t *testing.T) {
 		if got := solutionBits(sol); got != c.want {
 			t.Errorf("%s: solution bits %#016x, want %#016x", c.name, got, c.want)
 		}
+		if !c.approx && sol.Stats.Converged {
+			checkKKT(t, cp, sol, 1e-6)
+		}
 	}
+}
+
+// TestScaleOptimumMatchesRecorded solves the multi-chunk instance to
+// convergence (the golden rows above cut it at 24 iterations): the
+// optimum must be the one recorded before the CG solve was truncated and
+// preconditioned, and must pass the independent KKT check.
+func TestScaleOptimumMatchesRecorded(t *testing.T) {
+	cp := csrFromInstance(t, genInstance(t, 1000, 9000, 7, true), 0.1)
+	s, err := NewSolverCSR(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := s.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sol.Stats.Converged {
+		t.Fatalf("did not converge in %d iterations", sol.Stats.Iterations)
+	}
+	checkKKT(t, cp, sol, 1e-6)
+	matchesRecorded(t, s, sol, 8996.7056709776789, 8.6491280977876954e-06)
 }

@@ -49,6 +49,7 @@ const (
 	shardTaskLine
 	shardTaskCurv
 	shardTaskHess
+	shardTaskDiag
 	shardTaskFinish
 )
 
@@ -59,8 +60,9 @@ type shardState struct {
 	// runChunk is the single closure handed to pool.For, created once in
 	// Shard so dispatch never allocates.
 	runChunk func(int)
-	// partials holds one n-wide accumulator row per chunk (gradient and
-	// Hessian-product tasks); pd1/pd2 hold per-chunk scalar partials.
+	// partials holds one n-wide accumulator row per chunk (gradient,
+	// Hessian-product and Hessian-diagonal tasks); pd1/pd2 hold per-chunk
+	// scalar partials.
 	partials []float64
 	pd1, pd2 []float64
 	// Per-dispatch arguments.
@@ -95,11 +97,6 @@ func (s *Solver) Shard(pool ForPool) {
 		s.sh.pd1 = make([]float64, nChunks)
 		s.sh.pd2 = make([]float64, nChunks)
 	}
-	if s.curv == nil {
-		// The sharded Newton path caches curvatures even when n is small
-		// enough that compile skipped the CG buffers.
-		s.curv = make([]float64, s.nPairs)
-	}
 	s.sh.runChunk = s.shardChunk
 	s.sh.pool = pool
 }
@@ -126,6 +123,8 @@ func (s *Solver) shardChunk(c int) {
 		s.curvRange(kLo, kHi, s.sh.vecA)
 	case shardTaskHess:
 		s.hessMulRange(kLo, kHi, s.sh.vecB, s.zeroPartial(c))
+	case shardTaskDiag:
+		s.hessDiagRange(kLo, kHi, s.zeroPartial(c))
 	case shardTaskFinish:
 		s.sh.pd1[c] = s.finishRange(kLo, kHi, s.sh.vecA, s.sh.rhoOut, s.sh.utilOut)
 	}

@@ -118,6 +118,8 @@ func TestShardedKernelsMatchSerialToRounding(t *testing.T) {
 	s.curvFill(rates)
 	hSerial := make([]float64, n)
 	s.hessMulInto(dir, hSerial)
+	diagSerial := make([]float64, n)
+	s.hessDiagInto(diagSerial)
 	curvSerial := append([]float64(nil), s.curv...)
 
 	pool := engine.NewPool(4)
@@ -129,6 +131,8 @@ func TestShardedKernelsMatchSerialToRounding(t *testing.T) {
 	s.curvFill(rates)
 	hShard := make([]float64, n)
 	s.hessMulInto(dir, hShard)
+	diagShard := make([]float64, n)
+	s.hessDiagInto(diagShard)
 
 	relClose := func(a, b float64) bool {
 		return math.Abs(a-b) <= 1e-12*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
@@ -139,6 +143,9 @@ func TestShardedKernelsMatchSerialToRounding(t *testing.T) {
 		}
 		if !relClose(hSerial[i], hShard[i]) {
 			t.Fatalf("hessMul[%d]: serial %v, sharded %v", i, hSerial[i], hShard[i])
+		}
+		if !relClose(diagSerial[i], diagShard[i]) {
+			t.Fatalf("hessDiag[%d]: serial %v, sharded %v", i, diagSerial[i], diagShard[i])
 		}
 	}
 	if !relClose(d1S, d1P) || !relClose(d2S, d2P) {

@@ -56,10 +56,11 @@ type Solver struct {
 
 	// Scratch of the matrix-free projected-CG Newton step used when the
 	// free set outgrows the dense KKT factorization: per-pair curvature
-	// coefficients and the CG work vectors. Only allocated for solvers
-	// with n > denseKKTMaxFree.
-	curv          []float64
-	cgR, cgP, cgA []float64
+	// coefficients, the CG work vectors and the inverted Jacobi diagonal.
+	// O(n + nPairs) floats, sized for every solver.
+	curv               []float64
+	cgR, cgZ, cgP, cgA []float64
+	cgMinv             []float64
 
 	// Scratch of the Frank-Wolfe approximation path (SolveApprox): the
 	// LMO's ratio keys and index permutation.
@@ -184,12 +185,12 @@ func compile(p *CSRProblem) *Solver {
 	s.kkt = make([]float64, (kktDim+1)*(kktDim+1))
 	s.kktRHS = make([]float64, n+1)
 	s.freePos = make([]int32, n)
-	if n > denseKKTMaxFree {
-		s.curv = make([]float64, nPairs)
-		s.cgR = make([]float64, n)
-		s.cgP = make([]float64, n)
-		s.cgA = make([]float64, n)
-	}
+	s.curv = make([]float64, nPairs)
+	s.cgR = make([]float64, n)
+	s.cgZ = make([]float64, n)
+	s.cgP = make([]float64, n)
+	s.cgA = make([]float64, n)
+	s.cgMinv = make([]float64, n)
 	s.lmoIdx = make([]int32, n)
 	s.lmoRatio = make([]float64, n)
 	return s
