@@ -319,12 +319,12 @@ func run(w io.Writer, theta float64, seed uint64, scale float64) error {
 	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s\n", "OD pair", "actual pkts", "estimated", "accuracy", "rho")
 	worst := 1.0
 	for k := range s.Pairs {
-		acc := sampling.Accuracy(bin.Estimate[k], float64(truth[k]))
+		acc := sampling.Accuracy(bin.Estimate(k), float64(truth[k]))
 		if acc < worst {
 			worst = acc
 		}
 		fmt.Fprintf(w, "%-12s %12d %12.0f %10.4f %10.6f\n",
-			s.Pairs[k].Name, truth[k], bin.Estimate[k], acc, sol.Rho[k])
+			s.Pairs[k].Name, truth[k], bin.Estimate(k), acc, sol.Rho[k])
 	}
 	fmt.Fprintf(w, "\nworst-pair accuracy: %.4f\n", worst)
 	return nil

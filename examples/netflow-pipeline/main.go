@@ -202,7 +202,7 @@ func main() {
 	fmt.Printf("%-8s %12s %12s %10s\n", "OD pair", "actual pkts", "estimated", "accuracy")
 	for _, bin := range collector.Estimates() {
 		for k := range pairs {
-			estimate := bin.Estimate[k]
+			estimate := bin.Estimate(k)
 			acc := 1 - abs(estimate-float64(truth[k]))/float64(truth[k])
 			fmt.Printf("%-8s %12d %12.0f %10.4f\n", pairs[k].Name, truth[k], estimate, acc)
 		}

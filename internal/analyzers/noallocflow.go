@@ -78,8 +78,8 @@ var noallocLeafFuncs = map[string]bool{
 	"hash/crc32.ChecksumIEEE":   true,
 	// File I/O into a caller-owned buffer: the write path reuses the
 	// fd's internals; error construction is the cold path.
-	"os.File.Write": true,
-	"os.File.Sync":  true,
+	"os.File.WriteAt": true,
+	"os.File.Sync":    true,
 	// encoding/binary's fixed-width endian accessors are pure
 	// shifts/ORs over the argument slice.
 	"encoding/binary.littleEndian.Uint16":    true,

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -190,17 +191,24 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 		loop.Run(context.Background(), nil)
 	}()
 
-	// Flip a payload byte in the newest snapshot generation.
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.nss"))
-	if err != nil || len(snaps) < 2 {
-		t.Fatalf("want 2 snapshot generations, have %v", snaps)
+	// Flip a payload byte in the newest snapshot generation: the slot
+	// whose envelope carries the higher sequence number (bytes 8–15).
+	snaps, err := filepath.Glob(filepath.Join(dir, "slot-*.nss"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("want 2 snapshot slots, have %v", snaps)
 	}
-	newest := snaps[len(snaps)-1]
-	blob, err := os.ReadFile(newest)
-	if err != nil {
-		t.Fatal(err)
+	var newest string
+	var blob []byte
+	for _, path := range snaps {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob == nil || binary.LittleEndian.Uint64(b[8:]) > binary.LittleEndian.Uint64(blob[8:]) {
+			newest, blob = path, b
+		}
 	}
-	blob[len(blob)-1] ^= 0xff
+	blob[24] ^= 0xff // first payload byte, past the 24-byte envelope header
 	if err := os.WriteFile(newest, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}

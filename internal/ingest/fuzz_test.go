@@ -119,9 +119,9 @@ func FuzzIngestInvariants(f *testing.F) {
 					t.Fatalf("shards=%d bin %d: start %d != %d", shards, i, b.Start, a.Start)
 				}
 				for k := range a.Sampled {
-					if a.Sampled[k] != b.Sampled[k] || a.Estimate[k] != b.Estimate[k] {
-						t.Fatalf("shards=%d bin %d od %d: %d/%v != %d/%v",
-							shards, i, k, b.Sampled[k], b.Estimate[k], a.Sampled[k], a.Estimate[k])
+					if a.Sampled[k] != b.Sampled[k] || a.Estimate(k) != b.Estimate(k) || a.RelStdErr(k) != b.RelStdErr(k) {
+						t.Fatalf("shards=%d bin %d od %d: %d/%v/%v != %d/%v/%v",
+							shards, i, k, b.Sampled[k], b.Estimate(k), b.RelStdErr(k), a.Sampled[k], a.Estimate(k), a.RelStdErr(k))
 					}
 				}
 			}

@@ -351,9 +351,9 @@ func TestMergeBitIdenticalAcrossShardCounts(t *testing.T) {
 				t.Fatalf("shards=%d bin %d: start %d != %d", shards, i, b.Start, a.Start)
 			}
 			for k := range a.Sampled {
-				if a.Sampled[k] != b.Sampled[k] || a.Estimate[k] != b.Estimate[k] || a.RelStdErr[k] != b.RelStdErr[k] {
+				if a.Sampled[k] != b.Sampled[k] || a.Estimate(k) != b.Estimate(k) || a.RelStdErr(k) != b.RelStdErr(k) {
 					t.Fatalf("shards=%d bin %d od %d: (%d, %v, %v) != (%d, %v, %v)",
-						shards, i, k, b.Sampled[k], b.Estimate[k], b.RelStdErr[k], a.Sampled[k], a.Estimate[k], a.RelStdErr[k])
+						shards, i, k, b.Sampled[k], b.Estimate(k), b.RelStdErr(k), a.Sampled[k], a.Estimate(k), a.RelStdErr(k))
 				}
 			}
 		}

@@ -1,13 +1,14 @@
 package netflow
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"netsamp/internal/packet"
 	"netsamp/internal/prefix"
-	"netsamp/internal/topology"
 )
 
 // ODClassifier maps a flow key to the index of the OD pair it belongs
@@ -22,13 +23,30 @@ type ODClassifier func(key packet.FiveTuple) (od int, ok bool)
 // of each OD pair to produce size estimates X/ρ. Counts in, estimates
 // out: classifying records into (interval, OD) bins is the ingest
 // tier's job (internal/ingest). It is safe for concurrent use.
+//
+// Estimates lends the bins' count slices instead of copying them, and
+// the estimates are computed when read, so a call costs one allocation
+// however long the deployment has run. A lent slice is never written
+// again: AddCounts copies a bin's slice before its first write after a
+// lend (copy-on-write), which keeps every earlier result frozen.
 type Estimator struct {
 	interval uint32
-	rho      []float64
+	rho      []float64 // clamped to [0, 1]; never written after NewEstimator
 
 	mu   sync.Mutex
-	bins map[uint32][]uint64 // bin start → per-OD sampled packets
-	loss float64             // transport record-loss fraction in [0, 1)
+	bins []countBin // ascending by start
+	loss float64    // transport record-loss fraction in [0, 1)
+	// epoch counts Estimates calls. A bin whose slice was allocated in an
+	// earlier epoch may have been lent, so AddCounts copies it first —
+	// one comparison per write instead of a mark per bin per lend.
+	epoch uint64
+}
+
+// countBin is one measurement interval's per-OD sampled packet counts.
+type countBin struct {
+	start  uint32
+	counts []uint64
+	epoch  uint64 // Estimator.epoch when counts was allocated
 }
 
 // RhoError is NewEstimator's rejection of an effective sampling rate
@@ -62,11 +80,7 @@ func NewEstimator(intervalSeconds uint32, rho []float64) (*Estimator, error) {
 		}
 		clamped[k] = math.Min(r, 1)
 	}
-	return &Estimator{
-		interval: intervalSeconds,
-		rho:      clamped,
-		bins:     make(map[uint32][]uint64),
-	}, nil
+	return &Estimator{interval: intervalSeconds, rho: clamped}, nil
 }
 
 // AddCounts folds pre-classified per-OD sampled packet counts into the
@@ -79,16 +93,19 @@ func (e *Estimator) AddCounts(binStart uint32, counts []uint64) error {
 	if len(counts) != len(e.rho) {
 		return fmt.Errorf("netflow: %d counts for %d OD pairs", len(counts), len(e.rho))
 	}
-	bin := binStart - binStart%e.interval
+	start := binStart - binStart%e.interval
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	acc, ok := e.bins[bin]
+	i, ok := slices.BinarySearchFunc(e.bins, start, func(b countBin, s uint32) int { return cmp.Compare(b.start, s) })
 	if !ok {
-		acc = make([]uint64, len(e.rho))
-		e.bins[bin] = acc
+		e.bins = slices.Insert(e.bins, i, countBin{start: start, counts: make([]uint64, len(e.rho)), epoch: e.epoch})
+	}
+	b := &e.bins[i]
+	if b.epoch != e.epoch {
+		b.counts, b.epoch = slices.Clone(b.counts), e.epoch
 	}
 	for k, c := range counts {
-		acc[k] += c
+		b.counts[k] += c
 	}
 	return nil
 }
@@ -114,61 +131,66 @@ func (e *Estimator) SetTransportLoss(frac float64) error {
 // which an estimate is flagged low-confidence.
 const LowConfidenceRelErr = 0.5
 
-// BinEstimate holds the per-OD estimates of one measurement interval.
+// BinEstimate is one measurement interval as Estimates saw it: the
+// sampled counts plus the ρ and transport loss ℓ in force at the call.
+// The per-OD estimates are computed from those on read, so a later
+// AddCounts or SetTransportLoss never changes a BinEstimate already
+// returned.
 type BinEstimate struct {
 	Start uint32
 	// Sampled[k] is the raw sampled packet count of OD pair k that
-	// reached the collector.
+	// reached the collector. The slice is shared with the estimator and
+	// with every other caller: read it, never write it.
 	Sampled []uint64
-	// Estimate[k] is Sampled[k]/(ρ_k·(1−ℓ)) for transport loss ℓ, or 0
-	// when ρ_k = 0 (unmonitored).
-	Estimate []float64
-	// RelStdErr[k] is the delta-method relative standard error of
-	// Estimate[k] under binomial thinning at rate ρ_k·(1−ℓ):
-	// sqrt((1−ρ_eff)/X). Transport loss shrinks ρ_eff and so inflates
-	// the reported uncertainty. It is +Inf when nothing was sampled.
-	// The thinning model is exact under coordinated sampling (disjoint
-	// hash ranges make "sampled somewhere" one Bernoulli(ρ) per packet)
-	// and an approximation where independent monitors overlap.
-	RelStdErr []float64
-	// LowConfidence[k] flags estimates whose RelStdErr exceeds
-	// LowConfidenceRelErr — the consumer should not trust them without
-	// widening its own error bars.
-	LowConfidence []bool
+
+	rho  []float64
+	loss float64
+}
+
+// Estimate is Sampled[k]/(ρ_k·(1−ℓ)) for transport loss ℓ, or 0 when
+// ρ_k = 0 (unmonitored).
+func (b *BinEstimate) Estimate(k int) float64 {
+	effRho := b.rho[k] * (1 - b.loss)
+	if effRho <= 0 {
+		return 0
+	}
+	return float64(b.Sampled[k]) / effRho
+}
+
+// RelStdErr is the delta-method relative standard error of Estimate(k)
+// under binomial thinning at rate ρ_k·(1−ℓ): sqrt((1−ρ_eff)/X).
+// Transport loss shrinks ρ_eff and so inflates the reported
+// uncertainty. It is +Inf when nothing was sampled or ρ_k = 0. The
+// thinning model is exact under coordinated sampling (disjoint hash
+// ranges make "sampled somewhere" one Bernoulli(ρ) per packet) and an
+// approximation where independent monitors overlap.
+func (b *BinEstimate) RelStdErr(k int) float64 {
+	effRho := b.rho[k] * (1 - b.loss)
+	c := b.Sampled[k]
+	if effRho <= 0 || c == 0 {
+		return math.Inf(1)
+	}
+	return math.Sqrt((1 - effRho) / float64(c))
+}
+
+// LowConfidence flags an estimate whose RelStdErr exceeds
+// LowConfidenceRelErr — the consumer should not trust it without
+// widening its own error bars.
+func (b *BinEstimate) LowConfidence(k int) bool {
+	return b.RelStdErr(k) > LowConfidenceRelErr
 }
 
 // Estimates returns one BinEstimate per interval, ordered by start time.
+// It allocates the returned slice and nothing else: the count slices
+// are lent, not copied.
 func (e *Estimator) Estimates() []BinEstimate {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	starts := topology.SortedKeys(e.bins)
-	out := make([]BinEstimate, 0, len(starts))
-	for _, s := range starts {
-		counts := e.bins[s]
-		be := BinEstimate{
-			Start:         s,
-			Sampled:       append([]uint64(nil), counts...),
-			Estimate:      make([]float64, len(counts)),
-			RelStdErr:     make([]float64, len(counts)),
-			LowConfidence: make([]bool, len(counts)),
-		}
-		for k, c := range counts {
-			effRho := e.rho[k] * (1 - e.loss)
-			if effRho <= 0 {
-				be.RelStdErr[k] = math.Inf(1)
-				be.LowConfidence[k] = true
-				continue
-			}
-			be.Estimate[k] = float64(c) / effRho
-			if c == 0 {
-				be.RelStdErr[k] = math.Inf(1)
-			} else {
-				be.RelStdErr[k] = math.Sqrt((1 - effRho) / float64(c))
-			}
-			be.LowConfidence[k] = be.RelStdErr[k] > LowConfidenceRelErr
-		}
-		out = append(out, be)
+	out := make([]BinEstimate, len(e.bins))
+	for i, b := range e.bins {
+		out[i] = BinEstimate{Start: b.start, Sampled: b.counts, rho: e.rho, loss: e.loss}
 	}
+	e.epoch++ // every slice just lent was allocated before this epoch
 	return out
 }
 

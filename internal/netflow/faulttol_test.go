@@ -117,14 +117,14 @@ func TestEstimatorTransportLossInflation(t *testing.T) {
 	}
 	// Without loss: estimate = 100 / 0.1 = 1000.
 	bins := est.Estimates()
-	if len(bins) != 1 || math.Abs(bins[0].Estimate[0]-1000) > 1e-9 {
+	if len(bins) != 1 || math.Abs(bins[0].Estimate(0)-1000) > 1e-9 {
 		t.Fatalf("bins = %+v", bins)
 	}
-	base := bins[0].RelStdErr[0]
+	base := bins[0].RelStdErr(0)
 	if math.Abs(base-math.Sqrt(0.9/100)) > 1e-12 {
 		t.Fatalf("RelStdErr = %v", base)
 	}
-	if bins[0].LowConfidence[0] {
+	if bins[0].LowConfidence(0) {
 		t.Fatal("confident estimate flagged")
 	}
 	// 50% transport loss: the effective inclusion rate halves, the
@@ -133,11 +133,11 @@ func TestEstimatorTransportLossInflation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bins = est.Estimates()
-	if math.Abs(bins[0].Estimate[0]-2000) > 1e-9 {
-		t.Fatalf("loss-compensated estimate = %v", bins[0].Estimate[0])
+	if math.Abs(bins[0].Estimate(0)-2000) > 1e-9 {
+		t.Fatalf("loss-compensated estimate = %v", bins[0].Estimate(0))
 	}
-	if bins[0].RelStdErr[0] <= base {
-		t.Fatalf("variance not inflated: %v <= %v", bins[0].RelStdErr[0], base)
+	if bins[0].RelStdErr(0) <= base {
+		t.Fatalf("variance not inflated: %v <= %v", bins[0].RelStdErr(0), base)
 	}
 }
 
@@ -151,11 +151,11 @@ func TestEstimatorLowConfidenceFlag(t *testing.T) {
 	}
 	bins := est.Estimates()
 	// One sampled packet at ρ = 0.001: RelStdErr ≈ 1 → flagged.
-	if !bins[0].LowConfidence[0] {
+	if !bins[0].LowConfidence(0) {
 		t.Fatalf("sparse estimate not flagged: %+v", bins[0])
 	}
 	// Unmonitored pair (ρ = 0): +Inf error, flagged, estimate 0.
-	if !bins[0].LowConfidence[1] || !math.IsInf(bins[0].RelStdErr[1], 1) || bins[0].Estimate[1] != 0 {
+	if !bins[0].LowConfidence(1) || !math.IsInf(bins[0].RelStdErr(1), 1) || bins[0].Estimate(1) != 0 {
 		t.Fatalf("unmonitored pair = %+v", bins[0])
 	}
 }

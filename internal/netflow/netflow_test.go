@@ -151,8 +151,8 @@ func TestEstimatorBinsAndRenormalizes(t *testing.T) {
 	if b0.Start != 0 || b0.Sampled[0] != 15 || b0.Sampled[1] != 8 {
 		t.Fatalf("bin0 = %+v", b0)
 	}
-	if math.Abs(b0.Estimate[0]-1500) > 1e-9 || math.Abs(b0.Estimate[1]-400) > 1e-9 {
-		t.Fatalf("bin0 estimates = %v", b0.Estimate)
+	if math.Abs(b0.Estimate(0)-1500) > 1e-9 || math.Abs(b0.Estimate(1)-400) > 1e-9 {
+		t.Fatalf("bin0 estimates = [%v %v]", b0.Estimate(0), b0.Estimate(1))
 	}
 	if bins[1].Start != 300 || bins[1].Sampled[0] != 7 {
 		t.Fatalf("bin1 = %+v", bins[1])
@@ -168,7 +168,7 @@ func TestEstimatorZeroRho(t *testing.T) {
 		t.Fatal(err)
 	}
 	bins := est.Estimates()
-	if len(bins) != 1 || bins[0].Estimate[0] != 0 {
+	if len(bins) != 1 || bins[0].Estimate(0) != 0 {
 		t.Fatalf("zero-rho estimate = %+v", bins)
 	}
 }
@@ -206,12 +206,12 @@ func TestEstimatorClampsRho(t *testing.T) {
 	if len(bins) != 1 {
 		t.Fatalf("%d bins", len(bins))
 	}
-	if bins[0].Estimate[0] != 50 {
-		t.Fatalf("estimate %v, want 50 (rho clamped to 1)", bins[0].Estimate[0])
+	if bins[0].Estimate(0) != 50 {
+		t.Fatalf("estimate %v, want 50 (rho clamped to 1)", bins[0].Estimate(0))
 	}
-	if bins[0].RelStdErr[0] != 0 || bins[0].LowConfidence[0] {
+	if bins[0].RelStdErr(0) != 0 || bins[0].LowConfidence(0) {
 		t.Fatalf("census estimate: RelStdErr %v LowConfidence %v, want 0/false",
-			bins[0].RelStdErr[0], bins[0].LowConfidence[0])
+			bins[0].RelStdErr(0), bins[0].LowConfidence(0))
 	}
 }
 
@@ -238,8 +238,8 @@ func TestEstimatorAddCounts(t *testing.T) {
 	if got := bins[0].Sampled; got[0] != 13 || got[1] != 4 {
 		t.Fatalf("sampled = %v, want [13 4]", got)
 	}
-	if got := bins[0].Estimate; got[0] != 26 || got[1] != 16 {
-		t.Fatalf("estimates = %v, want [26 16]", got)
+	if e0, e1 := bins[0].Estimate(0), bins[0].Estimate(1); e0 != 26 || e1 != 16 {
+		t.Fatalf("estimates = [%v %v], want [26 16]", e0, e1)
 	}
 }
 

@@ -358,7 +358,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if len(bins) != 1 {
 		t.Fatalf("bins = %d", len(bins))
 	}
-	got := bins[0].Estimate[0]
+	got := bins[0].Estimate(0)
 	if d := got - trueSize; d > 0.05*trueSize || d < -0.05*trueSize {
 		t.Fatalf("estimate = %v, want ≈%v", got, trueSize)
 	}

@@ -1,6 +1,6 @@
 // Package state provides the crash-safe persistence primitives of the
 // long-running monitoring control loop: versioned, CRC32-guarded
-// snapshots written with the atomic-rename discipline, and an
+// snapshots overwritten in place in two alternating slots, and an
 // append-only write-ahead journal whose torn tail is detected and
 // truncated on recovery.
 //

@@ -78,7 +78,7 @@ func (j *Journal) recover() ([][]byte, error) {
 		e.U32(journalMagic)
 		e.U16(journalVersion)
 		e.U16(0)
-		if _, err := j.f.Write(e.Data()); err != nil {
+		if _, err := j.f.WriteAt(e.Data(), 0); err != nil {
 			return nil, fmt.Errorf("state: init journal: %w", err)
 		}
 		if err := j.f.Sync(); err != nil {
@@ -128,9 +128,6 @@ func (j *Journal) recover() ([][]byte, error) {
 			return nil, fmt.Errorf("state: truncate torn tail: %w", err)
 		}
 	}
-	if _, err := j.f.Seek(off, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("state: seek journal: %w", err)
-	}
 	return records, nil
 }
 
@@ -142,8 +139,11 @@ func (j *Journal) Len() int { return len(j.offsets) }
 
 // Append writes one record (length, CRC, payload) and fsyncs, so an
 // acknowledged append survives a crash. Header and payload are staged in
-// a journal-owned scratch buffer and issued as one Write so a record is
-// never split across syscalls.
+// a journal-owned scratch buffer and issued as one write so a record is
+// never split across syscalls. The write lands at the end of the last
+// acknowledged record, not at the file position: bytes a failed append
+// left behind are overwritten, never kept in front of the next record
+// where recovery would take them for a torn tail and cut it off.
 //
 //netsamp:noalloc
 func (j *Journal) Append(payload []byte) error {
@@ -155,15 +155,15 @@ func (j *Journal) Append(payload []byte) error {
 	sum := crc32.ChecksumIEEE(payload)
 	j.scratch = append(j.scratch, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
 	j.scratch = append(j.scratch, payload...)
-	if _, err := j.f.Write(j.scratch); err != nil {
+	end := int64(journalHeader)
+	if len(j.offsets) > 0 {
+		end = j.offsets[len(j.offsets)-1]
+	}
+	if _, err := j.f.WriteAt(j.scratch, end); err != nil {
 		return fmt.Errorf("state: append journal: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("state: sync journal: %w", err)
-	}
-	end := int64(journalHeader)
-	if len(j.offsets) > 0 {
-		end = j.offsets[len(j.offsets)-1]
 	}
 	j.offsets = append(j.offsets, end+recordHeader+int64(len(payload)))
 	return nil
@@ -188,9 +188,6 @@ func (j *Journal) TruncateTo(n int) error {
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("state: truncate journal: %w", err)
-	}
-	if _, err := j.f.Seek(end, io.SeekStart); err != nil {
-		return fmt.Errorf("state: seek journal: %w", err)
 	}
 	j.offsets = j.offsets[:n]
 	return nil

@@ -2,7 +2,11 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -112,16 +116,17 @@ func TestSnapshotSaveLoad(t *testing.T) {
 	if seq != 4 || !bytes.Equal(payload, []byte{4, 4, 4}) {
 		t.Fatalf("Load = %v seq %d", payload, seq)
 	}
-	// Retention: only DefaultKeep generations remain on disk.
+	// Retention: the two slots hold the newest two generations, and
+	// nothing else is on disk.
 	entries, _ := os.ReadDir(dir)
-	snaps := 0
-	for _, ent := range entries {
-		if filepath.Ext(ent.Name()) == ".nss" {
-			snaps++
-		}
+	if len(entries) != len(slotNames) {
+		t.Fatalf("%d files on disk, want the %d slots", len(entries), len(slotNames))
 	}
-	if snaps != DefaultKeep {
-		t.Fatalf("%d generations retained, want %d", snaps, DefaultKeep)
+	if _, ok := slotHolding(t, dir, 4); !ok {
+		t.Fatal("newest generation not in a slot")
+	}
+	if _, ok := slotHolding(t, dir, 3); !ok {
+		t.Fatal("previous generation not retained")
 	}
 	// Reopen: sequence numbering continues.
 	s2, err := OpenSnapshots(dir)
@@ -151,7 +156,10 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a payload byte of the newest generation.
-	path := s.path(1)
+	path, ok := slotHolding(t, dir, 1)
+	if !ok {
+		t.Fatal("generation 1 not on disk")
+	}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -171,11 +179,240 @@ func TestSnapshotCorruptionFallsBack(t *testing.T) {
 		t.Fatal("corruption not counted")
 	}
 	// Truncated header: also detected.
-	if err := os.WriteFile(s.path(1), blob[:7], 0o644); err != nil {
+	if err := os.WriteFile(path, blob[:7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, seq, err := s.Load(); err != nil || seq != 0 {
 		t.Fatalf("truncated-header fallback: seq %d err %v", seq, err)
+	}
+}
+
+// slotHolding returns the slot file whose envelope verifies and carries
+// sequence number seq.
+func slotHolding(t *testing.T, dir string, seq uint64) (string, bool) {
+	t.Helper()
+	for _, name := range slotNames {
+		path := filepath.Join(dir, name)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			continue
+		}
+		if _, got, err := decodeSnapshot(blob); err == nil && got == seq {
+			return path, true
+		}
+	}
+	return "", false
+}
+
+// envelope builds a version-2 envelope by hand, independently of Save.
+func envelope(seq uint64, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, snapshotMagic)
+	b = binary.LittleEndian.AppendUint16(b, 2)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, seq)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(append(bytes.Clone(b), payload...)))
+	return append(b, payload...)
+}
+
+// fill is a payload whose every byte differs from any other
+// generation's, so a torn slot can never pass for a neighbour.
+func fill(gen, n int) []byte { return bytes.Repeat([]byte{0x10 + byte(gen)}, n) }
+
+// TestSnapshotSlotTear is every fault point of the slot store: each
+// slot torn at every byte length — cut short as a freshly created file
+// would be, and written over its previous contents as an in-place
+// overwrite would be — and each byte of each field (magic, version,
+// flags, seq, length, CRC, payload) flipped. Load must return the
+// newest intact generation, never an error while one slot verifies,
+// with Corrupted counting the slot that did not; and the next Save must
+// land in the damaged slot, never over the survivor.
+func TestSnapshotSlotTear(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Generations 0..3 alternate slots; generation 2 is shorter than 0, so
+	// slot 0 carries trailing bytes that must be ignored.
+	sizes := []int{40, 30, 20, 35}
+	for gen, n := range sizes {
+		if err := s.Save(fill(gen, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var files, cur, prev [2][]byte
+	for slot := range slotNames {
+		if files[slot], err = os.ReadFile(filepath.Join(dir, slotNames[slot])); err != nil {
+			t.Fatal(err)
+		}
+		// Slot i holds generation i+2 over generation i.
+		cur[slot] = envelope(uint64(slot+2), fill(slot+2, sizes[slot+2]))
+		prev[slot] = envelope(uint64(slot), fill(slot, sizes[slot]))
+		if !bytes.HasPrefix(files[slot], cur[slot]) {
+			t.Fatalf("slot %d does not start with a hand-built envelope of generation %d", slot, slot+2)
+		}
+	}
+	if !bytes.Equal(files[0][len(cur[0]):], prev[0][len(cur[0]):]) {
+		t.Fatal("slot 0's trailing bytes are not generation 0's tail")
+	}
+
+	// check installs content in one slot (the other keeps its
+	// generation), loads through a fresh store, then saves and reloads.
+	check := func(what string, slot int, content []byte) {
+		t.Helper()
+		for i := range slotNames {
+			b := files[i]
+			if i == slot {
+				b = content
+			}
+			if err := os.WriteFile(filepath.Join(dir, slotNames[i]), b, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		other := 1 - slot
+		want := uint64(other + 2)
+		wantCorrupt := 1
+		if bytes.HasPrefix(content, cur[slot]) {
+			// Undamaged (a flipped trailing byte): this slot still verifies.
+			want, wantCorrupt = 3, 0
+		} else if bytes.HasPrefix(content, prev[slot]) {
+			// The tear left the slot's previous generation intact.
+			wantCorrupt = 0
+		}
+		st, err := OpenSnapshots(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, seq, err := st.Load()
+		if err != nil || seq != want || !bytes.Equal(payload, fill(int(want), sizes[want])) {
+			t.Fatalf("%s: Load = seq %d err %v, want generation %d", what, seq, err, want)
+		}
+		if st.Corrupted() != wantCorrupt {
+			t.Fatalf("%s: Corrupted = %d, want %d", what, st.Corrupted(), wantCorrupt)
+		}
+		if err := st.Save([]byte("next")); err != nil {
+			t.Fatal(err)
+		}
+		st, err = OpenSnapshots(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, seq, err := st.Load(); err != nil || seq != want+1 || string(payload) != "next" {
+			t.Fatalf("%s: after Save, Load = %q seq %d err %v, want seq %d", what, payload, seq, err, want+1)
+		}
+		if _, ok := slotHolding(t, dir, want); !ok {
+			t.Fatalf("%s: Save overwrote the surviving generation %d", what, want)
+		}
+	}
+
+	for slot := range slotNames {
+		env := cur[slot]
+		for n := 0; n < len(env); n++ {
+			check(fmt.Sprintf("slot %d cut at %d", slot, n), slot, bytes.Clone(env[:n]))
+			over := append(bytes.Clone(env[:n]), prev[slot][min(n, len(prev[slot])):]...)
+			check(fmt.Sprintf("slot %d torn over its previous generation at %d", slot, n), slot, over)
+		}
+		fields := []struct {
+			name   string
+			lo, hi int
+		}{
+			{"magic", 0, 4}, {"version", 4, 6}, {"flags", 6, 8}, {"seq", 8, 16},
+			{"length", 16, 20}, {"crc", 20, 24}, {"payload", 24, len(env)},
+		}
+		for _, f := range fields {
+			for i := f.lo; i < f.hi; i++ {
+				b := bytes.Clone(files[slot])
+				b[i] ^= 0xff
+				check(fmt.Sprintf("slot %d %s byte %d flipped", slot, f.name, i), slot, b)
+			}
+		}
+		for i := len(env); i < len(files[slot]); i++ {
+			b := bytes.Clone(files[slot])
+			b[i] ^= 0xff
+			check(fmt.Sprintf("slot %d trailing byte %d flipped", slot, i), slot, b)
+		}
+	}
+
+	// Both slots damaged: no generation survives.
+	for i := range slotNames {
+		if err := os.WriteFile(filepath.Join(dir, slotNames[i]), files[i][:snapshotHeader], 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenSnapshots(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Load(); !errors.Is(err, ErrNoSnapshot) || st.Corrupted() != 2 {
+		t.Fatalf("both slots torn: err %v, Corrupted %d", err, st.Corrupted())
+	}
+}
+
+// legacyEnvelope builds a version-1 snapshot file by hand: magic,
+// version 1, flags, length, payload CRC, payload.
+func legacyEnvelope(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, snapshotMagic)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// TestSnapshotLegacyMigration: a directory written by the one-file-per-
+// generation store (snap-<seq>.nss) loads; the first Save continues its
+// sequence whether or not Load ran first; a reopen returns the new
+// generation; and the version-1 files are gone.
+func TestSnapshotLegacyMigration(t *testing.T) {
+	for _, loadFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("load-first=%v", loadFirst), func(t *testing.T) {
+			dir := t.TempDir()
+			for seq, blob := range map[int][]byte{
+				3: legacyEnvelope([]byte("three")),
+				4: legacyEnvelope([]byte("four")),
+				5: append(legacyEnvelope([]byte("five")), 0), // not exactly its length: corrupt
+			} {
+				name := filepath.Join(dir, fmt.Sprintf("snap-%016x.nss", seq))
+				if err := os.WriteFile(name, blob, 0o600); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := os.WriteFile(filepath.Join(dir, "snap-notes.nss"), []byte("foreign"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenSnapshots(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loadFirst {
+				payload, seq, err := s.Load()
+				if err != nil || seq != 4 || string(payload) != "four" {
+					t.Fatalf("legacy Load = %q seq %d err %v, want four seq 4", payload, seq, err)
+				}
+				if s.Corrupted() != 1 {
+					t.Fatalf("Corrupted = %d, want 1", s.Corrupted())
+				}
+			}
+			if err := s.Save([]byte("next")); err != nil {
+				t.Fatal(err)
+			}
+			legacy, err := filepath.Glob(filepath.Join(dir, "snap-*.nss"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(legacy) != 1 || filepath.Base(legacy[0]) != "snap-notes.nss" {
+				t.Fatalf("after the first Save, legacy files left: %v (want only the foreign one)", legacy)
+			}
+			s2, err := OpenSnapshots(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, seq, err := s2.Load()
+			if err != nil || seq != 5 || string(payload) != "next" {
+				t.Fatalf("reopened Load = %q seq %d err %v, want next seq 5", payload, seq, err)
+			}
+		})
 	}
 }
 
@@ -265,6 +502,42 @@ func TestJournalTornTail(t *testing.T) {
 				t.Fatalf("append after truncation: %q", recs)
 			}
 		})
+	}
+}
+
+// TestJournalHealsFailedAppend: an append that failed part-way leaves
+// bytes past the last acknowledged record and the file position past
+// them. The next append must land over those bytes, so a reopen keeps
+// both acknowledged records; written at the file position, the second
+// record sat behind the garbage and recovery cut it off as a torn tail.
+func TestJournalHealsFailedAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.nsj")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("A")); err != nil {
+		t.Fatal(err)
+	}
+	// The partial write: a record header claiming more than the limit and
+	// a few payload bytes, longer than the record that follows.
+	if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.f.Write([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("B")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	j2, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(recs) != 2 || string(recs[0]) != "A" || string(recs[1]) != "B" {
+		t.Fatalf("records after a failed append = %q, want [A B]", recs)
 	}
 }
 
