@@ -49,7 +49,15 @@ func IsReplayCritical(pkgPath string) bool {
 //     float accumulation, returns using the iteration variables);
 //   - `go` statements with no visible synchronization in the spawned
 //     body (a channel operation or sync.* call) — a fire-and-forget
-//     goroutine racing the decision path cannot be replayed.
+//     goroutine racing the decision path cannot be replayed;
+//   - engine fan-out jobs that write shared state: a func literal passed
+//     to engine.Map runs once per job index, concurrently with itself, so
+//     assigning a variable it captures (=, op-assign, ++/--, any operand
+//     of a multi-assign) or writing a captured map by key (m[k] = v,
+//     delete) is a data race, while an indexed write into a captured
+//     slice lands in the job's own slot and is fine; engine.Run runs each
+//     literal once, so its captured writes race only when another job of
+//     the same call uses the same variable.
 //
 // The escape hatch is `//netsamp:nondeterministic-ok <reason>` on (or
 // immediately above) the flagged line; the reason is mandatory.
@@ -77,6 +85,7 @@ func runDeterminism(pass *Pass) error {
 			switch n := n.(type) {
 			case *ast.CallExpr:
 				checkForbiddenCall(pass, n)
+				checkFanOut(pass, n)
 			case *ast.RangeStmt:
 				checkMapRange(pass, n)
 			case *ast.GoStmt:
@@ -345,4 +354,122 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 	if !synced {
 		pass.Reportf(g.Pos(), "unsynchronized goroutine inside the replay fence (no channel operation or sync call in its body); annotate //netsamp:nondeterministic-ok <reason> if the race is provably benign")
 	}
+}
+
+// checkFanOut flags the shared-state writes of the func literals passed
+// to engine.Map and engine.Run (see DeterminismAnalyzer).
+func checkFanOut(pass *Pass, call *ast.CallExpr) {
+	var kind string
+	for _, name := range []string{"Map", "Run"} {
+		if isPkgFunc(pass.Info, call, "netsamp/internal/engine", name) {
+			kind = name
+		}
+	}
+	if kind == "" {
+		return
+	}
+	var lits []*ast.FuncLit
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		}
+	}
+	for i, lit := range lits {
+		for _, w := range capturedWrites(pass, lit) {
+			if kind == "Run" && !usedByOther(pass, lits, i, w.obj) {
+				continue
+			}
+			if allowNondet(pass, w.pos) {
+				continue
+			}
+			switch {
+			case w.isMap:
+				pass.Reportf(w.pos, "engine.%s job writes captured map %s by key: concurrent jobs race on it; build the map inside the job or merge per-job results after the fan-out", kind, w.obj.Name())
+			case kind == "Map":
+				pass.Reportf(w.pos, "engine.Map job assigns captured variable %s: concurrent jobs race on it; declare it inside the job or write the job's own slot", w.obj.Name())
+			default:
+				pass.Reportf(w.pos, "engine.Run job assigns captured variable %s, which another job of the same call also uses: they race", w.obj.Name())
+			}
+		}
+	}
+}
+
+// sharedWrite is one write, inside a fan-out literal, to a variable
+// declared outside it.
+type sharedWrite struct {
+	pos   token.Pos
+	obj   types.Object
+	isMap bool // a keyed map write or delete rather than an assignment
+}
+
+// capturedWrites lists lit's writes to variables declared outside it:
+// assignments (other than :=, which declares) and ++/-- of a captured
+// variable, and keyed writes and deletes on a captured map. Indexed
+// writes into slices and arrays are not listed.
+func capturedWrites(pass *Pass, lit *ast.FuncLit) []sharedWrite {
+	var out []sharedWrite
+	outer := func(e ast.Expr) types.Object {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.Ident:
+				obj, ok := pass.Info.Uses[x].(*types.Var)
+				if !ok || declaredWithin(pass, obj, lit) {
+					return nil
+				}
+				return obj
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			default:
+				return nil
+			}
+		}
+	}
+	write := func(pos token.Pos, lhs ast.Expr) {
+		switch l := ast.Unparen(lhs).(type) {
+		case *ast.Ident:
+			if obj := outer(l); obj != nil {
+				out = append(out, sharedWrite{pos: pos, obj: obj})
+			}
+		case *ast.IndexExpr:
+			if isMapType(pass.Info.Types[l.X].Type) {
+				if obj := outer(l.X); obj != nil {
+					out = append(out, sharedWrite{pos: pos, obj: obj, isMap: true})
+				}
+			}
+		}
+	}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					write(n.Pos(), lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			write(n.Pos(), n.X)
+		case *ast.CallExpr:
+			if isBuiltin(pass.Info, n, "delete") && len(n.Args) == 2 {
+				if obj := outer(n.Args[0]); obj != nil {
+					out = append(out, sharedWrite{pos: n.Pos(), obj: obj, isMap: true})
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// usedByOther reports whether any literal but lits[i] mentions obj.
+func usedByOther(pass *Pass, lits []*ast.FuncLit, i int, obj types.Object) bool {
+	for j, lit := range lits {
+		if j != i && mentionsObjects(pass.Info, lit.Body, map[types.Object]bool{obj: true}) {
+			return true
+		}
+	}
+	return false
 }

@@ -17,7 +17,7 @@ import (
 // testDeps are the import paths the testdata packages may use; their
 // export data is resolved once per test binary through the same
 // `go list -export` path the standalone driver uses.
-var testDeps = []string{"fmt", "os", "time", "math/rand", "sync", "sync/atomic", "math", "errors"}
+var testDeps = []string{"fmt", "os", "time", "math/rand", "sync", "sync/atomic", "math", "errors", "context", "netsamp/internal/engine", "netsamp/internal/rng"}
 
 var (
 	exportsOnce sync.Once

@@ -111,16 +111,15 @@ type ApproxPolicy struct {
 	// rejects the combination up front rather than failing intervals.
 	Enabled bool
 	// ExactRate is the calibrated exact-solver throughput in
-	// NNZ·iterations per second; 0 selects 2e6. Since the Newton-CG inner
-	// solve is truncated at the box, `netsamp scale` on one commodity
-	// core measures 4.2e6 at 1k links × 3 pairs/link (23k nnz, 624
-	// iterations in 3.5 s — the dense KKT factorizations of the last
-	// ≤512-free-link steps dominate there) and 4.9e7 at 2k links × 3
-	// pairs/link (43k nnz, 1290 iterations in 1.1 s); they were 1.5e6 and
-	// 2.5e6. The default is deliberately left where it was: it sits below
-	// every measured rate, so it can only err toward SolveApprox, whose
-	// answer carries a gap certificate, and re-calibrating belongs with
-	// the dense-threshold change that will move these rates again.
+	// NNZ·iterations per second; 0 selects 2.8e6. Since the Newton step
+	// pins every link its CG path meets on the box, an exact solve takes
+	// few but heavy iterations: `netsamp scale` on one 2-vCPU Xeon
+	// measures 2.83e6 at 1k links × 3 pairs/link (23k nnz, 22 iterations
+	// in 182 ms, median of five runs) and 2.91e6 at 2k links × 3
+	// pairs/link (43k nnz, 33 iterations in 487 ms); the default is the
+	// lower rate, rounded down. With approxExactIters = 600 the
+	// prediction still over-charges those solves 18–27×, so the policy
+	// errs toward SolveApprox, whose answer carries a gap certificate.
 	ExactRate float64
 }
 
@@ -133,7 +132,7 @@ const approxExactIters = 600
 func (ap ApproxPolicy) exactRate() float64 {
 	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
 	if ap.ExactRate == 0 {
-		return 2e6
+		return 2.8e6
 	}
 	return ap.ExactRate
 }
@@ -246,7 +245,7 @@ func New(opts Options) (*Controller, error) {
 	}
 	ar := opts.Approx.ExactRate
 	if math.IsNaN(ar) || math.IsInf(ar, 0) || ar < 0 {
-		return nil, &core.InputError{Field: "approx exact rate", Index: -1, Value: ar, Reason: "want a finite throughput > 0 in nnz·iters/s (0 = unset selects 2e6)"}
+		return nil, &core.InputError{Field: "approx exact rate", Index: -1, Value: ar, Reason: "want a finite throughput > 0 in nnz·iters/s (0 = unset selects 2.8e6)"}
 	}
 	if opts.Approx.Enabled && opts.Model != nil && !opts.Model.Additive() {
 		return nil, &core.InputError{Field: "approx policy", Index: -1, Reason: "rate model " + opts.Model.Name() + " is not additive: SolveApprox's gap certificate needs a concave objective"}

@@ -124,8 +124,7 @@ func TestNewSolverCSRValidation(t *testing.T) {
 
 // TestCSRMatchesDenseBitwise pins the CSR front door to the dense one:
 // the same incidence expressed either way must compile to the same
-// internal state and solve bit-identically (n here is far below the
-// dense-KKT bound, so both run the exact same kernels).
+// internal state and solve bit-identically.
 func TestCSRMatchesDenseBitwise(t *testing.T) {
 	for _, ecmp := range []bool{false, true} {
 		inst := genInstance(t, 300, 600, 9, ecmp)
@@ -202,8 +201,8 @@ func matchesRecorded(t *testing.T, s *Solver, sol *Solution, objective, lambda f
 	}
 }
 
-// TestCSRLargeNewtonCG drives the matrix-free Newton-KKT path (the free
-// set exceeds the dense-KKT bound) and brackets its optimum with the
+// TestCSRLargeNewtonCG drives the matrix-free Newton step on a large
+// free set (over 512 links) and brackets its optimum with the
 // Frank-Wolfe duality gap: exact must land inside [approx, approx+gap]
 // up to rounding.
 func TestCSRLargeNewtonCG(t *testing.T) {
@@ -213,8 +212,8 @@ func TestCSRLargeNewtonCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumLinks() <= denseKKTMaxFree {
-		t.Fatalf("instance too small to exercise the CG path: n = %d", s.NumLinks())
+	if s.NumLinks() <= 512 {
+		t.Fatalf("instance too small for a large free set: n = %d", s.NumLinks())
 	}
 	sol, err := s.Solve(Options{})
 	if err != nil {

@@ -12,11 +12,15 @@ import (
 )
 
 // Golden bits: FNV-64a over the IEEE-754 bit patterns of a solve's
-// Rates, Rho and Lambda. The hashes were recorded before the kernels
-// were collapsed onto one compiled form, so any change that reorders a
-// float addition anywhere between the front doors and the Solution —
-// not just one the solver's own cross-checks would catch, since those
-// compare the code against itself — fails here.
+// Rates, Rho and Lambda. Any change that reorders a float addition
+// anywhere between the front doors and the Solution — not just one the
+// solver's own cross-checks would catch, since those compare the code
+// against itself — fails here. The exact-solve hashes of the additive
+// models were re-recorded when the matrix-free Newton step replaced the
+// dense one; each such row also holds its optimum to the objective and λ
+// recorded before that change (matchesRecorded) and passes checkKKT. The
+// Frank-Wolfe rows moved with them: the line search both paths share
+// used to bisect on after its Newton iteration had converged.
 
 func solutionBits(sol *Solution) uint64 {
 	h := fnv.New64a()
@@ -72,15 +76,43 @@ func goldenArch(t *testing.T) {
 	}
 }
 
+// csrFromProblem lays a []Pair problem out as the CSRProblem checkKKT
+// reads, row by row.
+func csrFromProblem(p *Problem) *CSRProblem {
+	cp := &CSRProblem{Loads: p.Loads, MaxRate: p.MaxRate, Budget: p.Budget, Start: []int32{0}, Model: p.Model}
+	for _, pr := range p.Pairs {
+		for j, l := range pr.Links {
+			cp.Links = append(cp.Links, int32(l))
+			if pr.Fracs != nil {
+				cp.Fracs = append(cp.Fracs, pr.Fracs[j])
+			}
+		}
+		cp.Start = append(cp.Start, int32(len(cp.Links)))
+		cp.Utilities = append(cp.Utilities, pr.Utility)
+	}
+	return cp
+}
+
+// The additive GEANT rows' optimum, recorded with a Tol 1e-10 polish
+// while the dense Newton-KKT step still existed. The product model never
+// reaches the Newton step, and its hash is the one recorded before the
+// kernels were collapsed.
+const geantObjective, geantLambda = 19.886525013356334, 0.0003425535530660135
+
 func TestGoldenBitsGEANT(t *testing.T) {
 	goldenArch(t)
 	want := map[string]uint64{
-		"linear":            0x2a3efdd3e782197f,
+		"linear":            0xfb84132202aa6285,
 		"independent-exact": 0xaca8dac9ede0c8cb,
-		"coordinated":       0x2a3efdd3e782197f, // same surrogate as linear
+		"coordinated":       0xfb84132202aa6285, // same surrogate as linear
 	}
 	for _, m := range []RateModel{ModelLinear, ModelIndependentExact, ModelCoordinated} {
-		sol, err := Solve(geantProblem(t, m), Options{})
+		p := geantProblem(t, m)
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := s.Solve(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,6 +121,10 @@ func TestGoldenBitsGEANT(t *testing.T) {
 		}
 		if got := solutionBits(sol); got != want[m.Name()] {
 			t.Errorf("%s: solution bits %#016x, want %#016x", m.Name(), got, want[m.Name()])
+		}
+		if m.Additive() {
+			checkKKT(t, csrFromProblem(p), sol, 1e-6)
+			matchesRecorded(t, s, sol, geantObjective, geantLambda)
 		}
 	}
 }
@@ -111,14 +147,14 @@ func TestGoldenBitsScale(t *testing.T) {
 		approx  bool
 		want    uint64
 	}{
-		{"serial", small, 0, false, 0x3b71d4461575a9ab},
-		{"sharded-2", small, 2, false, 0x3b71d4461575a9ab},
-		{"sharded-5", small, 5, false, 0x3b71d4461575a9ab},
-		{"approx", small, 0, true, 0x5828b19ec6d5ac01},
-		{"multi-chunk/serial", multi, 0, false, 0xa68b3c2ee8e9b6f9},
-		{"multi-chunk/sharded-2", multi, 2, false, 0xb050cf65e7523eb0},
-		{"multi-chunk/sharded-5", multi, 5, false, 0xb050cf65e7523eb0},
-		{"multi-chunk/approx-sharded-2", multi, 2, true, 0x2360dcded60580a6},
+		{"serial", small, 0, false, 0xd10e41a84127276c},
+		{"sharded-2", small, 2, false, 0xd10e41a84127276c},
+		{"sharded-5", small, 5, false, 0xd10e41a84127276c},
+		{"approx", small, 0, true, 0x7bbda4e6ab21a435},
+		{"multi-chunk/serial", multi, 0, false, 0x08ca866bd3a41829},
+		{"multi-chunk/sharded-2", multi, 2, false, 0x9d6588a0bf2b868e},
+		{"multi-chunk/sharded-5", multi, 5, false, 0x9d6588a0bf2b868e},
+		{"multi-chunk/approx-sharded-2", multi, 2, true, 0x49e4816ff7efb346},
 	} {
 		cp := csrFromInstance(t, genInstance(t, c.inst.links, c.inst.pairs, 7, true), 0.1)
 		sol := func() *Solution {
@@ -139,6 +175,11 @@ func TestGoldenBitsScale(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !c.approx && c.inst == small {
+				// The 300-link optimum, recorded with a Tol 1e-10 polish
+				// while the dense Newton-KKT step still existed.
+				matchesRecorded(t, s, sol, 2555.1980998602935, 4.1878073641164492e-06)
 			}
 			return sol
 		}()

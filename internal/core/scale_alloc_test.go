@@ -7,13 +7,13 @@ import (
 )
 
 // Zero-alloc pins for the scale tier: the CSR front door, the Newton-CG
-// path (free set beyond the dense-KKT bound), the sharded kernels, and
-// the Frank-Wolfe approximation must all keep SolveInto/SolveApproxInto
+// step on a large free set, the sharded kernels, and the Frank-Wolfe
+// approximation must all keep SolveInto/SolveApproxInto
 // at 0 allocs/op in steady state — at one solve per 5-minute interval
 // for years, allocator traffic is drift the daemon cannot afford.
 
-// scaleAllocProblem exceeds denseKKTMaxFree links (forcing Newton-CG)
-// and one shard chunk (forcing real multi-chunk dispatch when sharded).
+// scaleAllocProblem exceeds 512 links (a large Newton-CG free set) and
+// one shard chunk (forcing real multi-chunk dispatch when sharded).
 func scaleAllocProblem(t testing.TB) *CSRProblem {
 	t.Helper()
 	links, pairs := 1000, 6000
@@ -45,8 +45,8 @@ func TestScaleSolveIntoZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumLinks() <= denseKKTMaxFree {
-		t.Fatalf("problem too small to force the CG path: n = %d", s.NumLinks())
+	if s.NumLinks() <= 512 {
+		t.Fatalf("problem too small for a large free set: n = %d", s.NumLinks())
 	}
 	var sol Solution
 	opt := Options{MaxIter: shardIters(12)}

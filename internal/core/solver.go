@@ -230,7 +230,7 @@ func (ft *polytope) fixBudget(rates []float64, lower, upper []bool) {
 		for i, r := range rates {
 			viol += r * ft.loads[i]
 		}
-		if math.Abs(viol) <= 1e-12*math.Max(1, ft.budget) {
+		if math.Abs(viol) <= 1e-12*ft.budget {
 			return
 		}
 		den := 0.0

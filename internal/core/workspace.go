@@ -46,18 +46,11 @@ type Solver struct {
 	rates, g, d, sdir, prevD []float64
 	lower, upper             []bool
 
-	// Scratch of the Newton-KKT step: the bordered system over the free
-	// coordinates — dense only while the free set stays small (the matrix
-	// is at most (denseKKTMaxFree+1)², never (n+1)², so a 10k-link solver
-	// does not carry an 800 MB buffer) — and the link → free-position map.
-	kkt     []float64
-	kktRHS  []float64
-	freePos []int32
-
-	// Scratch of the matrix-free projected-CG Newton step used when the
-	// free set outgrows the dense KKT factorization: per-pair curvature
-	// coefficients, the CG work vectors and the inverted Jacobi diagonal.
-	// O(n + nPairs) floats, sized for every solver.
+	// Scratch of the Newton step (newtoncg.go): the link → free-position
+	// map (−1 on pinned links), per-pair curvature coefficients, the CG
+	// work vectors and the inverted Jacobi diagonal. O(n + nPairs), like
+	// every other buffer of the Solver.
+	freePos            []int32
 	curv               []float64
 	cgR, cgZ, cgP, cgA []float64
 	cgMinv             []float64
@@ -129,14 +122,6 @@ func flattenPairs(pairs []Pair) (start, links []int32, fracs []float64) {
 	return start, links, fracs
 }
 
-// denseKKTMaxFree caps the free-coordinate count handled by the dense
-// bordered Newton-KKT factorization. Below it the (nf+1)² system is
-// assembled and eliminated in place — exactly the pre-scale behavior, so
-// every small-instance result stays bitwise identical. Above it the step
-// comes from the matrix-free projected-CG kernel (newtoncg.go), whose
-// memory is O(n + nPairs) instead of O(n²).
-const denseKKTMaxFree = 512
-
 // compile builds the workspace over a validated problem's CSR rows: the
 // single step NewSolver and NewSolverCSR share. Start/Links/Fracs/
 // Utilities are adopted, not copied; loads and caps are cloned, weights
@@ -178,12 +163,6 @@ func compile(p *CSRProblem) *Solver {
 	s.prevD = make([]float64, n)
 	s.lower = make([]bool, n)
 	s.upper = make([]bool, n)
-	kktDim := n
-	if kktDim > denseKKTMaxFree {
-		kktDim = denseKKTMaxFree
-	}
-	s.kkt = make([]float64, (kktDim+1)*(kktDim+1))
-	s.kktRHS = make([]float64, n+1)
 	s.freePos = make([]int32, n)
 	s.curv = make([]float64, nPairs)
 	s.cgR = make([]float64, n)
@@ -457,26 +436,28 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 }
 
 // newtonInto attempts the equality-constrained Newton step at rates:
-// solve
+// the solution of
 //
 //	[H   U_f] [Δ]   [−g_f]
 //	[U_fᵀ  0] [ν] = [  0 ]
 //
 // over the free coordinates, where H is the objective Hessian
-// Σ_k w_k·M_k″(ρ_k)·ā_k ā_kᵀ (linear rate model) and U_f the loads —
-// the budget-hyperplane tangency condition. On success the step is
-// written into out (zero on pinned coordinates) and newtonInto reports
-// true; the caller still clamps it to the box and line-searches along
-// it, so a poor step degrades to a short move, never an infeasible one.
-// Falls out (returning false) for non-additive rate models, a singular
-// system, or a numerically non-ascent direction.
+// Σ_k w_k·M_k″(ρ_k)·ā_k ā_kᵀ and U_f the loads — the budget-hyperplane
+// tangency condition — computed matrix-free by truncated projected CG
+// (newtonCGInto), which pins the links its path meets on the box as it
+// goes. On success the step is written into out (zero on links pinned
+// before the call) and newtonInto reports true; the caller still clamps
+// it to the box and line-searches along it, so a poor step degrades to a
+// short move, never an infeasible one. Falls out (returning false) for
+// non-additive rate models, flat curvature, or a numerically non-ascent
+// direction.
 //netsamp:noalloc
 func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	if !s.model.Additive() {
 		// The product model's Hessian has off-diagonal coupling terms
 		// from ∂²ρ/∂p_i∂p_j; not worth the complexity for the ablation
-		// model. The Hessian assembly below (c·f_a·f_b per pair) is exact
-		// for every additive model.
+		// model. The Hessian products (c·f_a·f_b per pair) are exact for
+		// every additive model.
 		return false
 	}
 	nf := 0
@@ -491,122 +472,7 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	if nf == 0 {
 		return false
 	}
-	if nf > denseKKTMaxFree {
-		// The bordered dense system would need (nf+1)² floats and an
-		// O(nf³) elimination; at scale the projected-CG kernel computes
-		// the same step from Hessian-vector products over the CSR rows.
-		return s.newtonCGInto(out, rates, g, nf)
-	}
-	m := nf + 1
-	K := s.kkt[:m*m]
-	for i := range K {
-		K[i] = 0
-	}
-	for k := 0; k < s.nPairs; k++ {
-		c := s.wts[k] * s.utils[k].Curv(s.rho(k, rates))
-		//netsamp:floateq-ok exactly-zero curvature contributes nothing to K
-		if c == 0 {
-			continue
-		}
-		lo, hi := s.start[k], s.start[k+1]
-		for a := lo; a < hi; a++ {
-			ia := s.freePos[s.links[a]]
-			if ia < 0 {
-				continue
-			}
-			fa := 1.0
-			if s.fracs != nil {
-				fa = s.fracs[a]
-			}
-			row := int(ia) * m
-			for b := lo; b < hi; b++ {
-				ib := s.freePos[s.links[b]]
-				if ib < 0 {
-					continue
-				}
-				fb := 1.0
-				if s.fracs != nil {
-					fb = s.fracs[b]
-				}
-				K[row+int(ib)] += c * fa * fb
-			}
-		}
-	}
-	rhs := s.kktRHS[:m]
-	for i := 0; i < s.n; i++ {
-		if j := s.freePos[i]; j >= 0 {
-			K[int(j)*m+nf] = s.loads[i]
-			K[nf*m+int(j)] = s.loads[i]
-			rhs[j] = -g[i]
-		}
-	}
-	rhs[nf] = 0
-	if !solveDenseInPlace(K, rhs, m) {
-		return false
-	}
-	// Read the step back; require a (numerically) strict ascent
-	// direction — guaranteed in exact arithmetic when H is negative
-	// definite on the hyperplane's tangent space, so a failure here means
-	// the system was near-singular and the step is garbage.
-	asc := 0.0
-	for i := 0; i < s.n; i++ {
-		if j := s.freePos[i]; j >= 0 {
-			v := rhs[j]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return false
-			}
-			out[i] = v
-			asc += v * g[i]
-		} else {
-			out[i] = 0
-		}
-	}
-	return asc > 0
-}
-
-// solveDenseInPlace solves the m×m row-major system a·x = b by Gaussian
-// elimination with partial pivoting, overwriting a and b (b becomes x).
-// Reports false on an (effectively) singular pivot.
-//netsamp:noalloc
-func solveDenseInPlace(a, b []float64, m int) bool {
-	for c := 0; c < m; c++ {
-		pr, pmax := c, math.Abs(a[c*m+c])
-		for r := c + 1; r < m; r++ {
-			if v := math.Abs(a[r*m+c]); v > pmax {
-				pr, pmax = r, v
-			}
-		}
-		//netsamp:floateq-ok an exactly-zero pivot column means the system is singular
-		if pmax == 0 {
-			return false
-		}
-		if pr != c {
-			for k := c; k < m; k++ {
-				a[pr*m+k], a[c*m+k] = a[c*m+k], a[pr*m+k]
-			}
-			b[pr], b[c] = b[c], b[pr]
-		}
-		inv := 1 / a[c*m+c]
-		for r := c + 1; r < m; r++ {
-			f := a[r*m+c] * inv
-			//netsamp:floateq-ok an exactly-zero multiplier leaves the row unchanged
-			if f == 0 {
-				continue
-			}
-			for k := c + 1; k < m; k++ {
-				a[r*m+k] -= f * a[c*m+k]
-			}
-			b[r] -= f * b[c]
-		}
-	}
-	for r := m - 1; r >= 0; r-- {
-		v := b[r]
-		for k := r + 1; k < m; k++ {
-			v -= a[r*m+k] * b[k]
-		}
-		b[r] = v / a[r*m+r]
-	}
-	return true
+	return s.newtonCGInto(out, rates, g, nf)
 }
 
 // rowFracs returns pair row [lo, hi)'s fraction subslice, or nil when
@@ -734,12 +600,17 @@ func (s *Solver) lineSearch(rates, dir []float64, tMax float64, opt Options, new
 		} else {
 			next = math.NaN()
 		}
+		if math.Abs(next-t) <= 1e-15*tMax {
+			// Converged. The correction can round next onto t itself —
+			// the bracket end just set — so this is tested before the
+			// bracket, or a converged search would bisect on to 1e-14.
+			if next > lo && next < hi {
+				t = next
+			}
+			break
+		}
 		if !(next > lo && next < hi) {
 			next = (lo + hi) / 2
-		}
-		if math.Abs(next-t) <= 1e-15*tMax {
-			t = next
-			break
 		}
 		t = next
 	}

@@ -159,6 +159,7 @@ func CoordinationStudy(ctx context.Context, s *geant.Scenario, thetas []float64,
 				}
 				return sampling.Summarize(results), nil
 			}
+			var err error
 			if point.Independent, err = simulate(indepRho); err != nil {
 				return point, err
 			}

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"slices"
+
 	"netsamp/internal/packet"
 	"netsamp/internal/routing"
 	"netsamp/internal/topology"
@@ -41,7 +43,21 @@ type PairAssignment struct {
 type Coordination struct {
 	// Assignments is indexed like the matrix's pairs.
 	Assignments []PairAssignment
+
+	// The per-link inversion MonitorConfig reads, built once by
+	// Coordinate: slot numbers the monitors that own a range (in order of
+	// first appearance), and slot s owns the entries
+	// owned[start[s]:start[s+1]], in pair order. empty is one canonical
+	// empty range per pair, the template every configuration starts from.
+	slot  map[topology.LinkID]int32
+	start []int32
+	owned []ownedRange
+	empty []packet.HashRange
 }
+
+// ownedRange is one entry of a monitor's configuration: the range
+// Assignments[pair].Ranges[pos].
+type ownedRange struct{ pair, pos int32 }
 
 // Coordinate derives the per-pair hash-range assignment for a deployed
 // rate assignment under the coordinated rate model. Monitors with zero
@@ -81,27 +97,68 @@ func Coordinate(m *routing.Matrix, rates map[topology.LinkID]float64) *Coordinat
 		a.Ranges = make([]packet.HashRange, len(shares))
 		packet.PartitionHashSpace(a.Ranges, shares)
 	}
+	c.invert()
 	return c
+}
+
+// invert builds the link → (pair, range) index from Assignments: one
+// counting pass that numbers the owning links, one placing pass.
+func (c *Coordination) invert() {
+	c.slot = make(map[topology.LinkID]int32)
+	var count, slots []int32
+	for k := range c.Assignments {
+		for _, l := range c.Assignments[k].Links {
+			s, ok := c.slot[l]
+			if !ok {
+				s = int32(len(count))
+				c.slot[l] = s
+				count = append(count, 0)
+			}
+			count[s]++
+			slots = append(slots, s)
+		}
+	}
+	c.start = make([]int32, len(count)+1)
+	for s, n := range count {
+		c.start[s+1] = c.start[s] + n
+		count[s] = c.start[s] // now the placing cursor
+	}
+	c.empty = make([]packet.HashRange, len(c.Assignments))
+	for k := range c.empty {
+		c.empty[k] = packet.EmptyHashRange
+	}
+	c.owned = make([]ownedRange, len(slots))
+	e := 0
+	for k := range c.Assignments {
+		for j := range c.Assignments[k].Links {
+			s := slots[e]
+			c.owned[count[s]] = ownedRange{pair: int32(k), pos: int32(j)}
+			count[s]++
+			e++
+		}
+	}
 }
 
 // MonitorConfig extracts the per-pair filter configuration of one
 // monitor: ranges[k] is the hash range link lid owns for pair k (the
 // canonical empty range when it owns none) and coins[k] the sampling
 // probability to apply inside it. The slices feed
-// netflow.CoordConfig directly.
+// netflow.CoordConfig directly. Past filling the defaults, the cost is
+// the monitor's own pairs; the Coordination must come from Coordinate.
 func (c *Coordination) MonitorConfig(lid topology.LinkID) (ranges []packet.HashRange, coins []float64) {
-	ranges = make([]packet.HashRange, len(c.Assignments))
+	ranges = slices.Clone(c.empty) // a copy, not a zeroed make then a fill
 	coins = make([]float64, len(c.Assignments))
-	for k := range c.Assignments {
-		ranges[k] = packet.EmptyHashRange
-		a := &c.Assignments[k]
-		for j, l := range a.Links {
-			if l == lid {
-				ranges[k] = a.Ranges[j]
-				coins[k] = a.Coin
-				break
-			}
-		}
+	s, ok := c.slot[lid]
+	if !ok {
+		return ranges, coins
+	}
+	// Backwards, so that a link listed twice on one pair's path keeps its
+	// first range.
+	own := c.owned[c.start[s]:c.start[s+1]]
+	for i := len(own) - 1; i >= 0; i-- {
+		a := &c.Assignments[own[i].pair]
+		ranges[own[i].pair] = a.Ranges[own[i].pos]
+		coins[own[i].pair] = a.Coin
 	}
 	return ranges, coins
 }
