@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"netsamp/internal/netflow"
+	"netsamp/internal/packet"
+	"netsamp/internal/prefix"
 )
 
 // benchHarness is a step-mode pipeline driver with preallocated,
@@ -197,5 +199,94 @@ func TestZeroAllocAtMillionRecords(t *testing.T) {
 	}
 	if v.Dropped.Total() != 0 {
 		t.Fatalf("pin dropped %d records; it must run drop-free", v.Dropped.Total())
+	}
+}
+
+// pairDgram builds one full datagram whose records are addressed the
+// way the interval-pipeline benchmark addresses OD pair k, into
+// 10.(k>>8).(k&255).0/24: record i goes to pair (first+73·i) mod pairs
+// and carries 1+i packets.
+func pairDgram(exp, seq uint32, first, pairs int) []byte {
+	h := packet.Header{Count: netflow.MaxRecordsPerDatagram, Seq: seq, Exporter: exp}
+	b := h.AppendTo(nil)
+	for i := 0; i < netflow.MaxRecordsPerDatagram; i++ {
+		k := (first + 73*i) % pairs
+		rec := packet.Record{
+			Key: packet.FiveTuple{
+				Src: packet.Addr(exp), Dst: packet.Addr(10<<24 | uint32(k)<<8 | uint32(i)),
+				SrcPort: uint16(seq), DstPort: uint16(i), Proto: packet.ProtoTCP,
+			},
+			MonitorID: uint16(exp),
+			Packets:   uint64(1 + i),
+			End:       1,
+		}
+		b = rec.AppendTo(b)
+	}
+	return b
+}
+
+// TestZeroAllocPrefixClassified is TestZeroAllocAtMillionRecords with
+// the production classifier: netflow.PrefixClassifier over a
+// 20 000-entry /24 table. It makes the shard's claim that the installed
+// classifier is a pure index lookup a tested fact, and checks that
+// every record was classified and counted.
+func TestZeroAllocPrefixClassified(t *testing.T) {
+	const pairs = 20000
+	var tbl prefix.Table
+	for k := 0; k < pairs; k++ {
+		tbl.MustInsert(packet.Addr(10<<24|uint32(k)<<8), 24, int32(k))
+	}
+	rho := make([]float64, pairs)
+	for k := range rho {
+		rho[k] = 1
+	}
+	col, err := New(Config{Shards: 4, RingSize: 1024, IntervalSeconds: 300, Rho: rho, Classifier: netflow.PrefixClassifier(&tbl)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &benchHarness{col: col}
+	for e := 0; e < 8; e++ {
+		h.bufs = append(h.bufs, pairDgram(uint32(1+e), 1, 2477*e, pairs))
+		h.seqs = append(h.seqs, 1)
+	}
+	for i := 0; i < 64; i++ {
+		h.inject(i%8, 0)
+	}
+	col.ProcessAllAvailable()
+	if err := col.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	const runs = 110
+	const dgramsPerRun = 270
+	allocs := testing.AllocsPerRun(runs, func() {
+		for d := 0; d < dgramsPerRun; d++ {
+			h.inject(d%8, 0)
+			if d%64 == 63 {
+				col.ProcessAllAvailable()
+			}
+		}
+		col.ProcessAllAvailable()
+		if err := col.MergeNow(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per %d-record run with the prefix classifier; the steady state must not allocate", allocs, dgramsPerRun*netflow.MaxRecordsPerDatagram)
+	}
+	v := col.Snapshot()
+	if v.Records < 1_000_000 || v.Dropped.Total() != 0 {
+		t.Fatalf("pin covered %d records with %d dropped, want >= 1M and none", v.Records, v.Dropped.Total())
+	}
+	var sampled uint64
+	for _, b := range col.Estimates() {
+		for _, c := range b.Sampled {
+			sampled += c
+		}
+	}
+	// Each datagram carries 1+2+…+34 packets.
+	perDgram := uint64(netflow.MaxRecordsPerDatagram * (netflow.MaxRecordsPerDatagram + 1) / 2)
+	if want := v.Delivered / netflow.MaxRecordsPerDatagram * perDgram; sampled != want {
+		t.Fatalf("estimator holds %d sampled packets, want %d: records went unclassified", sampled, want)
 	}
 }

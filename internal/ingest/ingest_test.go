@@ -370,6 +370,75 @@ func TestMergeBitIdenticalAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestAccumulateMatchesPerRecordFold holds accumulate, which resolves
+// the interval bin once per run of records sharing it, to a per-record
+// map fold. The batches switch bins every record, in runs, between
+// batches and inside a bin, with unclassified and out-of-range records
+// (which must not end a run's bookkeeping early) mixed in, and a merge
+// recycles the count slices halfway.
+func TestAccumulateMatchesPerRecordFold(t *testing.T) {
+	cfg := testConfig(1)
+	// DstPort 7 is unclassified; DstPort ≥ 3 (other than 7) is an OD
+	// index past len(Rho).
+	cfg.Classifier = func(key packet.FiveTuple) (int, bool) { return int(key.DstPort), key.DstPort != 7 }
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.shards[0]
+	type rec struct {
+		start uint32
+		od    uint16
+	}
+	batches := [][]rec{
+		{{0, 0}, {300, 1}, {10, 2}, {310, 0}, {20, 1}, {599, 2}},    // alternate every record
+		{{299, 0}, {0, 1}, {7, 2}, {300, 0}, {300, 1}, {0, 2}},      // runs of three
+		{{600, 1}, {0, 7}, {610, 2}, {0, 5}, {620, 0}},              // new bin; skipped records of another bin between
+		{{620, 0}, {0, 1}, {899, 2}},                                // first record continues the last batch's bin
+		{{0, 7}, {300, 4}},                                          // nothing counted
+		{{300, 2}},                                                  // after a merge: recycled slices
+		{{900, 0}, {300, 1}, {900, 2}, {300, 0}, {1200, 1}, {0, 2}}, // three bins interleaved
+	}
+	want := map[uint32][]uint64{}
+	packets := uint64(1)
+	for bi, batch := range batches {
+		recs := make([]packet.Record, len(batch))
+		for i, r := range batch {
+			recs[i] = packet.Record{Key: packet.FiveTuple{DstPort: r.od}, Start: r.start, Packets: packets}
+			if r.od < 3 {
+				bin := r.start - r.start%300
+				if want[bin] == nil {
+					want[bin] = make([]uint64, 3)
+				}
+				want[bin][r.od] += packets
+			}
+			packets = packets*3 + 1
+		}
+		s.mu.Lock()
+		s.accumulate(recs)
+		s.mu.Unlock()
+		if bi == 4 {
+			if err := c.MergeNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.MergeNow(); err != nil {
+		t.Fatal(err)
+	}
+	ests := c.Estimates()
+	if len(ests) != len(want) {
+		t.Fatalf("%d bins, want %d", len(ests), len(want))
+	}
+	for _, b := range ests {
+		for k, got := range b.Sampled {
+			if got != want[b.Start][k] {
+				t.Fatalf("bin %d od %d: %d packets, per-record fold %d", b.Start, k, got, want[b.Start][k])
+			}
+		}
+	}
+}
+
 // TestLiveOverloadGracefulDegradation drives a live 2-shard collector
 // at several times its throttled capacity over UDP: it must stay up,
 // drop (not block, not grow), keep the books exact, and report the

@@ -183,8 +183,11 @@ func (s *shard) decodeSlot(b []byte) (int, bool) {
 
 // accumulate classifies decoded records and folds their packet counts
 // into the shard's pending per-OD interval bins. Caller holds mu (the
-// merge reads and recycles these bins). Unclassified records are
-// background traffic outside the measurement task, not loss.
+// merge reads and recycles these bins) for the whole call, so the count
+// slice of the last bin seen stays valid across records: the bin map
+// is consulted once per run of records that share a bin — for a
+// datagram, almost always once. Unclassified records are background
+// traffic outside the measurement task, not loss.
 //
 //netsamp:noalloc
 //netsamp:holds mu processSlot locks before folding the decoded batch
@@ -192,15 +195,18 @@ func (s *shard) accumulate(recs []packet.Record) {
 	if s.classify == nil || s.numOD == 0 || s.interval == 0 {
 		return
 	}
+	var last uint32
+	var counts []uint64
 	for i := range recs {
-		od, ok := s.classify(recs[i].Key) //netsamp:allocflow-ok classifier installed at config time is a pure index lookup
+		od, ok := s.classify(recs[i].Key) //netsamp:allocflow-ok classifier installed at config time is a pure index lookup (netflow.PrefixClassifier: pinned by TestZeroAllocPrefixClassified)
 		if !ok || od < 0 || od >= s.numOD {
 			continue
 		}
-		bin := recs[i].Start - recs[i].Start%s.interval
-		counts := s.bins[bin]
-		if counts == nil {
-			counts = s.newBinLocked(bin) //netsamp:allocflow-ok cold: one slice per new interval bin, amortized over the interval
+		if bin := recs[i].Start - recs[i].Start%s.interval; counts == nil || bin != last {
+			last, counts = bin, s.bins[bin]
+			if counts == nil {
+				counts = s.newBinLocked(bin) //netsamp:allocflow-ok cold: one slice per new interval bin, amortized over the interval
+			}
 		}
 		counts[od] += recs[i].Packets
 	}
