@@ -1,7 +1,7 @@
 // Command netsamplint is netsamp's multichecker: it runs the
-// internal/analyzers suite (determinism, noalloc, noallocflow,
-// atomicfield, guardedby, ctxhygiene, codecpair, codecver, floatcmp,
-// stickyerr) over Go packages and reports invariant violations.
+// internal/analyzers suite (determinism, noalloc, atomicfield,
+// guardedby, ctxhygiene, codecpair, codecver, floatcmp, stickyerr) over
+// Go packages and reports invariant violations.
 //
 // Two modes share the same analyzers and type information:
 //
@@ -20,8 +20,8 @@
 //	    data and analyzes just that package. Each visit writes the
 //	    package's //netsamp: facts (noalloc annotations) to its .vetx
 //	    file; dependency facts arrive back through PackageVetx, which is
-//	    how the interprocedural noallocflow check sees across package
-//	    boundaries under vet.
+//	    how noalloc's call rules see across package boundaries under
+//	    vet.
 package main
 
 import (
@@ -67,7 +67,7 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(standalone(patterns, *jsonOut, *writeFP))
+	os.Exit(standalone(os.Stdout, patterns, *jsonOut, *writeFP))
 }
 
 // printVersion emits the fingerprint line the go command caches vet
@@ -91,7 +91,10 @@ type baseline struct {
 	Findings  []analyzers.Diagnostic `json:"findings"`
 }
 
-func standalone(patterns []string, jsonOut, writeFP bool) int {
+// standalone runs the suite over patterns, writing findings to stdout
+// (the baseline JSON with jsonOut), and returns the exit code: 2 when
+// anything was found.
+func standalone(stdout io.Writer, patterns []string, jsonOut, writeFP bool) int {
 	dir, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -154,10 +157,10 @@ func standalone(patterns []string, jsonOut, writeFP bool) int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	} else {
 		for _, d := range diags {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {

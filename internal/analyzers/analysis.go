@@ -1,14 +1,15 @@
-// Package analyzers is netsamp's static-analysis suite: five custom
+// Package analyzers is netsamp's static-analysis suite: nine custom
 // analyzers that mechanically enforce the invariants the repo's
 // correctness story rests on — deterministic replay, zero-allocation
-// hot paths, encode/decode symmetry of the persistence codec, exact
+// hot paths, lock and atomic-access discipline, context hygiene,
+// encode/decode symmetry and versioning of the persistence codec, exact
 // float comparison discipline, and sticky-error hygiene.
 //
 // The suite is built on a small stdlib-only framework that mirrors the
 // golang.org/x/tools/go/analysis API (Analyzer, Pass, Diagnostic). The
 // container this repo builds in has no module proxy access, so the
 // x/tools dependency is deliberately not used; the framework below is
-// the subset the five analyzers need, typechecking packages against the
+// the subset the suite needs, typechecking packages against the
 // compiler's export data (see load.go) exactly as a vet tool would.
 //
 // Annotation grammar (machine-readable comments, all prefixed
@@ -16,15 +17,17 @@
 //
 //	//netsamp:noalloc
 //	    On a function's doc comment: the function body is checked for
-//	    allocating constructs (intraprocedurally; the alloc-pinning
-//	    benchmarks remain the end-to-end guard).
+//	    allocating constructs and may only call functions known to be
+//	    allocation-free (the alloc-pinning benchmarks remain the
+//	    end-to-end guard).
 //	//netsamp:nondeterministic-ok <reason>
 //	    On or immediately above a flagged line: suppresses a
 //	    determinism finding. The reason is mandatory.
 //	//netsamp:alloc-ok <reason>
 //	    On or immediately above a flagged line inside a noalloc
 //	    function: suppresses an allocation finding (e.g. a provably
-//	    non-escaping closure).
+//	    non-escaping closure, or a call whose callee is not annotated
+//	    but is known allocation-free).
 //	//netsamp:floateq-ok <reason>
 //	    On or immediately above a float ==/!=: marks the comparison as
 //	    an intentional exact fixed-point/bit-pattern comparison.
@@ -53,10 +56,6 @@
 //	//netsamp:atomic-ok <reason>
 //	    On or immediately above a plain access to an atomically-accessed
 //	    field: marks the mixed access as provably race-free.
-//	//netsamp:allocflow-ok <reason>
-//	    On or immediately above a call inside a //netsamp:noalloc
-//	    function: the callee is not annotated (or not resolvable) but is
-//	    known allocation-free.
 //	//netsamp:ctx-ok <reason>
 //	    On or immediately above a goroutine launch, in-loop sleep or
 //	    blocking channel send: cancellation is handled by other means
@@ -318,7 +317,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
 		NoallocAnalyzer,
-		NoallocFlowAnalyzer,
 		AtomicFieldAnalyzer,
 		GuardedByAnalyzer,
 		CtxHygieneAnalyzer,
@@ -337,7 +335,7 @@ func All() []*Analyzer {
 type PackageFacts struct {
 	// Noalloc lists the functions annotated //netsamp:noalloc, as "Fn"
 	// for package-level functions and "Type.Method" for methods — the
-	// vocabulary noallocflow resolves cross-package callees against.
+	// vocabulary noalloc resolves cross-package callees against.
 	Noalloc []string `json:"noalloc,omitempty"`
 }
 

@@ -15,13 +15,15 @@ import (
 )
 
 // testDeps are the import paths the testdata packages may use; their
-// export data is resolved once per test binary through the same
-// `go list -export` path the standalone driver uses.
+// export data, and the //netsamp: facts of the module-local ones, are
+// resolved once per test binary through the same `go list -export` path
+// the standalone driver uses.
 var testDeps = []string{"fmt", "os", "time", "math/rand", "sync", "sync/atomic", "math", "errors", "context", "netsamp/internal/engine", "netsamp/internal/rng"}
 
 var (
 	exportsOnce sync.Once
 	exportsMap  map[string]string
+	depFacts    map[string]*PackageFacts
 	exportsErr  error
 )
 
@@ -34,9 +36,18 @@ func testExports(t *testing.T) map[string]string {
 			return
 		}
 		exportsMap = make(map[string]string, len(metas))
+		depFacts = make(map[string]*PackageFacts)
 		for _, m := range metas {
 			if m.Export != "" {
 				exportsMap[m.ImportPath] = m.Export
+			}
+			if !m.Standard {
+				pkg, err := parseFactsOnly(m)
+				if err != nil {
+					exportsErr = err
+					return
+				}
+				depFacts[m.ImportPath] = pkg.Facts
 			}
 		}
 	})
@@ -44,6 +55,14 @@ func testExports(t *testing.T) map[string]string {
 		t.Fatalf("loading export data for testdata imports: %v", exportsErr)
 	}
 	return exportsMap
+}
+
+// testDepFacts returns the facts of the module-local testdata imports,
+// the DepFacts a driver would hand the analyzers.
+func testDepFacts(t *testing.T) map[string]*PackageFacts {
+	t.Helper()
+	testExports(t)
+	return depFacts
 }
 
 // wantRe extracts the backtick-quoted regexps of a want comment
@@ -56,8 +75,9 @@ type wantKey struct {
 }
 
 // runGolden typechecks testdata/src/<dir>, runs a over it (bypassing
-// AppliesTo, as the package path is synthetic), and matches diagnostics
-// against the want comments.
+// AppliesTo, as the package path is synthetic) with the real facts of
+// the module-local imports, and matches diagnostics against the want
+// comments.
 func runGolden(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "src", dir, "*.go"))
@@ -76,6 +96,7 @@ func runGolden(t *testing.T, a *Analyzer, dir string) {
 		Files:    pkg.Files,
 		Pkg:      pkg.Types,
 		Info:     pkg.Info,
+		DepFacts: testDepFacts(t),
 		diags:    &diags,
 	}
 	if err := a.Run(pass); err != nil {

@@ -1,11 +1,16 @@
 // Package noalloc is golden-test input: each // want comment marks an
-// expected finding on its line.
+// expected finding on its line. This package holds the construct rules;
+// testdata/src/noallocflow holds the call rules.
 package noalloc
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 type pair struct{ a, b int }
 
+//netsamp:noalloc
 func run() {}
 
 // unannotated functions are not checked at all.
@@ -53,6 +58,19 @@ func hotFmt(n int) string {
 	return s
 }
 
+// hotError and excusedError: a steady-state errors.New is one finding,
+// and one alloc-ok silences it.
+//
+//netsamp:noalloc
+func hotError() error {
+	return errors.New("steady state") // want `errors\.New`
+}
+
+//netsamp:noalloc
+func excusedError() error {
+	return errors.New("steady state") //netsamp:alloc-ok built once per closed interval, not per record
+}
+
 //netsamp:noalloc
 func boxes(n int) any {
 	return any(n) // want `conversion to interface`
@@ -93,9 +111,17 @@ func sloppyExcuse(xs []int) []int {
 	return ys
 }
 
-func sink(v any)      {}
+// The boxing callees are annotated so that the calls below are judged
+// on their arguments alone.
+
+//netsamp:noalloc
+func sink(v any) {}
+
+//netsamp:noalloc
 func sinks(vs ...any) {}
-func take(e error)    {}
+
+//netsamp:noalloc
+func take(e error) {}
 
 //netsamp:noalloc
 func implicitBox(n int) {

@@ -1,5 +1,5 @@
-// Package noallocflow is golden-test input for the interprocedural
-// noalloc closure: a //netsamp:noalloc function may only call
+// Package noallocflow is golden-test input for the call rules of the
+// noalloc analyzer: a //netsamp:noalloc function may only call
 // noalloc-annotated or recognized-leaf functions.
 package noallocflow
 
@@ -8,6 +8,8 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+
+	"netsamp/internal/engine"
 )
 
 // leaf is annotated: callable from noalloc functions.
@@ -45,6 +47,21 @@ func callsFmt() string {
 	return fmt.Sprintf("%d", 7) // want `cross-package call to fmt.Sprintf which is not //netsamp:noalloc there`
 }
 
+// pooled calls a method its own package annotates //netsamp:noalloc:
+// the dependency's facts cover it.
+//
+//netsamp:noalloc
+func pooled(p *engine.Pool, n int, body func(int)) {
+	p.For(n, body)
+}
+
+// poolSize calls a dependency method that is not annotated there.
+//
+//netsamp:noalloc
+func poolSize(p *engine.Pool) int {
+	return p.Workers() // want `cross-package call to netsamp/internal/engine\.Pool\.Workers which is not //netsamp:noalloc there`
+}
+
 // funcValue calls through a function value: unresolvable statically.
 //
 //netsamp:noalloc
@@ -56,7 +73,7 @@ func funcValue(f func() int) int {
 //
 //netsamp:noalloc
 func escaped(f func() int) int {
-	//netsamp:allocflow-ok classifier hook, caller contract requires noalloc impls
+	//netsamp:alloc-ok classifier hook, caller contract requires noalloc impls
 	return f()
 }
 
@@ -64,8 +81,8 @@ func escaped(f func() int) int {
 //
 //netsamp:noalloc
 func escapedNoReason(f func() int) int {
-	//netsamp:allocflow-ok
-	return f() // want `netsamp:allocflow-ok requires a reason`
+	//netsamp:alloc-ok
+	return f() // want `netsamp:alloc-ok requires a reason`
 }
 
 // coldPath calls an unannotated function only on the error exit, which
@@ -128,6 +145,19 @@ func (pricey) cost(x int) int { return len(fmt.Sprint(x)) }
 //netsamp:noalloc
 func evalOpen(o open, x int) int {
 	return o.cost(x) // want `call to open.cost which is not //netsamp:noalloc`
+}
+
+// closureVar calls a body-local variable only ever assigned a function
+// literal: the literal is part of the inspected body, so the call adds
+// no unverified edge. The literal itself is flagged, and its body is
+// checked like the rest.
+//
+//netsamp:noalloc
+func closureVar(x int) int {
+	double := func(v int) int { // want `function literal`
+		return plainHelper(v) // want `call to plainHelper which is not //netsamp:noalloc`
+	}
+	return double(x)
 }
 
 // notAnnotated is free to call anything: the analyzer only checks

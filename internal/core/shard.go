@@ -145,7 +145,7 @@ func (s *Solver) zeroPartial(c int) []float64 {
 //netsamp:noalloc
 func (s *Solver) dispatch(task int) {
 	s.sh.task = task
-	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:allocflow-ok sole impl engine.Pool.For is noalloc-checked in its package
+	s.sh.pool.For(s.sh.nChunks, s.sh.runChunk) //netsamp:alloc-ok sole impl engine.Pool.For is noalloc-checked in its package
 	s.sh.vecA, s.sh.vecB, s.sh.rhoOut, s.sh.utilOut = nil, nil, nil, nil
 }
 

@@ -104,7 +104,7 @@ func (p *Pool) For(n int, fn func(int)) {
 	p.wg.Wait()
 	p.fn = nil
 	if p.panicVal != nil {
-		p.rethrow() //netsamp:allocflow-ok deliberate: wrapping a worker panic allocates only after the solve is dead
+		p.rethrow() //netsamp:alloc-ok deliberate: wrapping a worker panic allocates only after the solve is dead
 	}
 }
 

@@ -198,14 +198,14 @@ func (s *shard) accumulate(recs []packet.Record) {
 	var last uint32
 	var counts []uint64
 	for i := range recs {
-		od, ok := s.classify(recs[i].Key) //netsamp:allocflow-ok classifier installed at config time is a pure index lookup (netflow.PrefixClassifier: pinned by TestZeroAllocPrefixClassified)
+		od, ok := s.classify(recs[i].Key) //netsamp:alloc-ok classifier installed at config time is a pure index lookup (netflow.PrefixClassifier: pinned by TestZeroAllocPrefixClassified)
 		if !ok || od < 0 || od >= s.numOD {
 			continue
 		}
 		if bin := recs[i].Start - recs[i].Start%s.interval; counts == nil || bin != last {
 			last, counts = bin, s.bins[bin]
 			if counts == nil {
-				counts = s.newBinLocked(bin) //netsamp:allocflow-ok cold: one slice per new interval bin, amortized over the interval
+				counts = s.newBinLocked(bin) //netsamp:alloc-ok cold: one slice per new interval bin, amortized over the interval
 			}
 		}
 		counts[od] += recs[i].Packets

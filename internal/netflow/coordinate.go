@@ -60,7 +60,7 @@ func NewCoordConfig(classify ODClassifier, ranges []packet.HashRange, coins []fl
 //
 //netsamp:noalloc
 func (c *CoordConfig) Decide(key packet.FiveTuple, base float64) (rate float64, consider bool) {
-	od, ok := c.Classify(key) //netsamp:allocflow-ok classifier installed at config time is a pure index lookup
+	od, ok := c.Classify(key) //netsamp:alloc-ok classifier installed at config time is a pure index lookup
 	if !ok || od < 0 || od >= len(c.Ranges) {
 		return base, true
 	}

@@ -44,11 +44,6 @@ func (t FiveTuple) String() string {
 	return fmt.Sprintf("%d %s:%d->%s:%d", t.Proto, t.Src, t.SrcPort, t.Dst, t.DstPort)
 }
 
-// Reverse returns the tuple of the opposite direction.
-func (t FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}
-}
-
 // Less is a total order on flow keys (src, dst, ports, proto) — the
 // tie-breaker deterministic flow-table sweeps sort by, so record
 // emission order never inherits Go's randomized map iteration.
@@ -69,8 +64,8 @@ func (t FiveTuple) Less(o FiveTuple) bool {
 }
 
 // FastHash returns a 64-bit FNV-1a hash of the tuple, suitable for
-// sharding flows across workers. It is not symmetric: use SymHash to
-// co-locate the two directions of a flow.
+// sharding flows across workers. It is not symmetric: the two
+// directions of a flow hash differently.
 //netsamp:noalloc
 func (t FiveTuple) FastHash() uint64 {
 	const (
@@ -91,17 +86,6 @@ func (t FiveTuple) FastHash() uint64 {
 	mix(uint64(t.DstPort), 2)
 	mix(uint64(t.Proto), 1)
 	return h
-}
-
-// SymHash returns a direction-independent hash: the two directions of a
-// flow hash identically (the gopacket Flow.FastHash property), so both
-// directions land on the same worker.
-func (t FiveTuple) SymHash() uint64 {
-	a, b := t.FastHash(), t.Reverse().FastHash()
-	if a < b {
-		return a ^ (b << 1) ^ (b >> 63)
-	}
-	return b ^ (a << 1) ^ (a >> 63)
 }
 
 // RecordSize is the wire size of an encoded Record.

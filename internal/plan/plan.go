@@ -148,7 +148,7 @@ func EffectiveRatesInto(dst []float64, m *routing.Matrix, rates map[topology.Lin
 	if model == nil {
 		model = core.ModelLinear
 	}
-	additive := model.Additive() //netsamp:allocflow-ok core's model set is closed and noalloc; interface facts do not cross packages
+	additive := model.Additive() //netsamp:alloc-ok core's model set is closed and noalloc; interface facts do not cross packages
 	for k := range m.Pairs {
 		var rho float64
 		if additive {
@@ -168,7 +168,7 @@ func EffectiveRatesInto(dst []float64, m *routing.Matrix, rates map[topology.Lin
 			}
 			rho = 1 - q
 		}
-		dst[k] = model.Deployed(rho) //netsamp:allocflow-ok core's model set is closed and noalloc; interface facts do not cross packages
+		dst[k] = model.Deployed(rho) //netsamp:alloc-ok core's model set is closed and noalloc; interface facts do not cross packages
 	}
 }
 

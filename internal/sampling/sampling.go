@@ -16,29 +16,7 @@ import (
 	"math"
 
 	"netsamp/internal/rng"
-	"netsamp/internal/routing"
-	"netsamp/internal/topology"
 )
-
-// EffectiveRateExact returns ρ = 1 − Π_i (1 − p_i) over the monitored
-// links of one OD pair (paper equation (1)).
-func EffectiveRateExact(rates []float64) float64 {
-	q := 1.0
-	for _, p := range rates {
-		q *= 1 - p
-	}
-	return 1 - q
-}
-
-// EffectiveRateApprox returns ρ = Σ_i p_i, the paper's working
-// approximation (7), valid when rates are small and paths short.
-func EffectiveRateApprox(rates []float64) float64 {
-	s := 0.0
-	for _, p := range rates {
-		s += p
-	}
-	return s
-}
 
 // Estimate renormalizes a sampled packet count by the effective rate:
 // the unbiased size estimator X/ρ. It returns an error for ρ <= 0.
@@ -121,20 +99,6 @@ func Experiment(name string, size int64, rho float64, trials int, r *rng.Source)
 	return res, nil
 }
 
-// PlanRates extracts, for OD pair k of the routing matrix, the sampling
-// rates of the links it traverses, given per-LinkID rates (indexed by
-// topology.LinkID).
-func PlanRates(m *routing.Matrix, k int, linkRates map[topology.LinkID]float64) []float64 {
-	row := m.Rows[k]
-	out := make([]float64, 0, len(row))
-	for _, lid := range row {
-		if p := linkRates[lid]; p > 0 {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Summary aggregates per-pair accuracies the way the paper's Figure 2
 // reports them: average, worst and best OD pair.
 type Summary struct {
@@ -154,27 +118,4 @@ func Summarize(results []Result) Summary {
 	}
 	s.Average /= float64(len(results))
 	return s
-}
-
-// Periodic simulates deterministic 1-in-N sampling of an OD pair of the
-// given size: the number of selected packets when every Nth packet is
-// taken, starting from a random phase. Routers often implement
-// "sampled NetFlow" this way; Duffield et al. (cited by the paper,
-// Section II) show that periodic and random sampling give essentially
-// the same flow statistics on high-speed links, which justifies the
-// i.i.d. model in the analysis. SamplePeriodic lets that claim be
-// checked empirically against SampleOD.
-func SamplePeriodic(size int64, n int64, r *rng.Source) int64 {
-	if size <= 0 || n <= 0 {
-		return 0
-	}
-	if n == 1 {
-		return size
-	}
-	phase := int64(r.Intn(int(n)))
-	// Packets at positions phase, phase+n, ... are selected.
-	if phase >= size {
-		return 0
-	}
-	return (size-phase-1)/n + 1
 }

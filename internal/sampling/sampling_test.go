@@ -5,33 +5,7 @@ import (
 	"testing"
 
 	"netsamp/internal/rng"
-	"netsamp/internal/routing"
-	"netsamp/internal/topology"
 )
-
-func TestEffectiveRates(t *testing.T) {
-	rates := []float64{0.01, 0.02}
-	exact := EffectiveRateExact(rates)
-	want := 1 - 0.99*0.98
-	if math.Abs(exact-want) > 1e-15 {
-		t.Fatalf("exact = %v, want %v", exact, want)
-	}
-	approx := EffectiveRateApprox(rates)
-	if approx != 0.03 {
-		t.Fatalf("approx = %v", approx)
-	}
-	// Approximation error is O(p²): tiny at paper-scale rates.
-	if math.Abs(exact-approx) > 0.001 {
-		t.Fatalf("models diverge too much at low rates: %v vs %v", exact, approx)
-	}
-	if EffectiveRateExact(nil) != 0 || EffectiveRateApprox(nil) != 0 {
-		t.Fatal("empty rate sets must give ρ = 0")
-	}
-	// Exact rate saturates at 1.
-	if got := EffectiveRateExact([]float64{1, 0.5}); got != 1 {
-		t.Fatalf("exact with a rate of 1 = %v", got)
-	}
-}
 
 func TestEstimate(t *testing.T) {
 	est, err := Estimate(50, 0.01)
@@ -141,24 +115,6 @@ func TestExperimentErrors(t *testing.T) {
 	}
 }
 
-func TestPlanRates(t *testing.T) {
-	g := topology.New()
-	a, b, c := g.AddNode("A"), g.AddNode("B"), g.AddNode("C")
-	g.AddDuplex(a, b, topology.OC48, 1)
-	g.AddDuplex(b, c, topology.OC48, 1)
-	tbl := routing.ComputeTable(g)
-	m, err := routing.BuildMatrix(tbl, []routing.ODPair{{Name: "A->C", Src: a, Dst: c}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ab, _ := g.FindLink(a, b)
-	rates := map[topology.LinkID]float64{ab: 0.02}
-	got := PlanRates(m, 0, rates)
-	if len(got) != 1 || got[0] != 0.02 {
-		t.Fatalf("PlanRates = %v", got)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]Result{
 		{MeanAccuracy: 0.9},
@@ -193,65 +149,5 @@ func TestAccuracyMatchesUtilityPrediction(t *testing.T) {
 	want := (1 - rho) / rho * (1.0 / size)
 	if math.Abs(got-want)/want > 0.08 {
 		t.Fatalf("measured E[SRE] = %v, model %v", got, want)
-	}
-}
-
-func TestSamplePeriodicCount(t *testing.T) {
-	r := rng.New(20)
-	// Exact multiples: always size/n regardless of phase.
-	for i := 0; i < 100; i++ {
-		if got := SamplePeriodic(1000, 10, r); got != 100 {
-			t.Fatalf("SamplePeriodic(1000, 10) = %d", got)
-		}
-	}
-	if got := SamplePeriodic(5, 1, r); got != 5 {
-		t.Fatalf("1-in-1 = %d", got)
-	}
-	if got := SamplePeriodic(0, 10, r); got != 0 {
-		t.Fatalf("empty = %d", got)
-	}
-	// Non-multiple: count is floor or ceil of size/n depending on phase.
-	for i := 0; i < 1000; i++ {
-		got := SamplePeriodic(1005, 10, r)
-		if got != 100 && got != 101 {
-			t.Fatalf("SamplePeriodic(1005, 10) = %d", got)
-		}
-	}
-}
-
-// TestPeriodicMatchesRandomSampling reproduces the Duffield et al.
-// observation the paper relies on (Section II): the size estimator
-// behaves the same under periodic 1-in-N and random rate-1/N sampling —
-// same mean, and periodic has no larger error.
-func TestPeriodicMatchesRandomSampling(t *testing.T) {
-	r := rng.New(21)
-	const size, n, trials = 200000, 100, 3000
-	rho := 1.0 / n
-	var sumP, sumR, sreP, sreR float64
-	for i := 0; i < trials; i++ {
-		p, err := Estimate(SamplePeriodic(size, n, r), rho)
-		if err != nil {
-			t.Fatal(err)
-		}
-		q, err := Estimate(SampleOD(size, rho, r), rho)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sumP += p
-		sumR += q
-		relP := (p - size) / size
-		relR := (q - size) / size
-		sreP += relP * relP
-		sreR += relR * relR
-	}
-	meanP, meanR := sumP/trials, sumR/trials
-	if math.Abs(meanP-size)/size > 0.005 || math.Abs(meanR-size)/size > 0.005 {
-		t.Fatalf("estimators biased: periodic %v random %v", meanP, meanR)
-	}
-	// Periodic sampling of a contiguous packet stream has lower variance
-	// than binomial sampling (no per-packet randomness); it must not be
-	// substantially worse.
-	if sreP/trials > 1.2*(sreR/trials)+1e-9 {
-		t.Fatalf("periodic E[SRE] %v far above random %v", sreP/trials, sreR/trials)
 	}
 }
