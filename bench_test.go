@@ -187,18 +187,6 @@ func BenchmarkAccessLinkComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxMinExtension runs the max-min variant (the alternative
-// objective the paper defers to future work).
-func BenchmarkMaxMinExtension(b *testing.B) {
-	prob := benchProblem(b, benchScenario(b), nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveMaxMin(prob, core.MaxMinOptions{Rounds: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTwoPhaseGreedyBaseline runs the decoupled placement-then-
 // rates heuristic for comparison with the joint optimization.
 func BenchmarkTwoPhaseGreedyBaseline(b *testing.B) {

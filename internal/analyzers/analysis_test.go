@@ -13,10 +13,10 @@ import (
 // so reasons containing ':' or '=' survive intact.
 func TestParseDirectiveReasons(t *testing.T) {
 	cases := []struct {
-		comment  string
-		ok       bool
-		name     string
-		args     string
+		comment string
+		ok      bool
+		name    string
+		args    string
 	}{
 		{"//netsamp:alloc-ok reused scratch", true, "alloc-ok", "reused scratch"},
 		{"//netsamp:alloc-ok ratio = hits:misses, cap=64", true, "alloc-ok", "ratio = hits:misses, cap=64"},

@@ -322,4 +322,3 @@ func fieldRefs(pass *Pass, fn *ast.FuncDecl, t types.Type) map[string]bool {
 	})
 	return refs
 }
-

@@ -27,17 +27,17 @@ type Decoder struct {
 
 func NewDecoder(b []byte) *Decoder { return &Decoder{rest: b} }
 
-func (d *Decoder) U8() uint8      { return 0 }
-func (d *Decoder) Bool() bool     { return false }
-func (d *Decoder) U16() uint16    { return 0 }
-func (d *Decoder) U32() uint32    { return 0 }
-func (d *Decoder) U64() uint64    { return 0 }
-func (d *Decoder) I64() int64     { return 0 }
-func (d *Decoder) F64() float64   { return 0 }
-func (d *Decoder) Bytes() []byte  { return nil }
-func (d *Decoder) Len(n int) int  { return 0 }
-func (d *Decoder) Err() error     { return d.err }
-func (d *Decoder) Finish() error  { return d.err }
+func (d *Decoder) U8() uint8     { return 0 }
+func (d *Decoder) Bool() bool    { return false }
+func (d *Decoder) U16() uint16   { return 0 }
+func (d *Decoder) U32() uint32   { return 0 }
+func (d *Decoder) U64() uint64   { return 0 }
+func (d *Decoder) I64() int64    { return 0 }
+func (d *Decoder) F64() float64  { return 0 }
+func (d *Decoder) Bytes() []byte { return nil }
+func (d *Decoder) Len(n int) int { return 0 }
+func (d *Decoder) Err() error    { return d.err }
+func (d *Decoder) Finish() error { return d.err }
 
 const goodVersion = 1
 

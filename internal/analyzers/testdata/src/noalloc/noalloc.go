@@ -83,7 +83,7 @@ func copies(b []byte) string {
 
 //netsamp:noalloc
 func literals() {
-	_ = []int{1, 2}  // want `slice literal`
+	_ = []int{1, 2}   // want `slice literal`
 	_ = map[int]int{} // want `map literal`
 	_ = &pair{}       // want `&composite literal`
 }

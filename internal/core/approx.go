@@ -67,6 +67,7 @@ func (s *Solver) SolveApprox(opt ApproxOptions) (*Solution, error) {
 
 // SolveApproxInto is SolveApprox writing into a reused Solution; like
 // SolveInto it is allocation-free in steady state.
+//
 //netsamp:noalloc
 func (s *Solver) SolveApproxInto(sol *Solution, opt ApproxOptions) error {
 	if !s.model.Additive() {
@@ -138,6 +139,7 @@ func errApproxNotAdditive(m RateModel) error {
 // (marginal utility per sampled packet); the last link taken may be
 // fractional. Links with g_i ≤ 0 stay at zero — they could only waste
 // budget.
+//
 //netsamp:noalloc
 func (s *Solver) lmoInto(g, x, v []float64) float64 {
 	n := s.n
@@ -180,6 +182,7 @@ func (s *Solver) lmoInto(g, x, v []float64) float64 {
 // heapsortByKey sorts idx ascending by key[idx[j]] in place. Hand-rolled
 // heapsort instead of sort.Slice: no closure, no allocation, and a
 // deterministic permutation for fixed inputs.
+//
 //netsamp:noalloc
 func heapsortByKey(idx []int32, key []float64) {
 	m := len(idx)

@@ -27,8 +27,7 @@ type Inverter interface {
 // m pins the optimum to within tol (default 1e-9). Each probe solves a
 // small linear program (internal/lp).
 //
-// This is the certified counterpart of the SolveMaxMin heuristic; it
-// requires an additive rate model (ModelLinear or ModelCoordinated —
+// It requires an additive rate model (ModelLinear or ModelCoordinated —
 // the LP rows are only linear in the rates then) and utilities
 // implementing Inverter. Budget left over at the optimal
 // target is spent waterfilling the remaining link capacity, so the

@@ -66,9 +66,9 @@ func TestSolveMaxMinExactTwoLinks(t *testing.T) {
 	}
 }
 
-func TestSolveMaxMinExactBeatsHeuristic(t *testing.T) {
-	// The certified optimum must dominate (or match) the reweighting
-	// heuristic on random instances.
+func TestSolveMaxMinExactBeatsSumObjective(t *testing.T) {
+	// The certified optimum is feasible and its worst pair dominates
+	// (or matches) the sum-objective optimum's on random instances.
 	r := rng.New(606)
 	for trial := 0; trial < 15; trial++ {
 		nLinks := 3 + r.Intn(8)
@@ -96,10 +96,7 @@ func TestSolveMaxMinExactBeatsHeuristic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		heur, err := SolveMaxMin(p, MaxMinOptions{Rounds: 20})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		feasibility(t, p, exact)
 		minOf := func(u []float64) float64 {
 			m := math.Inf(1)
 			for _, v := range u {
@@ -107,11 +104,6 @@ func TestSolveMaxMinExactBeatsHeuristic(t *testing.T) {
 			}
 			return m
 		}
-		if minOf(exact.Utilities) < minOf(heur.Utilities)-1e-6 {
-			t.Fatalf("trial %d: exact %v below heuristic %v",
-				trial, minOf(exact.Utilities), minOf(heur.Utilities))
-		}
-		// And it must dominate the sum-objective solution's minimum too.
 		sum, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatal(err)

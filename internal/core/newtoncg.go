@@ -67,6 +67,7 @@ const cgDiagFloorRel = 1e-12
 // usable ascent direction. s.freePos must be current (newtonInto fills
 // it); links pinned on the way leave it at −1. Only called for additive
 // models — newtonInto has already rejected the rest.
+//
 //netsamp:noalloc
 func (s *Solver) newtonCGInto(out, rates, g []float64, nf int) bool {
 	n := s.n
@@ -218,6 +219,7 @@ func (s *Solver) newtonCGInto(out, rates, g []float64, nf int) bool {
 // it leaves the free set and the preconditioner. The reach test repeats
 // boxStep's arithmetic, so the blocking link always qualifies. Returns
 // how many links it pinned.
+//
 //netsamp:noalloc
 func (s *Solver) stepToBox(rates, x, p []float64, tBox float64) int {
 	pinned := 0
@@ -247,6 +249,7 @@ func (s *Solver) stepToBox(rates, x, p []float64, tBox float64) int {
 // (which changes no later z, and keeps r from drifting along U_f) and
 // writes z = M⁻¹r, so U_fᵀz = 0. Returns rᵀz. s.cgMinv is zero on pinned
 // coordinates, which keeps z zero there; r is left alone on them.
+//
 //netsamp:noalloc
 func (s *Solver) precondition(r, z []float64) float64 {
 	minv := s.cgMinv
@@ -269,6 +272,7 @@ func (s *Solver) precondition(r, z []float64) float64 {
 
 // boxStep returns the largest t ≥ 0 for which rates + x + t·p stays in
 // [0, α] on every free coordinate (+Inf when p is zero on the free set).
+//
 //netsamp:noalloc
 func (s *Solver) boxStep(rates, x, p []float64) float64 {
 	tBox := math.Inf(1)
@@ -291,6 +295,7 @@ func (s *Solver) boxStep(rates, x, p []float64) float64 {
 // curvFill caches c_k = w_k·M_k″(ρ_k) for every pair at rates. One CSR
 // sweep with two utility calls per pair; the Hessian-vector products
 // then run on pure float arithmetic.
+//
 //netsamp:noalloc
 func (s *Solver) curvFill(rates []float64) {
 	if s.sh.pool == nil {
@@ -303,6 +308,7 @@ func (s *Solver) curvFill(rates []float64) {
 }
 
 // curvRange fills s.curv over the pairs [kLo, kHi).
+//
 //netsamp:noalloc
 func (s *Solver) curvRange(kLo, kHi int, rates []float64) {
 	for k := kLo; k < kHi; k++ {
@@ -314,6 +320,7 @@ func (s *Solver) curvRange(kLo, kHi int, rates []float64) {
 // the curvatures cached by curvFill: for each pair, t = ā_kᵀv, then
 // out += (−c_k)·t·ā_k. v may be nonzero on pinned coordinates (a step
 // already fixed there); out is zeroed on them afterwards.
+//
 //netsamp:noalloc
 func (s *Solver) hessMulInto(v, out []float64) {
 	for i := range out {
@@ -335,6 +342,7 @@ func (s *Solver) hessMulInto(v, out []float64) {
 
 // hessMulRange accumulates the pairs [kLo, kHi)'s Hessian-product terms
 // into out.
+//
 //netsamp:noalloc
 func (s *Solver) hessMulRange(kLo, kHi int, v, out []float64) {
 	for k := kLo; k < kHi; k++ {
@@ -376,6 +384,7 @@ func (s *Solver) hessMulRange(kLo, kHi int, v, out []float64) {
 // hessDiagInto writes diag(−H), h_i = Σ_k (−c_k)·a_ki², into out from the
 // curvatures cached by curvFill — the Jacobi preconditioner of the CG
 // solve. Same chunking and ascending reduction as hessMulInto.
+//
 //netsamp:noalloc
 func (s *Solver) hessDiagInto(out []float64) {
 	for i := range out {
@@ -391,6 +400,7 @@ func (s *Solver) hessDiagInto(out []float64) {
 
 // hessDiagRange accumulates the pairs [kLo, kHi)'s diagonal terms into
 // out.
+//
 //netsamp:noalloc
 func (s *Solver) hessDiagRange(kLo, kHi int, out []float64) {
 	for k := kLo; k < kHi; k++ {

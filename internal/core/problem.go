@@ -56,6 +56,7 @@ func BudgetPerInterval(theta, intervalSeconds float64) float64 {
 }
 
 // NumLinks returns the size of the candidate monitor set.
+//
 //netsamp:noalloc
 func (p *Problem) NumLinks() int { return len(p.Loads) }
 

@@ -89,6 +89,7 @@ func ModelByName(name string) (RateModel, error) {
 
 // modelOrLinear resolves the nil-means-linear convention Problem.Model
 // and plan.Input.Model share.
+//
 //netsamp:noalloc
 func modelOrLinear(m RateModel) RateModel {
 	if m == nil {
@@ -106,8 +107,9 @@ func ModelName(m RateModel) string { return modelOrLinear(m).Name() }
 type additiveModel struct{}
 
 //netsamp:noalloc
-func (additiveModel) Additive() bool             { return true }
-func (additiveModel) SupportsFracs() bool        { return true }
+func (additiveModel) Additive() bool      { return true }
+func (additiveModel) SupportsFracs() bool { return true }
+
 //netsamp:noalloc
 func (additiveModel) Deployed(rho float64) float64 { return rho }
 
@@ -184,10 +186,12 @@ func (coordinatedModel) Deployed(rho float64) float64 {
 // is disabled for it.
 type independentExactModel struct{}
 
-func (independentExactModel) Name() string          { return "independent-exact" }
+func (independentExactModel) Name() string { return "independent-exact" }
+
 //netsamp:noalloc
-func (independentExactModel) Additive() bool        { return false }
-func (independentExactModel) SupportsFracs() bool   { return false }
+func (independentExactModel) Additive() bool      { return false }
+func (independentExactModel) SupportsFracs() bool { return false }
+
 //netsamp:noalloc
 func (independentExactModel) Deployed(rho float64) float64 { return rho }
 

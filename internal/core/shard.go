@@ -142,6 +142,7 @@ func (s *Solver) zeroPartial(c int) []float64 {
 // dispatch runs one task over every chunk and drops the per-dispatch
 // arguments the caller staged in s.sh (so the workspace never pins the
 // caller's vectors). It is the kernels' only call into the pool.
+//
 //netsamp:noalloc
 func (s *Solver) dispatch(task int) {
 	s.sh.task = task
@@ -151,6 +152,7 @@ func (s *Solver) dispatch(task int) {
 
 // reducePartials adds the chunk accumulator rows into out, in ascending
 // chunk order — the worker-count-independent reduction.
+//
 //netsamp:noalloc
 func (s *Solver) reducePartials(out []float64) {
 	n := s.n

@@ -169,6 +169,7 @@ func fullCaps(maxRate []float64, n int) []float64 {
 // initialPointInto writes a feasible start into rates (length NumLinks):
 // the caller's point (validated) or the waterfilling point
 // min(α_i, τ/U_i) with τ chosen so the budget holds with equality.
+//
 //netsamp:noalloc
 func (ft *polytope) initialPointInto(opt Options, rates []float64) error {
 	n := len(ft.loads)
@@ -223,6 +224,7 @@ func (ft *polytope) initialPointInto(opt Options, rates []float64) error {
 // coordinates along the loads vector (the minimum-norm correction),
 // clamping to bounds. lower/upper may be nil, meaning all coordinates
 // are free.
+//
 //netsamp:noalloc
 func (ft *polytope) fixBudget(rates []float64, lower, upper []bool) {
 	for pass := 0; pass < 4; pass++ {
@@ -261,6 +263,7 @@ func (ft *polytope) fixBudget(rates []float64, lower, upper []bool) {
 
 // reproject snaps near-bound rates onto their bounds and restores the
 // budget equality.
+//
 //netsamp:noalloc
 func (ft *polytope) reproject(rates []float64, lower, upper []bool) {
 	for i := range rates {
@@ -275,6 +278,7 @@ func (ft *polytope) reproject(rates []float64, lower, upper []bool) {
 }
 
 // syncActive refreshes the active-set flags from the current point.
+//
 //netsamp:noalloc
 func (ft *polytope) syncActive(rates []float64, lower, upper []bool) {
 	for i := range rates {
@@ -315,6 +319,7 @@ func countFree(lower, upper []bool) int {
 // projectionLambda returns the multiplier of the budget hyperplane for
 // the projection of g onto the free subspace: λ = ⟨g,U⟩/⟨U,U⟩ over free
 // coordinates.
+//
 //netsamp:noalloc
 func (ft *polytope) projectionLambda(g []float64, lower, upper []bool) float64 {
 	num, den := 0.0, 0.0
@@ -338,6 +343,7 @@ func (ft *polytope) projectionLambda(g []float64, lower, upper []bool) float64 {
 // frees every active bound that violates them (the paper's recovery
 // strategy) and returns how many were freed: zero means the point
 // satisfies the KKT conditions.
+//
 //netsamp:noalloc
 func (ft *polytope) deactivateNegative(g []float64, lambda float64, lower, upper []bool, tol float64) int {
 	kappa := tol * (1 + normInf(g))
@@ -358,6 +364,7 @@ func (ft *polytope) deactivateNegative(g []float64, lambda float64, lower, upper
 // vertex admits: every coordinate is at a bound, so λ is not pinned by
 // stationarity, only bracketed — λ ≥ g_i/U_i over active upper bounds,
 // λ ≤ g_i/U_i over active lower bounds.
+//
 //netsamp:noalloc
 func (ft *polytope) lambdaInterval(g []float64, lower, upper []bool) (loLam, hiLam float64) {
 	loLam, hiLam = math.Inf(-1), math.Inf(1)
@@ -375,6 +382,7 @@ func (ft *polytope) lambdaInterval(g []float64, lower, upper []bool) (loLam, hiL
 
 // vertexKKT handles the fully-constrained case: optimality holds iff
 // the λ-interval is non-empty.
+//
 //netsamp:noalloc
 func (ft *polytope) vertexKKT(g []float64, lower, upper []bool, tol float64) bool {
 	loLam, hiLam := ft.lambdaInterval(g, lower, upper)
@@ -384,6 +392,7 @@ func (ft *polytope) vertexKKT(g []float64, lower, upper []bool, tol float64) boo
 
 // deactivateVertex frees the bounds that prevent the λ-interval from
 // being non-empty: the arg-max upper bound and the arg-min lower bound.
+//
 //netsamp:noalloc
 func (ft *polytope) deactivateVertex(g []float64, lower, upper []bool) {
 	loIdx, hiIdx := -1, -1
@@ -409,6 +418,7 @@ func (ft *polytope) deactivateVertex(g []float64, lower, upper []bool) {
 // coordinate within its bounds, and the index of the first blocking
 // constraint (-1 when unbounded, which cannot happen with finite caps
 // unless s is zero on the free set).
+//
 //netsamp:noalloc
 func (ft *polytope) maxStep(rates, s []float64, lower, upper []bool) (float64, int) {
 	tMax := math.Inf(1)

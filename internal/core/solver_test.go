@@ -503,7 +503,7 @@ func TestSolveMaxMinLiftsWorstPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mm, err := SolveMaxMin(p, MaxMinOptions{})
+	mm, err := SolveMaxMinExact(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,10 +522,10 @@ func TestSolveMaxMinLiftsWorstPair(t *testing.T) {
 	feasibility(t, p, mm)
 	// Analytic max-min optimum: with one disjoint link per pair and equal
 	// utilities, the worst pair is maximized by equal rates,
-	// p = θ/(U₁+U₂); the achieved minimum must come within 5% of it.
+	// p = θ/(U₁+U₂); the certified minimum must match it.
 	u := MustSRE(0.002)
 	optMin := u.Value(p.Budget / (p.Loads[0] + p.Loads[1]))
-	if minOf(mm.Utilities) < 0.95*optMin {
+	if math.Abs(minOf(mm.Utilities)-optMin) > 1e-6 {
 		t.Fatalf("max-min worst utility %v, analytic optimum %v", minOf(mm.Utilities), optMin)
 	}
 }

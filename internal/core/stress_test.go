@@ -159,7 +159,8 @@ func TestSolveNoStateLeak(t *testing.T) {
 	}
 }
 
-// TestMaxMinLargeInstance: the reweighting scheme stays stable at scale.
+// TestMaxMinLargeInstance: the certified max-min solver stays feasible
+// and above the sum objective's worst pair at scale.
 func TestMaxMinLargeInstance(t *testing.T) {
 	r := rng.New(515)
 	nLinks, nPairs := 40, 30
@@ -176,10 +177,11 @@ func TestMaxMinLargeInstance(t *testing.T) {
 			Name: "k", Links: append([]int(nil), perm[:1+r.Intn(3)]...), Utility: MustSRE(0.0005),
 		})
 	}
-	mm, err := SolveMaxMin(p, MaxMinOptions{Rounds: 15})
+	mm, err := SolveMaxMinExact(p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	feasibility(t, p, mm)
 	sum, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,7 @@ func NewDetection(size int) (*Detection, error) {
 }
 
 // Value implements Utility.
+//
 //netsamp:noalloc
 func (u *Detection) Value(rho float64) float64 {
 	if rho <= 0 {
@@ -51,6 +52,7 @@ func (u *Detection) Value(rho float64) float64 {
 }
 
 // Deriv implements Utility.
+//
 //netsamp:noalloc
 func (u *Detection) Deriv(rho float64) float64 {
 	if rho < 0 {
@@ -64,6 +66,7 @@ func (u *Detection) Deriv(rho float64) float64 {
 }
 
 // Curv implements Utility.
+//
 //netsamp:noalloc
 func (u *Detection) Curv(rho float64) float64 {
 	if rho < 0 {
@@ -111,6 +114,7 @@ func NewLogCoverage(c float64) (*LogCoverage, error) {
 }
 
 // Value implements Utility.
+//
 //netsamp:noalloc
 func (u *LogCoverage) Value(rho float64) float64 {
 	if rho <= 0 {
@@ -120,6 +124,7 @@ func (u *LogCoverage) Value(rho float64) float64 {
 }
 
 // Deriv implements Utility.
+//
 //netsamp:noalloc
 func (u *LogCoverage) Deriv(rho float64) float64 {
 	if rho < 0 {
@@ -129,6 +134,7 @@ func (u *LogCoverage) Deriv(rho float64) float64 {
 }
 
 // Curv implements Utility.
+//
 //netsamp:noalloc
 func (u *LogCoverage) Curv(rho float64) float64 {
 	if rho < 0 {

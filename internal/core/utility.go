@@ -93,6 +93,7 @@ func MustSRE(c float64) *SRE {
 }
 
 // analytic is A(ρ) = 1 − c(1−ρ)/ρ, the accuracy branch used for ρ ≥ x₀.
+//
 //netsamp:noalloc
 func (u *SRE) analytic(rho float64) float64 {
 	return 1 + u.C - u.C/rho
@@ -101,6 +102,7 @@ func (u *SRE) analytic(rho float64) float64 {
 // Value implements Utility. For ρ beyond 1 (possible transiently under
 // the linear effective-rate approximation) the analytic branch is simply
 // continued; it remains increasing and concave there.
+//
 //netsamp:noalloc
 func (u *SRE) Value(rho float64) float64 {
 	if rho <= 0 {
@@ -114,6 +116,7 @@ func (u *SRE) Value(rho float64) float64 {
 }
 
 // Deriv implements Utility.
+//
 //netsamp:noalloc
 func (u *SRE) Deriv(rho float64) float64 {
 	if rho >= u.X0 {
@@ -126,6 +129,7 @@ func (u *SRE) Deriv(rho float64) float64 {
 }
 
 // Curv implements Utility.
+//
 //netsamp:noalloc
 func (u *SRE) Curv(rho float64) float64 {
 	if rho >= u.X0 {

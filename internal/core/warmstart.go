@@ -41,6 +41,7 @@ func WarmStartRates(prevRates []float64, p *Problem, buf []float64) ([]float64, 
 // warmStartRates is the projection with caller-supplied mask scratch
 // (Solver.WarmStart lends its own, keeping continuation chains
 // allocation-free in steady state).
+//
 //netsamp:noalloc
 func (ft *polytope) warmStartRates(prevRates []float64, buf []float64, lower, upper []bool) ([]float64, error) {
 	n := len(ft.loads)
@@ -122,6 +123,7 @@ func (ft *polytope) warmStartRates(prevRates []float64, buf []float64, lower, up
 // with Σ min((α_i − p_i)·U_i, τ) = deficit over the included links
 // (monotone in τ: bisect), then raise each by min(α_i − p_i, τ/U_i).
 // onlyPositive restricts the fill to links already in use.
+//
 //netsamp:noalloc
 func (ft *polytope) waterfill(rates []float64, deficit float64, onlyPositive bool) {
 	n := len(ft.loads)
@@ -164,6 +166,7 @@ func (ft *polytope) waterfill(rates []float64, deficit float64, onlyPositive boo
 // as Options.Initial to the next Solve on this workspace. The Solver's
 // mask scratch serves the projection (it is rebuilt by the next solve),
 // so a continuation chain reusing buf allocates nothing.
+//
 //netsamp:noalloc
 func (s *Solver) WarmStart(prev *Solution, buf []float64) ([]float64, error) {
 	if prev == nil {

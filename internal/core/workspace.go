@@ -282,6 +282,7 @@ func (s *Solver) Solve(opt Options) (*Solution, error) {
 // across same-shaped solves makes the whole call allocation-free in
 // steady state. The problem is NOT re-validated: validation happened
 // once in NewSolver.
+//
 //netsamp:noalloc
 func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 	n := s.n
@@ -451,6 +452,7 @@ func (s *Solver) SolveInto(sol *Solution, opt Options) error {
 // short move, never an infeasible one. Falls out (returning false) for
 // non-additive rate models, flat curvature, or a numerically non-ascent
 // direction.
+//
 //netsamp:noalloc
 func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 	if !s.model.Additive() {
@@ -477,6 +479,7 @@ func (s *Solver) newtonInto(out, rates, g []float64, lower, upper []bool) bool {
 
 // rowFracs returns pair row [lo, hi)'s fraction subslice, or nil when
 // no pair carries ECMP fractions. Subslicing never allocates.
+//
 //netsamp:noalloc
 func rowFracs(fracs []float64, lo, hi int32) []float64 {
 	if fracs == nil {
@@ -486,6 +489,7 @@ func rowFracs(fracs []float64, lo, hi int32) []float64 {
 }
 
 // rho returns the effective sampling rate of pair k at rates.
+//
 //netsamp:noalloc
 func (s *Solver) rho(k int, rates []float64) float64 {
 	lo, hi := s.start[k], s.start[k+1]
@@ -499,6 +503,7 @@ func (s *Solver) rho(k int, rates []float64) float64 {
 // each mode's summation order, hence every bit, is fixed by the body.
 
 // gradient writes ∂/∂p_i Σ_k w_k·M_k(ρ_k) into out.
+//
 //netsamp:noalloc
 func (s *Solver) gradient(rates, out []float64) {
 	for i := range out {
@@ -514,6 +519,7 @@ func (s *Solver) gradient(rates, out []float64) {
 }
 
 // gradRange adds the pairs [kLo, kHi)'s gradient terms to out.
+//
 //netsamp:noalloc
 func (s *Solver) gradRange(kLo, kHi int, rates, out []float64) {
 	for k := kLo; k < kHi; k++ {
@@ -526,6 +532,7 @@ func (s *Solver) gradRange(kLo, kHi int, rates, out []float64) {
 }
 
 // objective returns Σ_k w_k·M_k(ρ_k) at rates.
+//
 //netsamp:noalloc
 func (s *Solver) objective(rates []float64) float64 {
 	obj := 0.0
@@ -539,6 +546,7 @@ func (s *Solver) objective(rates []float64) float64 {
 // The solver's Newton line search needs both; the per-pair terms come
 // from the rate model (the product model's second derivative includes
 // the curvature of ρ_k(t) itself).
+//
 //netsamp:noalloc
 func (s *Solver) lineDerivs(rates, dir []float64, t float64) (d1, d2 float64) {
 	if s.sh.pool == nil {
@@ -554,6 +562,7 @@ func (s *Solver) lineDerivs(rates, dir []float64, t float64) (d1, d2 float64) {
 }
 
 // lineRange sums the pairs [kLo, kHi)'s line-search terms.
+//
 //netsamp:noalloc
 func (s *Solver) lineRange(kLo, kHi int, rates, dir []float64, t float64) (d1, d2 float64) {
 	for k := kLo; k < kHi; k++ {
@@ -573,6 +582,7 @@ func (s *Solver) lineRange(kLo, kHi int, rates, dir []float64, t float64) (d1, d
 // newtonDir marks dir as a Newton-KKT step, whose natural length is 1 —
 // starting there instead of the bracket midpoint saves most of the
 // search when the quadratic model is accurate.
+//
 //netsamp:noalloc
 func (s *Solver) lineSearch(rates, dir []float64, tMax float64, opt Options, newtonDir bool) (t float64, hitMax bool) {
 	d1End, _ := s.lineDerivs(rates, dir, tMax)
@@ -619,6 +629,7 @@ func (s *Solver) lineSearch(rates, dir []float64, tMax float64, opt Options, new
 
 // finishInto assembles the Solution at the terminal point, reusing sol's
 // slices when they are large enough.
+//
 //netsamp:noalloc
 func (s *Solver) finishInto(sol *Solution, rates, g []float64, stats Stats, converged bool) {
 	lower, upper := s.lower, s.upper
@@ -672,6 +683,7 @@ func (s *Solver) finishInto(sol *Solution, rates, g []float64, stats Stats, conv
 
 // finishRange fills the pairs [kLo, kHi)'s rho and utility slots and
 // returns their weighted-utility sum.
+//
 //netsamp:noalloc
 func (s *Solver) finishRange(kLo, kHi int, rates, rhoOut, utilOut []float64) float64 {
 	obj := 0.0
@@ -687,6 +699,7 @@ func (s *Solver) finishRange(kLo, kHi int, rates, rhoOut, utilOut []float64) flo
 
 // resizeFloats returns a slice of length n, reusing buf's storage when
 // its capacity suffices.
+//
 //netsamp:noalloc
 func resizeFloats(buf []float64, n int) []float64 {
 	if cap(buf) >= n {

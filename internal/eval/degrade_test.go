@@ -14,7 +14,9 @@ import (
 // below naive's.
 func TestDegradationStudyGracefulDominates(t *testing.T) {
 	s := scenario(t)
-	res, err := DegradationStudy(context.Background(), s, DegradeConfig{Seed: 7})
+	cfg := DefaultDegradeConfig()
+	cfg.Seed = 7
+	res, err := DegradationStudy(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +53,9 @@ func TestDegradationStudyDeterministic(t *testing.T) {
 	s := scenario(t)
 	render := func(workers int) string {
 		t.Helper()
-		res, err := DegradationStudy(context.Background(), s, DegradeConfig{
-			Seed: 42, Intervals: 4, Workers: workers,
-		})
+		cfg := DefaultDegradeConfig()
+		cfg.Seed, cfg.Intervals, cfg.Workers = 42, 4, workers
+		res, err := DegradationStudy(context.Background(), s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,9 +73,10 @@ func TestDegradationStudyDeterministic(t *testing.T) {
 
 func TestDegradeCSV(t *testing.T) {
 	s := scenario(t)
-	res, err := DegradationStudy(context.Background(), s, DegradeConfig{
-		Seed: 3, Intervals: 2, FailRates: []float64{0, 0.1}, LossRates: []float64{0.05},
-	})
+	cfg := DefaultDegradeConfig()
+	cfg.Seed, cfg.Intervals = 3, 2
+	cfg.FailRates, cfg.LossRates = []float64{0, 0.1}, []float64{0.05}
+	res, err := DegradationStudy(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -306,10 +306,12 @@ const convergenceChunkSize = 16
 // ConvergenceStudy runs the solver on `runs` randomized instances —
 // per-run jitter on OD sizes, link loads and θ, as in the paper ("each
 // time with a different set of input parameters") — under the solver
-// options opt (DisablePreconditioner reproduces the paper's plain
-// gradient-projection method: slower convergence, more constraint-
-// removal events). The instances run on the engine's worker pool and
-// the per-run statistics aggregate in run order. The runs are grouped
+// options opt (the zero value is the production solver; the Newton
+// step on the free subspace converges every additive run whatever the
+// preconditioner setting, so DisablePreconditioner alone does not
+// reproduce the paper's plain method). The instances run on the
+// engine's worker pool and the per-run statistics aggregate in run
+// order. The runs are grouped
 // into fixed-size chunks; each chunk compiles the problem structure once
 // (the matrix and candidate set never change — only loads, utility
 // parameters and θ are jittered) and re-tunes it per run through the

@@ -513,9 +513,10 @@ func TestTable1ShapeAcrossSeeds(t *testing.T) {
 }
 
 func TestWriteReport(t *testing.T) {
-	s := scenario(t)
+	cfg := DefaultReportConfig()
+	cfg.Trials = 3
 	var b strings.Builder
-	err := WriteReport(&b, s, ReportConfig{Trials: 3, ConvergenceRuns: 5, DynamicSteps: 3, Seed: 1})
+	err := WriteReport(&b, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ import (
 // worker count and across a mid-run kill/restore of the robust
 // controller.
 
-// RegretConfig parameterizes the study. Zero-value fields select the
+// RegretConfig parameterizes the study; DefaultRegretConfig holds the
 // defaults noted on each field.
 type RegretConfig struct {
 	// FailRates are the per-interval monitor crash probabilities to
@@ -68,20 +68,20 @@ type RegretConfig struct {
 	Intervals int
 	// Theta is the budget θ in packets per Interval (default 100000).
 	Theta float64
-	// DriftVol is the true-load random-walk volatility per interval
-	// (default 0.3; negative disables).
+	// DriftVol is the true-load random-walk volatility per interval,
+	// >= 0 (default 0.3; 0 disables).
 	DriftVol float64
-	// DriftStep is the per-interval probability of a step change in a
-	// link's true load (default 0.1; negative disables).
+	// DriftStep is the per-interval probability in [0, 1] of a step
+	// change in a link's true load (default 0.1; 0 disables).
 	DriftStep float64
 	// SmoothAlpha is the EWMA coefficient of the plug-in and robust
 	// operators (default 0.3). The oracle never smooths.
 	SmoothAlpha float64
-	// ExplorationFrac is the robust operator's exploration reserve
-	// (default 0.1; negative disables).
+	// ExplorationFrac is the robust operator's exploration reserve, a
+	// fraction of θ in [0, 0.5] (default 0.1; 0 disables).
 	ExplorationFrac float64
 	// WidenFactor is the robust tracker's per-unobserved-interval
-	// widening (default 1.3).
+	// widening, >= 1 (default 1.3).
 	WidenFactor float64
 	// KillAt, when > 0, kills the robust controller before stepping that
 	// interval and restores it from its serialized snapshot — the study
@@ -94,42 +94,35 @@ type RegretConfig struct {
 	Workers int
 }
 
-func (c *RegretConfig) defaults() {
-	if c.FailRates == nil {
-		c.FailRates = []float64{0, 0.1, 0.2}
+// DefaultRegretConfig returns the study's defaults.
+func DefaultRegretConfig() RegretConfig {
+	return RegretConfig{
+		FailRates:       []float64{0, 0.1, 0.2},
+		Intervals:       24,
+		Theta:           defaultTheta,
+		DriftVol:        0.3,
+		DriftStep:       0.1,
+		SmoothAlpha:     0.3,
+		ExplorationFrac: 0.1,
+		WidenFactor:     1.3,
 	}
-	if c.Intervals <= 0 {
-		c.Intervals = 24
+}
+
+// validate checks the parameters the CLI exposes, in flag order.
+func (c RegretConfig) validate() error {
+	switch {
+	case c.Intervals < 1:
+		return &ParamError{Flag: "intervals", Value: float64(c.Intervals), Want: "must be >= 1"}
+	case c.DriftVol < 0:
+		return &ParamError{Flag: "drift", Value: c.DriftVol, Want: "must be >= 0"}
+	case c.DriftStep < 0 || c.DriftStep > 1:
+		return &ParamError{Flag: "step", Value: c.DriftStep, Want: "must be in [0, 1]"}
+	case c.ExplorationFrac < 0 || c.ExplorationFrac > 0.5:
+		return &ParamError{Flag: "explore", Value: c.ExplorationFrac, Want: "must be in [0, 0.5]"}
+	case c.WidenFactor < 1:
+		return &ParamError{Flag: "widen", Value: c.WidenFactor, Want: "must be >= 1"}
 	}
-	if c.Theta <= 0 {
-		c.Theta = 100000
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if c.DriftVol == 0 {
-		c.DriftVol = 0.3
-	} else if c.DriftVol < 0 {
-		c.DriftVol = 0
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if c.DriftStep == 0 {
-		c.DriftStep = 0.1
-	} else if c.DriftStep < 0 {
-		c.DriftStep = 0
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if c.SmoothAlpha == 0 {
-		c.SmoothAlpha = 0.3
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if c.ExplorationFrac == 0 {
-		c.ExplorationFrac = 0.1
-	} else if c.ExplorationFrac < 0 {
-		c.ExplorationFrac = 0
-	}
-	//netsamp:floateq-ok zero is the unset sentinel, never a computed value
-	if c.WidenFactor == 0 {
-		c.WidenFactor = 1.3
-	}
+	return nil
 }
 
 // RegretPoint is one grid point: cumulative utilities over the horizon
@@ -163,7 +156,9 @@ type RegretResult struct {
 
 // RegretStudy runs the study; see RegretConfig for the knobs.
 func RegretStudy(ctx context.Context, s *geant.Scenario, cfg RegretConfig) (*RegretResult, error) {
-	cfg.defaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	budget := core.BudgetPerInterval(cfg.Theta, Interval)
 	inv := s.UtilityParams(Interval)
 

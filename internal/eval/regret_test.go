@@ -10,12 +10,10 @@ import (
 )
 
 func regretTestConfig() RegretConfig {
-	return RegretConfig{
-		FailRates: []float64{0.1, 0.2},
-		Intervals: 16,
-		Seed:      7,
-		Workers:   1,
-	}
+	cfg := DefaultRegretConfig()
+	cfg.FailRates = []float64{0.1, 0.2}
+	cfg.Intervals, cfg.Seed, cfg.Workers = 16, 7, 1
+	return cfg
 }
 
 // TestRegretRobustDominatesPlugin is the headline robustness claim:

@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"netsamp/internal/geant"
 )
 
 var update = flag.Bool("update", false, "rewrite REPORT.md at the module root from WriteReport")
@@ -25,7 +23,7 @@ func TestReportGolden(t *testing.T) {
 		t.Skipf("REPORT.md is recorded on amd64, not %s", runtime.GOARCH)
 	}
 	var got bytes.Buffer
-	if err := WriteReport(&got, geant.MustBuild(1), ReportConfig{Theta: 100000, Trials: 20, Seed: 1}); err != nil {
+	if err := WriteReport(&got, ReportConfig{Theta: 100000, Trials: 20, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("..", "..", "REPORT.md")

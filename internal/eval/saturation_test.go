@@ -10,7 +10,8 @@ import (
 // Overload bucket absorbs the excess — and the whole study is
 // bit-identical across runs (it sits inside the replay fence).
 func TestSaturationGracefulDegradation(t *testing.T) {
-	cfg := SaturationConfig{Ticks: 60, Seed: 11}
+	cfg := DefaultSaturationConfig()
+	cfg.Ticks, cfg.Seed = 60, 11
 	res, err := SaturationStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +71,9 @@ func TestSaturationGracefulDegradation(t *testing.T) {
 
 // TestSaturationRejectsBadMultiple: non-positive multiples are refused.
 func TestSaturationRejectsBadMultiple(t *testing.T) {
-	_, err := SaturationStudy(SaturationConfig{Ticks: 1, Multiples: []float64{1, 0}})
+	cfg := DefaultSaturationConfig()
+	cfg.Ticks, cfg.Multiples = 1, []float64{1, 0}
+	_, err := SaturationStudy(cfg)
 	if err == nil {
 		t.Fatal("zero multiple accepted")
 	}

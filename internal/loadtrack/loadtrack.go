@@ -131,6 +131,7 @@ func MustNew(n int, cfg Config) *Tracker {
 }
 
 // Len returns the number of tracked links.
+//
 //netsamp:noalloc
 func (t *Tracker) Len() int { return len(t.mean) }
 
@@ -232,6 +233,7 @@ func (t *Tracker) Age(i int) int { return int(t.age[i]) }
 // estimate widened by boundSigma relative standard errors, with the
 // lower edge floored at a small positive fraction of the estimate so a
 // robust solve always sees usable loads.
+//
 //netsamp:noalloc
 func (t *Tracker) Bounds(i int) (lo, hi float64) {
 	m := t.mean[i]
@@ -242,6 +244,7 @@ func (t *Tracker) Bounds(i int) (lo, hi float64) {
 }
 
 // MeansInto fills dst (length Len) with the point estimates.
+//
 //netsamp:noalloc
 func (t *Tracker) MeansInto(dst []float64) {
 	if len(dst) != t.Len() {
@@ -251,6 +254,7 @@ func (t *Tracker) MeansInto(dst []float64) {
 }
 
 // BoundsInto fills lo and hi (length Len) with the per-link envelope.
+//
 //netsamp:noalloc
 func (t *Tracker) BoundsInto(lo, hi []float64) {
 	if len(lo) != t.Len() || len(hi) != t.Len() {

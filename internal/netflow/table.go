@@ -60,9 +60,9 @@ type FlowTable struct {
 	cfg       Config
 
 	mu      sync.Mutex
-	rng     *rng.Source                        //netsamp:guardedby mu sampling decisions must be serialized for replay determinism
+	rng     *rng.Source                         //netsamp:guardedby mu sampling decisions must be serialized for replay determinism
 	entries map[packet.FiveTuple]*packet.Record //netsamp:guardedby mu
-	stats   TableStats                         //netsamp:guardedby mu
+	stats   TableStats                          //netsamp:guardedby mu
 }
 
 // NewFlowTable returns a flow table for the given monitor. src drives

@@ -16,12 +16,14 @@ var EmptyHashRange = HashRange{Lo: 1, Hi: 0}
 
 // Contains reports whether h falls inside the range. Inclusive on both
 // ends, so [0, MaxUint64] covers the whole hash space.
+//
 //netsamp:noalloc
 func (r HashRange) Contains(h uint64) bool {
 	return r.Lo <= h && h <= r.Hi
 }
 
 // Empty reports whether the range contains no hash.
+//
 //netsamp:noalloc
 func (r HashRange) Empty() bool { return r.Lo > r.Hi }
 
@@ -32,6 +34,7 @@ func (r HashRange) Empty() bool { return r.Lo > r.Hi }
 // range i+1 starts at one past range i's end, range 0 starts at 0, the
 // last range ends at MaxUint64, and every range is non-empty. Shares
 // must be positive; the function panics on a non-positive total.
+//
 //netsamp:noalloc
 func PartitionHashSpace(dst []HashRange, shares []float64) {
 	const maxU = ^uint64(0)

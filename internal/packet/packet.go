@@ -66,6 +66,7 @@ func (t FiveTuple) Less(o FiveTuple) bool {
 // FastHash returns a 64-bit FNV-1a hash of the tuple, suitable for
 // sharding flows across workers. It is not symmetric: the two
 // directions of a flow hash differently.
+//
 //netsamp:noalloc
 func (t FiveTuple) FastHash() uint64 {
 	const (
@@ -139,6 +140,7 @@ func (r *Record) AppendTo(b []byte) []byte {
 // DecodeFromBytes parses one record from the front of b into r without
 // allocating. It returns ErrShortBuffer if b holds fewer than RecordSize
 // bytes and ErrBadVersion on a version mismatch.
+//
 //netsamp:noalloc
 func (r *Record) DecodeFromBytes(b []byte) error {
 	if len(b) < RecordSize {

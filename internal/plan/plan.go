@@ -140,6 +140,7 @@ func EffectiveRates(m *routing.Matrix, rates map[topology.LinkID]float64, model 
 
 // EffectiveRatesInto is EffectiveRates writing into dst (length
 // len(m.Pairs)) — the allocation-free form for per-interval loops.
+//
 //netsamp:noalloc
 func EffectiveRatesInto(dst []float64, m *routing.Matrix, rates map[topology.LinkID]float64, model core.RateModel) {
 	if len(dst) != len(m.Pairs) {

@@ -120,8 +120,6 @@ type (
 	Solution = core.Solution
 	// Stats describes a solver run.
 	Stats = core.Stats
-	// MaxMinOptions tunes the max-min extension solver.
-	MaxMinOptions = core.MaxMinOptions
 )
 
 // RateModel abstracts how per-link sampling rates combine into a pair's
@@ -149,10 +147,6 @@ var NewSRE = core.NewSRE
 
 // Solve runs the gradient projection method and returns the optimum.
 var Solve = core.Solve
-
-// SolveMaxMin approximately maximizes the worst pair's utility (the
-// alternative objective the paper defers to future work).
-var SolveMaxMin = core.SolveMaxMin
 
 // BudgetPerInterval converts θ packets-per-interval into the sampled
 // packet rate used by Problem.Budget.

@@ -101,7 +101,7 @@ func TestFacadeMaxMin(t *testing.T) {
 		{Name: "a", Links: []int{0}, Utility: u1},
 		{Name: "b", Links: []int{1}, Utility: u2},
 	}
-	sol, err := netsamp.SolveMaxMin(prob, netsamp.MaxMinOptions{Rounds: 10})
+	sol, err := netsamp.SolveMaxMinExact(prob, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
