@@ -38,6 +38,8 @@ var reportPlan = []struct{ title, command string }{
 	{"Degradation under faults", "degrade"},
 	{"Regret under load drift", "regret"},
 	{"Max-min extension", "maxmin"},
+	{"Coordinated vs independent sampling", "coordinate"},
+	{"Ingest saturation", "saturation"},
 }
 
 // WriteReport runs every study of the report plan and writes one

@@ -120,11 +120,11 @@ func BuildAbilene(seed uint64) (*Scenario, error) {
 			seaLinks = append(seaLinks, lid)
 		}
 	}
-	dists := make([]traffic.SizeDist, len(pairs))
-	for k := range pairs {
-		xm := 300 + 600*r.Float64()
-		dists[k] = traffic.NewParetoSize(xm, 2.5, 2_000_000)
+	xms := make([]float64, len(pairs))
+	for k := range xms {
+		xms[k] = 300 + 600*r.Float64()
 	}
+	dists := sizeDists(xms)
 	rates := append([]float64(nil), AbileneRates...)
 	return &Scenario{
 		Graph:        g,

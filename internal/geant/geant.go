@@ -231,11 +231,11 @@ func Build(seed uint64) (*Scenario, error) {
 	// Per-pair flow sizes: bounded Pareto with tail 2.5 and scale drawn
 	// so mean sizes span roughly 500–1500 packets, i.e. E[1/S] spans the
 	// ≈0.0008…0.0024 range of the paper's Figure 1.
-	dists := make([]traffic.SizeDist, len(pairs))
-	for k := range pairs {
-		xm := 300 + 600*r.Float64() // mean = 2.5·xm/1.5 ≈ 500…1500
-		dists[k] = traffic.NewParetoSize(xm, 2.5, 2_000_000)
+	xms := make([]float64, len(pairs))
+	for k := range xms {
+		xms[k] = 300 + 600*r.Float64() // mean = 2.5·xm/1.5 ≈ 500…1500
 	}
+	dists := sizeDists(xms)
 
 	return &Scenario{
 		Graph:        g,
@@ -251,6 +251,16 @@ func Build(seed uint64) (*Scenario, error) {
 		MonitorLinks: monitorLinks,
 		UKLinks:      ukLinks,
 	}, nil
+}
+
+// sizeDists builds the per-pair flow-size distributions, bounded Pareto
+// with tail 2.5 and scale xms[k], in one batch.
+func sizeDists(xms []float64) []traffic.SizeDist {
+	dists := make([]traffic.SizeDist, len(xms))
+	for k, p := range traffic.NewParetoSizes(xms, 2.5, 2_000_000) {
+		dists[k] = p
+	}
+	return dists
 }
 
 // MustBuild is Build that panics on error (topology and demands are

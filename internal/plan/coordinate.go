@@ -45,11 +45,12 @@ type Coordination struct {
 	Assignments []PairAssignment
 
 	// The per-link inversion MonitorConfig reads, built once by
-	// Coordinate: slot numbers the monitors that own a range (in order of
-	// first appearance), and slot s owns the entries
+	// Coordinate: slot[lid] numbers the monitors that own a range (in
+	// order of first appearance; -1 for a link that owns none, and links
+	// past its end own none), and slot s owns the entries
 	// owned[start[s]:start[s+1]], in pair order. empty is one canonical
 	// empty range per pair, the template every configuration starts from.
-	slot  map[topology.LinkID]int32
+	slot  []int32
 	start []int32
 	owned []ownedRange
 	empty []packet.HashRange
@@ -62,13 +63,22 @@ type ownedRange struct{ pair, pos int32 }
 // Coordinate derives the per-pair hash-range assignment for a deployed
 // rate assignment under the coordinated rate model. Monitors with zero
 // (or absent) rates own no range; a pair with no active monitor gets an
-// empty assignment with Coin 0.
+// empty assignment with Coin 0. Every pair's Links and Ranges are
+// capacity-capped windows of two arrays sized to the matrix's entries.
 func Coordinate(m *routing.Matrix, rates map[topology.LinkID]float64) *Coordination {
 	c := &Coordination{Assignments: make([]PairAssignment, len(m.Pairs))}
+	nnz := 0
+	for _, row := range m.Rows {
+		nnz += len(row)
+	}
+	links := make([]topology.LinkID, 0, nnz)
+	ranges := make([]packet.HashRange, nnz)
+	var shares []float64 // the pair's active shares, reused across pairs
 	for k := range m.Pairs {
 		a := &c.Assignments[k]
 		a.Pair = m.Pairs[k].Name
-		var shares []float64
+		lo := len(links)
+		shares = shares[:0]
 		total := 0.0
 		for j, lid := range m.Rows[k] {
 			p := rates[lid]
@@ -83,40 +93,49 @@ func Coordinate(m *routing.Matrix, rates map[topology.LinkID]float64) *Coordinat
 			if share <= 0 {
 				continue
 			}
-			a.Links = append(a.Links, lid)
+			links = append(links, lid)
 			shares = append(shares, share)
 			total += share
 		}
-		if len(a.Links) == 0 {
+		hi := len(links)
+		if hi == lo {
 			continue
 		}
+		a.Links = links[lo:hi:hi]
 		a.Coin = total
 		if a.Coin > 1 {
 			a.Coin = 1
 		}
-		a.Ranges = make([]packet.HashRange, len(shares))
+		a.Ranges = ranges[lo:hi:hi]
 		packet.PartitionHashSpace(a.Ranges, shares)
 	}
-	c.invert()
+	c.invert(links)
 	return c
 }
 
-// invert builds the link → (pair, range) index from Assignments: one
-// counting pass that numbers the owning links, one placing pass.
-func (c *Coordination) invert() {
-	c.slot = make(map[topology.LinkID]int32)
-	var count, slots []int32
-	for k := range c.Assignments {
-		for _, l := range c.Assignments[k].Links {
-			s, ok := c.slot[l]
-			if !ok {
-				s = int32(len(count))
-				c.slot[l] = s
-				count = append(count, 0)
-			}
-			count[s]++
-			slots = append(slots, s)
+// invert builds the link → (pair, range) index from Assignments, whose
+// Links windows, in pair order, make up links: one counting pass that
+// numbers the owning links, one placing pass.
+func (c *Coordination) invert(links []topology.LinkID) {
+	maxLink := topology.LinkID(-1)
+	for _, l := range links {
+		maxLink = max(maxLink, l)
+	}
+	c.slot = make([]int32, maxLink+1)
+	for l := range c.slot {
+		c.slot[l] = -1
+	}
+	var count []int32
+	slots := make([]int32, len(links))
+	for e, l := range links {
+		s := c.slot[l]
+		if s < 0 {
+			s = int32(len(count))
+			c.slot[l] = s
+			count = append(count, 0)
 		}
+		count[s]++
+		slots[e] = s
 	}
 	c.start = make([]int32, len(count)+1)
 	for s, n := range count {
@@ -148,10 +167,10 @@ func (c *Coordination) invert() {
 func (c *Coordination) MonitorConfig(lid topology.LinkID) (ranges []packet.HashRange, coins []float64) {
 	ranges = slices.Clone(c.empty) // a copy, not a zeroed make then a fill
 	coins = make([]float64, len(c.Assignments))
-	s, ok := c.slot[lid]
-	if !ok {
+	if lid < 0 || int(lid) >= len(c.slot) || c.slot[lid] < 0 {
 		return ranges, coins
 	}
+	s := c.slot[lid]
 	// Backwards, so that a link listed twice on one pair's path keeps its
 	// first range.
 	own := c.owned[c.start[s]:c.start[s+1]]

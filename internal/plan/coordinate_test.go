@@ -136,6 +136,21 @@ func TestMonitorConfigMatchesScan(t *testing.T) {
 	}
 }
 
+// TestCoordinateAllocsFlat: every pair's links and ranges are windows of
+// two flat arrays and the shares one reused scratch, so a coordination of
+// 2 550 pairs costs a bounded number of allocations, not three per pair.
+func TestCoordinateAllocsFlat(t *testing.T) {
+	m, links := scaleMatrix(t, topology.ScaleConfig{Seed: 7, Links: 300, Pairs: 2550})
+	rates := map[topology.LinkID]float64{}
+	for l := 0; l < links; l++ {
+		rates[topology.LinkID(l)] = 0.01
+	}
+	const bound = 40
+	if allocs := testing.AllocsPerRun(5, func() { Coordinate(m, rates) }); allocs > bound {
+		t.Fatalf("Coordinate: %.0f allocations over %d pairs, want at most %d", allocs, len(m.Pairs), bound)
+	}
+}
+
 // BenchmarkMonitorConfig configures every monitor of an 800-link ECMP
 // instance with most links active, the shape of a reroute interval.
 func BenchmarkMonitorConfig(b *testing.B) {

@@ -188,84 +188,90 @@ func TestECMPConsistentWithSinglePath(t *testing.T) {
 
 // FuzzRouterAgainstFloydWarshall builds small random multigraphs — no
 // guaranteed connectivity, parallel links, some links down — and holds
-// the router to the independent all-pairs oracle: distances and
-// reachability match, every single-path row is a contiguous src→dst walk
-// of exactly that cost, and every ECMP row uses only links on some
-// shortest path, with fractions in (0, 1] that leave the source summing
-// to 1.
+// the router to two oracles (see routerOracle).
 func FuzzRouterAgainstFloydWarshall(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(6))
 	f.Add(uint64(2), uint8(9), uint8(40))
 	f.Add(uint64(3), uint8(12), uint8(12))
-	f.Fuzz(func(t *testing.T, seed uint64, nodes, links uint8) {
-		n := 2 + int(nodes)%11
-		r := rng.New(seed)
-		g := topology.New()
-		for i := 0; i < n; i++ {
-			g.AddNode(string(rune('A' + i)))
+	f.Fuzz(routerOracle)
+}
+
+// routerOracle holds the router on one random multigraph to the
+// independent all-pairs oracle: distances and reachability match, every
+// single-path row is a contiguous src→dst walk of exactly that cost, and
+// every ECMP row uses only links on some shortest path, with fractions
+// in (0, 1] that leave the source summing to 1. It then toggles links
+// and holds BuildMatrixECMP to referenceRoute bit for bit (see
+// checkECMPAgainstReference).
+func routerOracle(t *testing.T, seed uint64, nodes, links uint8) {
+	n := 2 + int(nodes)%11
+	r := rng.New(seed)
+	g := topology.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(string(rune('A' + i)))
+	}
+	for i := 0; i < int(links)%64; i++ {
+		a, b := topology.NodeID(r.Intn(n)), topology.NodeID(r.Intn(n))
+		if a == b {
+			continue
 		}
-		for i := 0; i < int(links)%64; i++ {
-			a, b := topology.NodeID(r.Intn(n)), topology.NodeID(r.Intn(n))
-			if a == b {
+		// Weights from a tiny range make equal-cost ties common; a
+		// repeated (a, b) draw is a parallel link.
+		lid := g.AddLink(a, b, topology.OC12, 1+r.Intn(3))
+		g.SetDown(lid, r.Intn(8) == 0)
+	}
+	tbl := ComputeTable(g)
+	want := floydWarshall(g)
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			src, dst := topology.NodeID(s), topology.NodeID(d)
+			if s == d {
 				continue
 			}
-			// Weights from a tiny range make equal-cost ties common; a
-			// repeated (a, b) draw is a parallel link.
-			lid := g.AddLink(a, b, topology.OC12, 1+r.Intn(3))
-			g.SetDown(lid, r.Intn(8) == 0)
-		}
-		tbl := ComputeTable(g)
-		want := floydWarshall(g)
-		for s := 0; s < n; s++ {
-			for d := 0; d < n; d++ {
-				src, dst := topology.NodeID(s), topology.NodeID(d)
-				if s == d {
-					continue
+			pair := []ODPair{{Name: "p", Src: src, Dst: dst}}
+			sp, errSP := BuildMatrix(tbl, pair)
+			mp, errMP := BuildMatrixECMP(tbl, pair)
+			if want[s][d] == math.MaxInt32 {
+				if tbl.Reachable(src, dst) || errSP == nil || errMP == nil {
+					t.Fatalf("%d->%d: unreachable per Floyd-Warshall, router disagrees", s, d)
 				}
-				pair := []ODPair{{Name: "p", Src: src, Dst: dst}}
-				sp, errSP := BuildMatrix(tbl, pair)
-				mp, errMP := BuildMatrixECMP(tbl, pair)
-				if want[s][d] == math.MaxInt32 {
-					if tbl.Reachable(src, dst) || errSP == nil || errMP == nil {
-						t.Fatalf("%d->%d: unreachable per Floyd-Warshall, router disagrees", s, d)
-					}
-					continue
+				continue
+			}
+			if errSP != nil || errMP != nil {
+				t.Fatalf("%d->%d: %v / %v", s, d, errSP, errMP)
+			}
+			if c, err := tbl.Cost(src, dst); err != nil || c != want[s][d] {
+				t.Fatalf("dist(%d,%d) = %d (%v), Floyd-Warshall %d", s, d, c, err, want[s][d])
+			}
+			cost, cur := 0, src
+			for _, lid := range sp.Rows[0] {
+				l := g.Link(lid)
+				if l.Src != cur || l.Down {
+					t.Fatalf("%d->%d: row %v is not a walk over up links", s, d, sp.Rows[0])
 				}
-				if errSP != nil || errMP != nil {
-					t.Fatalf("%d->%d: %v / %v", s, d, errSP, errMP)
+				cost += l.Weight
+				cur = l.Dst
+			}
+			if cur != dst || cost != want[s][d] {
+				t.Fatalf("%d->%d: row %v ends at %d with cost %d, want cost %d", s, d, sp.Rows[0], cur, cost, want[s][d])
+			}
+			out := 0.0
+			for i, lid := range mp.Rows[0] {
+				l, fr := g.Link(lid), mp.Fracs[0][i]
+				if l.Down || want[s][l.Src]+l.Weight+want[l.Dst][d] != want[s][d] {
+					t.Fatalf("%d->%d: ECMP link %d is on no shortest path", s, d, lid)
 				}
-				if c, err := tbl.Cost(src, dst); err != nil || c != want[s][d] {
-					t.Fatalf("dist(%d,%d) = %d (%v), Floyd-Warshall %d", s, d, c, err, want[s][d])
+				if !(fr > 0 && fr <= 1) {
+					t.Fatalf("%d->%d: fraction of link %d is %v, want in (0, 1]", s, d, lid, fr)
 				}
-				cost, cur := 0, src
-				for _, lid := range sp.Rows[0] {
-					l := g.Link(lid)
-					if l.Src != cur || l.Down {
-						t.Fatalf("%d->%d: row %v is not a walk over up links", s, d, sp.Rows[0])
-					}
-					cost += l.Weight
-					cur = l.Dst
-				}
-				if cur != dst || cost != want[s][d] {
-					t.Fatalf("%d->%d: row %v ends at %d with cost %d, want cost %d", s, d, sp.Rows[0], cur, cost, want[s][d])
-				}
-				out := 0.0
-				for i, lid := range mp.Rows[0] {
-					l, fr := g.Link(lid), mp.Fracs[0][i]
-					if l.Down || want[s][l.Src]+l.Weight+want[l.Dst][d] != want[s][d] {
-						t.Fatalf("%d->%d: ECMP link %d is on no shortest path", s, d, lid)
-					}
-					if !(fr > 0 && fr <= 1) {
-						t.Fatalf("%d->%d: fraction of link %d is %v, want in (0, 1]", s, d, lid, fr)
-					}
-					if l.Src == src {
-						out += fr
-					}
-				}
-				if math.Abs(out-1) > 1e-9 {
-					t.Fatalf("%d->%d: source out-fractions sum to %v", s, d, out)
+				if l.Src == src {
+					out += fr
 				}
 			}
+			if math.Abs(out-1) > 1e-9 {
+				t.Fatalf("%d->%d: source out-fractions sum to %v", s, d, out)
+			}
 		}
-	})
+	}
+	checkECMPAgainstReference(t, r, g, tbl)
 }

@@ -13,6 +13,7 @@
 package routing
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -110,6 +111,11 @@ func (t *Table) PathBetween(src, dst topology.NodeID) (Path, error) {
 // sparse row per pair listing the links it traverses. Link identities
 // are topology.LinkIDs; the optimizer maps them to dense indices over
 // the candidate monitor set.
+//
+// The rows built by BuildMatrix and BuildMatrixECMP share one backing
+// array (and the fractions another); each row's capacity ends at its
+// last entry, so appending to a row reallocates it rather than
+// overwriting its neighbour.
 type Matrix struct {
 	Pairs []ODPair
 	Rows  [][]topology.LinkID
@@ -123,24 +129,65 @@ type Matrix struct {
 // returns an error if any pair is unroutable or degenerate (src == dst).
 func BuildMatrix(t *Table, pairs []ODPair) (*Matrix, error) { return buildMatrix(t, pairs, false) }
 
+// buildMatrix visits the pairs grouped by source (a stable order by Src),
+// so the router builds each source tree's DAG index once, and appends
+// every row to one flat store in visit order; row k still lands at
+// Rows[k]. Of several failing pairs, the error names the lowest index.
 func buildMatrix(t *Table, pairs []ODPair, ecmp bool) (*Matrix, error) {
+	visit := make([]int32, len(pairs))
+	for k := range visit {
+		visit[k] = int32(k)
+	}
+	slices.SortStableFunc(visit, func(a, b int32) int { return cmp.Compare(pairs[a].Src, pairs[b].Src) })
+
+	// Hop counts of a few to ~10 are typical; the stores grow if not.
+	est := 8 * len(pairs)
+	flat := make([]topology.LinkID, 0, est)
+	var flatFracs []float64
+	if ecmp {
+		flatFracs = make([]float64, 0, est)
+	}
+	end := make([]int32, len(pairs)) // end[i]: flat length after the i-th visited row
+	r := topology.NewRouter(t.g)
+	var err error
+	errK := len(pairs)
+	for i, k := range visit {
+		pr := pairs[k]
+		var perr error
+		if pr.Src == pr.Dst {
+			perr = fmt.Errorf("routing: OD pair %q has identical endpoints", pr.Name)
+		} else if links, fracs, rerr := t.route(r, pr.Src, pr.Dst, ecmp); rerr != nil {
+			perr = fmt.Errorf("routing: OD pair %q: %w", pr.Name, rerr)
+		} else {
+			flat = append(flat, links...)
+			flatFracs = append(flatFracs, fracs...)
+		}
+		if perr != nil && int(k) < errK {
+			errK, err = int(k), perr
+		}
+		end[i] = int32(len(flat))
+	}
+	if err != nil {
+		return nil, err
+	}
+	// A matrix can outlive many intervals (the plan cache keys on it), so
+	// it keeps no slack from the estimate.
+	if cap(flat) > len(flat) {
+		flat, flatFracs = slices.Clone(flat), slices.Clone(flatFracs)
+	}
+
 	m := &Matrix{Pairs: slices.Clone(pairs), Rows: make([][]topology.LinkID, len(pairs))}
 	if ecmp {
 		m.Fracs = make([][]float64, len(pairs))
 	}
-	r := topology.NewRouter(t.g)
-	for k, pr := range pairs {
-		if pr.Src == pr.Dst {
-			return nil, fmt.Errorf("routing: OD pair %q has identical endpoints", pr.Name)
-		}
-		links, fracs, err := t.route(r, pr.Src, pr.Dst, ecmp)
-		if err != nil {
-			return nil, fmt.Errorf("routing: OD pair %q: %w", pr.Name, err)
-		}
-		m.Rows[k] = slices.Clone(links)
+	lo := int32(0)
+	for i, k := range visit {
+		hi := end[i]
+		m.Rows[k] = flat[lo:hi:hi]
 		if ecmp {
-			m.Fracs[k] = slices.Clone(fracs)
+			m.Fracs[k] = flatFracs[lo:hi:hi]
 		}
+		lo = hi
 	}
 	return m, nil
 }

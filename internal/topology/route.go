@@ -47,12 +47,29 @@ type Router struct {
 	done []bool
 	heap []heapItem
 
-	// Per-route equal-cost-DAG scratch; stamp arrays avoid O(V+E) clears.
+	// The tight-DAG index of one tree, built by the first ECMP Route over
+	// it and dropped by SPF: every pair routed from that tree reads it
+	// instead of re-deriving the tree's tight edges. order lists the
+	// reachable nodes in ascending (Dist, NodeID) order — a topological
+	// order of the tight DAG, since tight links go strictly downhill in
+	// Dist — and rank is each node's position in it. Node v's tight
+	// in-links start at the nodes inSrc[inStart[v]:inStart[v+1]]; node
+	// u's tight out-links are outLink[outStart[u]:outStart[u+1]], in
+	// g.Out order, and outDst holds their heads.
+	indexed  *Tree
+	order    []NodeID
+	rank     []int32
+	inStart  []int32
+	inSrc    []NodeID
+	outStart []int32
+	outLink  []LinkID
+	outDst   []NodeID
+
+	// Per-route scratch; the node stamp avoids O(V) clears.
 	epoch     int
 	nodeStamp []int
 	mass      []float64
-	dagNodes  []NodeID
-	linkStamp []int
+	dagRanks  []int32
 	linkFrac  []float64
 	links     []LinkID
 	fracs     []float64
@@ -79,6 +96,7 @@ func (r *Router) SPF(src NodeID, t *Tree) {
 		r.done = make([]bool, n)
 	}
 	t.Src = src
+	r.indexed = nil
 	for i := range t.Dist {
 		t.Dist[i] = Unreachable
 		t.Prev[i] = -1
@@ -160,6 +178,10 @@ func (r *Router) heapPop() heapItem {
 // fractions lie in (0, 1]. The slices are scratch, valid until the next
 // call. dst == t.Src yields an empty route; t must come from SPF over
 // this router's graph and dst must be one of its nodes.
+//
+// The ECMP branch reads the tree's tight-DAG index (see Router), built
+// from t and the links' Down flags on the first ECMP call for t; t and
+// the flags must not change until the next SPF.
 func (r *Router) Route(t *Tree, dst NodeID, ecmp bool) (links []LinkID, fracs []float64, err error) {
 	src := t.Src
 	if t.Dist[dst] == Unreachable {
@@ -171,40 +193,35 @@ func (r *Router) Route(t *Tree, dst NodeID, ecmp bool) (links []LinkID, fracs []
 		for cur := dst; cur != src; {
 			lid := t.Prev[cur]
 			r.links = append(r.links, lid)
-			cur = g.Link(lid).Src
+			cur = g.links[lid].Src
 		}
 		slices.Reverse(r.links)
 		return r.links, nil, nil
 	}
 
-	if len(r.nodeStamp) != g.NumNodes() || len(r.linkStamp) != g.NumLinks() {
-		r.nodeStamp, r.mass = make([]int, g.NumNodes()), make([]float64, g.NumNodes())
-		r.linkStamp, r.linkFrac = make([]int, g.NumLinks()), make([]float64, g.NumLinks())
+	if r.indexed != t {
+		r.index(t)
+	}
+	if n, nl := g.NumNodes(), g.NumLinks(); len(r.nodeStamp) != n || len(r.linkFrac) != nl {
+		r.nodeStamp, r.mass, r.dagRanks = make([]int, n), make([]float64, n), make([]int32, 0, n)
+		r.linkFrac, r.links, r.fracs = make([]float64, nl), make([]LinkID, 0, nl), make([]float64, 0, nl)
 	}
 	r.epoch++
 	ep := r.epoch
 
-	// Backward reachability from dst over tight edges: a node u with
-	// finite dist and a tight chain to dst lies on a shortest src→dst
-	// path (dist[u] is minimal and the chain costs dist[dst] − dist[u]).
-	r.dagNodes = append(r.dagNodes[:0], dst)
+	// Backward reachability from dst over tight in-links: a node u with
+	// a tight chain to dst lies on a shortest src→dst path (dist[u] is
+	// minimal and the chain costs dist[dst] − dist[u]).
+	r.dagRanks = append(r.dagRanks[:0], r.rank[dst])
 	r.nodeStamp[dst] = ep
 	r.mass[dst] = 0
-	for head := 0; head < len(r.dagNodes); head++ {
-		v := r.dagNodes[head]
-		for _, lid := range g.In(v) {
-			l := g.Link(lid)
-			if l.Down {
-				continue
-			}
-			u := l.Src
-			if t.Dist[u] == Unreachable || t.Dist[u]+l.Weight != t.Dist[v] {
-				continue
-			}
+	for head := 0; head < len(r.dagRanks); head++ {
+		v := r.order[r.dagRanks[head]]
+		for _, u := range r.inSrc[r.inStart[v]:r.inStart[v+1]] {
 			if r.nodeStamp[u] != ep {
 				r.nodeStamp[u] = ep
 				r.mass[u] = 0
-				r.dagNodes = append(r.dagNodes, u)
+				r.dagRanks = append(r.dagRanks, r.rank[u])
 			}
 		}
 	}
@@ -212,39 +229,33 @@ func (r *Router) Route(t *Tree, dst NodeID, ecmp bool) (links []LinkID, fracs []
 		return nil, nil, fmt.Errorf("topology: no tight path from %d to %d: links went down after SPF", src, dst)
 	}
 
-	// Tight edges only go strictly downhill in dist (positive weights),
-	// so ascending (dist, NodeID) is a topological order of the DAG.
-	slices.SortFunc(r.dagNodes, func(a, b NodeID) int {
-		return cmp.Or(cmp.Compare(t.Dist[a], t.Dist[b]), cmp.Compare(a, b))
-	})
-
+	// Ascending rank is the DAG's topological order. Each node splits its
+	// mass over its tight out-links into the stamped set; a link has one
+	// tail, so it is written once.
+	slices.Sort(r.dagRanks)
 	r.mass[src] = 1
-	for _, u := range r.dagNodes {
+	for _, rk := range r.dagRanks {
+		u := r.order[rk]
 		if u == dst || r.mass[u] == 0 {
 			continue
 		}
-		tight := func(l Link) bool {
-			return !l.Down && r.nodeStamp[l.Dst] == ep && t.Dist[u]+l.Weight == t.Dist[l.Dst]
-		}
+		lo, hi := r.outStart[u], r.outStart[u+1]
 		deg := 0
-		for _, lid := range g.Out(u) {
-			if tight(g.Link(lid)) {
+		for _, v := range r.outDst[lo:hi] {
+			if r.nodeStamp[v] == ep {
 				deg++
 			}
 		}
 		share := r.mass[u] / float64(deg)
-		for _, lid := range g.Out(u) {
-			l := g.Link(lid)
-			if !tight(l) {
+		for i := lo; i < hi; i++ {
+			v := r.outDst[i]
+			if r.nodeStamp[v] != ep {
 				continue
 			}
-			if r.linkStamp[lid] != ep {
-				r.linkStamp[lid] = ep
-				r.linkFrac[lid] = 0
-				r.links = append(r.links, lid)
-			}
-			r.linkFrac[lid] += share
-			r.mass[l.Dst] += share
+			lid := r.outLink[i]
+			r.linkFrac[lid] = share
+			r.links = append(r.links, lid)
+			r.mass[v] += share
 		}
 	}
 
@@ -255,6 +266,57 @@ func (r *Router) Route(t *Tree, dst NodeID, ecmp bool) (links []LinkID, fracs []
 		r.fracs = append(r.fracs, min(r.linkFrac[lid], 1))
 	}
 	return r.links, r.fracs, nil
+}
+
+// index builds t's tight-DAG index (see Router). A link is tight when it
+// is up, its tail is reachable and it lies on a shortest path:
+// Dist[tail] + Weight == Dist[head].
+func (r *Router) index(t *Tree) {
+	g := r.g
+	n, nl := g.NumNodes(), g.NumLinks()
+	if len(r.rank) != n || cap(r.inSrc) < nl {
+		r.order, r.rank = make([]NodeID, 0, n), make([]int32, n)
+		r.inStart, r.outStart = make([]int32, n+1), make([]int32, n+1)
+		r.inSrc, r.outLink, r.outDst = make([]NodeID, 0, nl), make([]LinkID, 0, nl), make([]NodeID, 0, nl)
+	}
+	r.order = r.order[:0]
+	for v, d := range t.Dist {
+		if d != Unreachable {
+			r.order = append(r.order, NodeID(v))
+		}
+	}
+	slices.SortFunc(r.order, func(a, b NodeID) int {
+		return cmp.Or(cmp.Compare(t.Dist[a], t.Dist[b]), cmp.Compare(a, b))
+	})
+	for i, v := range r.order {
+		r.rank[v] = int32(i)
+	}
+
+	tight := func(l *Link) bool {
+		return !l.Down && t.Dist[l.Src] != Unreachable && t.Dist[l.Src]+l.Weight == t.Dist[l.Dst]
+	}
+	r.inSrc, r.outLink, r.outDst = r.inSrc[:0], r.outLink[:0], r.outDst[:0]
+	for v := range n {
+		r.inStart[v] = int32(len(r.inSrc))
+		r.outStart[v] = int32(len(r.outLink))
+		if t.Dist[v] == Unreachable {
+			continue
+		}
+		for _, lid := range g.in[v] {
+			if l := &g.links[lid]; tight(l) {
+				r.inSrc = append(r.inSrc, l.Src)
+			}
+		}
+		for _, lid := range g.out[v] {
+			if l := &g.links[lid]; tight(l) {
+				r.outLink = append(r.outLink, lid)
+				r.outDst = append(r.outDst, l.Dst)
+			}
+		}
+	}
+	r.inStart[n] = int32(len(r.inSrc))
+	r.outStart[n] = int32(len(r.outLink))
+	r.indexed = t
 }
 
 // routeCSR fills inst.Start/Links/Fracs for the sampled pairs. PairSrc

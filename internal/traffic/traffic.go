@@ -193,22 +193,51 @@ type ParetoSize struct {
 
 // NewParetoSize builds a ParetoSize and precomputes E[1/S] by a
 // deterministic Monte-Carlo estimate (the discretized, clamped
-// distribution has no convenient closed form).
+// distribution has no convenient closed form). It is NewParetoSizes'
+// one-scale case.
 func NewParetoSize(xm, alpha float64, maxPackets int64) *ParetoSize {
-	p := &ParetoSize{Xm: xm, Alpha: alpha, MaxPackets: maxPackets}
+	return NewParetoSizes([]float64{xm}, alpha, maxPackets)[0]
+}
+
+// NewParetoSizes builds one ParetoSize per scale of xms, all with tail
+// alpha and clamp maxPackets. Every scale's E[1/S] estimate draws the
+// same fixed-seed uniforms u, and a Pareto(xm, alpha) variate is
+// xm / u^(1/alpha), so each power is taken once and shared: scale i's
+// estimate sums the same terms in the same order as sampling it alone.
+func NewParetoSizes(xms []float64, alpha float64, maxPackets int64) []*ParetoSize {
+	ps := make([]*ParetoSize, len(xms))
+	sums := make([]float64, len(xms))
+	for i, xm := range xms {
+		if xm <= 0 || alpha <= 0 {
+			panic("traffic: Pareto sizes require positive xm and alpha")
+		}
+		ps[i] = &ParetoSize{Xm: xm, Alpha: alpha, MaxPackets: maxPackets}
+	}
 	r := rng.New(0x9a7e70)
 	const n = 60000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / float64(p.Sample(r))
+	for range n {
+		u := r.Float64()
+		for u == 0 { // rng.Pareto's rejection of u = 0
+			u = r.Float64()
+		}
+		pw := math.Pow(u, 1/alpha)
+		for i, p := range ps {
+			sums[i] += 1 / float64(p.discretize(p.Xm/pw))
+		}
 	}
-	p.meanInv = sum / n
-	return p
+	for i, p := range ps {
+		p.meanInv = sums[i] / n
+	}
+	return ps
 }
 
 // Sample implements SizeDist.
-func (p *ParetoSize) Sample(r *rng.Source) int64 {
-	v := int64(math.Ceil(r.Pareto(p.Xm, p.Alpha)))
+func (p *ParetoSize) Sample(r *rng.Source) int64 { return p.discretize(r.Pareto(p.Xm, p.Alpha)) }
+
+// discretize rounds a Pareto variate up to whole packets, at least one
+// and at most MaxPackets when that is set.
+func (p *ParetoSize) discretize(x float64) int64 {
+	v := int64(math.Ceil(x))
 	if v < 1 {
 		v = 1
 	}

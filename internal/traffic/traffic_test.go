@@ -170,6 +170,25 @@ func TestParetoSizeSupportAndMeanInverse(t *testing.T) {
 	}
 }
 
+// TestParetoSizesMatchSampling: the batch shares one power per uniform
+// across scales, yet each scale's E[1/S] has the bits of sampling that
+// scale alone from the fixed seed, term by term in the same order.
+func TestParetoSizesMatchSampling(t *testing.T) {
+	xms := []float64{0.5, 10, 300, 517.25, 899.9}
+	for _, alpha := range []float64{1.2, 2.5} {
+		for i, p := range NewParetoSizes(xms, alpha, 2_000_000) {
+			r := rng.New(0x9a7e70)
+			sum := 0.0
+			for range 60000 {
+				sum += 1 / float64(p.Sample(r))
+			}
+			if got, want := p.MeanInverse(), sum/60000; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("alpha %v xm %v: MeanInverse %x, sampled %x", alpha, xms[i], math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestGenerateFlowsExactTotal(t *testing.T) {
 	r := rng.New(3)
 	dist := NewParetoSize(5, 1.3, 100000)
