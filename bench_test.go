@@ -40,7 +40,7 @@ func benchScenario(b *testing.B) *geant.Scenario {
 
 func benchProblem(b *testing.B, s *geant.Scenario, model core.RateModel) *core.Problem {
 	b.Helper()
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       s.Matrix,
 		Loads:        s.Loads,
 		Candidates:   s.MonitorLinks,
@@ -372,7 +372,7 @@ func BenchmarkFigure2ColdSolves(b *testing.B) {
 	iters := 0
 	for i := 0; i < b.N; i++ {
 		for _, in := range seq {
-			prob, _, err := plan.Build(in)
+			prob, err := plan.Build(in)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -458,7 +458,7 @@ func BenchmarkDynamicIntervalCold(b *testing.B) {
 	iters := 0
 	for i := 0; i < b.N; i++ {
 		for _, loads := range schedule {
-			prob, _, err := plan.Build(plan.Input{
+			prob, err := plan.Build(plan.Input{
 				Matrix:       s.Matrix,
 				Loads:        loads,
 				Candidates:   s.MonitorLinks,
@@ -541,7 +541,11 @@ func BenchmarkSolveRobust(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := core.SolveRobust(prob, core.RobustPessimistic, lower, upper, core.Options{})
+		s, err := core.NewSolver(prob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sol, err := s.SolveRobust(core.RobustPessimistic, lower, upper, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func run(w io.Writer, theta float64, seed uint64, scale float64) error {
 	}
 	theta *= scale
 
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       s.Matrix,
 		Loads:        loads,
 		Candidates:   s.MonitorLinks,

@@ -200,7 +200,7 @@ func cmdOptimize(args []string) error {
 	}
 	sol := res.Solution
 	if *maxmin {
-		prob, _, err := plan.Build(plan.Input{
+		prob, err := plan.Build(plan.Input{
 			Matrix:       res.Matrix,
 			Loads:        res.Loads,
 			Candidates:   res.Candidates,

@@ -92,7 +92,7 @@ func runScaleSize(opt scaleOptions, links int, logf func(string, ...any)) (scale
 	if err != nil {
 		return res, err
 	}
-	s, err := core.NewSolverCSR(cp)
+	s, err := core.NewSolver(cp)
 	if err != nil {
 		return res, err
 	}
@@ -163,9 +163,9 @@ func runScaleSize(opt scaleOptions, links int, logf func(string, ...any)) (scale
 // per worker count and compares against the single-worker sharded
 // solve bitwise. Bit-identity is a path property, so a truncated prefix
 // proves as much as a full solve at a fraction of the cost.
-func scaleShardIdentity(cp *core.CSRProblem, opt scaleOptions) (bool, error) {
+func scaleShardIdentity(cp *core.Problem, opt scaleOptions) (bool, error) {
 	solveAt := func(workers int) (*core.Solution, error) {
-		s, err := core.NewSolverCSR(cp)
+		s, err := core.NewSolver(cp)
 		if err != nil {
 			return nil, err
 		}

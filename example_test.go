@@ -13,10 +13,11 @@ func ExampleSolve() {
 	prob := &netsamp.Problem{
 		Loads:  []float64{40000, 2000}, // pkt/s on the two candidate links
 		Budget: netsamp.BudgetPerInterval(30000, 300),
-		Pairs: []netsamp.Pair{
-			{Name: "small-od", Links: []int{1}, Utility: u},
-			{Name: "big-od", Links: []int{0}, Utility: mustSRE(1.0 / 9000000)},
-		},
+		// Pair k crosses Links[Start[k]:Start[k+1]]: the small OD the
+		// light link 1, the big OD the heavy link 0.
+		Start:     []int32{0, 1, 2},
+		Links:     []int32{1, 0},
+		Utilities: []netsamp.Utility{u, mustSRE(1.0 / 9000000)},
 	}
 	sol, err := netsamp.Solve(prob, netsamp.Options{})
 	if err != nil {
@@ -52,7 +53,7 @@ func ExampleBuildProblem() {
 	m, _ := netsamp.BuildRoutingMatrix(tbl, pairs)
 	demands := &netsamp.TrafficMatrix{Demands: []netsamp.Demand{{Pair: pairs[0], Rate: 1000}}}
 	loads, _ := netsamp.LinkLoads(g, tbl, demands)
-	prob, _, _ := netsamp.BuildProblem(netsamp.PlanInput{
+	prob, _ := netsamp.BuildProblem(netsamp.PlanInput{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   []netsamp.LinkID{ab},

@@ -33,7 +33,7 @@ func solve(s *netsamp.GEANTScenario, loads []float64, rates []float64) (map[nets
 	for k, r := range rates {
 		inv[k] = 1 / (r * eval.Interval)
 	}
-	prob, _, err := netsamp.BuildProblem(netsamp.PlanInput{
+	prob, err := netsamp.BuildProblem(netsamp.PlanInput{
 		Matrix:       s.Matrix,
 		Loads:        loads,
 		Candidates:   s.MonitorLinks,

@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	candidates := []netsamp.LinkID{ab, bc}
-	prob, _, err := netsamp.BuildProblem(netsamp.PlanInput{
+	prob, err := netsamp.BuildProblem(netsamp.PlanInput{
 		Matrix:       matrix,
 		Loads:        loads,
 		Candidates:   candidates,

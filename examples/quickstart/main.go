@@ -84,7 +84,7 @@ func main() {
 	}
 
 	const theta = 5000 // sampled packets per interval
-	prob, _, err := netsamp.BuildProblem(netsamp.PlanInput{
+	prob, err := netsamp.BuildProblem(netsamp.PlanInput{
 		Matrix:       matrix,
 		Loads:        loads,
 		Candidates:   candidates,

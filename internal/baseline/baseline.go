@@ -241,8 +241,8 @@ func TwoPhaseGreedy(m *routing.Matrix, loads []float64, candidates []topology.Li
 // sampling rate (e.g. 1/1000) — the practice the paper's introduction
 // attributes to ISPs today: "enable NetFlow on all routers but using
 // very low sampling rates to minimize potential network impact". The
-// budget it consumes is implied by the rate; BudgetConsumed reports it
-// so the optimizer can be run at the same cost for a fair comparison.
+// budget it consumes is implied by the rate; plan.SampledRate reports
+// it so the optimizer can be run at the same cost for a fair comparison.
 func FixedRate(m *routing.Matrix, loads []float64, candidates []topology.LinkID, rate float64) (*Assignment, error) {
 	if !(rate > 0 && rate <= 1) {
 		return nil, fmt.Errorf("baseline: fixed rate %v out of (0, 1]", rate)
@@ -259,11 +259,6 @@ func FixedRate(m *routing.Matrix, loads []float64, candidates []topology.LinkID,
 		Rates: rates,
 		Rho:   plan.EffectiveRates(m, rates, nil),
 	}, nil
-}
-
-// BudgetConsumed returns the sampled packet rate an assignment costs.
-func (a *Assignment) BudgetConsumed(loads []float64) float64 {
-	return plan.SampledRate(a.Rates, loads)
 }
 
 // Comparator is one deferred baseline evaluation for CompareAll: a

@@ -250,8 +250,8 @@ func TestFixedRate(t *testing.T) {
 	for _, lid := range s.MonitorLinks {
 		sum += s.Loads[lid]
 	}
-	if got := a.BudgetConsumed(s.Loads); math.Abs(got-0.001*sum) > 1e-9 {
-		t.Fatalf("BudgetConsumed = %v", got)
+	if got := plan.SampledRate(a.Rates, s.Loads); math.Abs(got-0.001*sum) > 1e-9 {
+		t.Fatalf("SampledRate = %v", got)
 	}
 	// Every pair gets a positive effective rate (all links monitored).
 	for k, rho := range a.Rho {
@@ -280,7 +280,7 @@ func TestOptimalBeatsFixedRateAtEqualBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	budget := fixed.BudgetConsumed(s.Loads)
+	budget := plan.SampledRate(fixed.Rates, s.Loads)
 	inv := s.UtilityParams(300)
 	_, opt, err := Restricted("optimal", plan.Input{
 		Matrix: s.Matrix, Loads: s.Loads, Candidates: s.MonitorLinks,

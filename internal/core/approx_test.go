@@ -14,13 +14,13 @@ import (
 func randomApproxProblem(r *rng.Source) *Problem {
 	nLinks := 4 + r.Intn(8)
 	nPairs := 3 + r.Intn(10)
-	p := &Problem{Loads: make([]float64, nLinks)}
+	in := &instance{Loads: make([]float64, nLinks)}
 	total := 0.0
-	for i := range p.Loads {
-		p.Loads[i] = 100 + 5000*r.Float64()
-		total += p.Loads[i]
+	for i := range in.Loads {
+		in.Loads[i] = 100 + 5000*r.Float64()
+		total += in.Loads[i]
 	}
-	p.Budget = total * (0.02 + 0.3*r.Float64())
+	in.Budget = total * (0.02 + 0.3*r.Float64())
 	for k := 0; k < nPairs; k++ {
 		nl := 1 + r.Intn(3)
 		links := map[int]bool{}
@@ -33,13 +33,13 @@ func randomApproxProblem(r *rng.Source) *Problem {
 				ls = append(ls, i)
 			}
 		}
-		p.Pairs = append(p.Pairs, Pair{
+		in.Pairs = append(in.Pairs, pair{
 			Links:   ls,
 			Utility: MustSRE(0.001 + 0.05*r.Float64()),
 			Weight:  0.5 + r.Float64(),
 		})
 	}
-	return p
+	return in.problem()
 }
 
 // TestSolveApproxGapSoundness is the core certificate check: for every
@@ -149,14 +149,14 @@ func TestSolveApproxRefusesNonAdditive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 2000},
 		Budget: 500,
 		Model:  m,
-		Pairs: []Pair{
+		Pairs: []pair{
 			{Links: []int{0, 1}, Utility: MustSRE(0.01)},
 		},
-	}
+	}.problem()
 	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
@@ -203,14 +203,14 @@ func TestSolveApproxWarmStart(t *testing.T) {
 }
 
 func TestSolveRobustApprox(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 2000, 1500},
 		Budget: 900,
-		Pairs: []Pair{
+		Pairs: []pair{
 			{Links: []int{0, 1}, Utility: MustSRE(0.01)},
 			{Links: []int{1, 2}, Utility: MustSRE(0.02)},
 		},
-	}
+	}.problem()
 	lower := []float64{900, 1800, 1400}
 	upper := []float64{1100, 2300, 1700}
 	s, err := NewSolver(p)

@@ -8,9 +8,9 @@ import (
 	"netsamp/internal/topology"
 )
 
-// csrFromInstance builds a CSRProblem over a generated instance with one
+// csrFromInstance builds a Problem over a generated instance with one
 // shared SRE utility per flow-size class and θ = budgetFrac·Σ U_i.
-func csrFromInstance(t testing.TB, inst *topology.ScaleInstance, budgetFrac float64) *CSRProblem {
+func csrFromInstance(t testing.TB, inst *topology.ScaleInstance, budgetFrac float64) *Problem {
 	t.Helper()
 	byClass := map[float64]Utility{}
 	utils := make([]Utility, inst.NumPairs())
@@ -22,38 +22,13 @@ func csrFromInstance(t testing.TB, inst *topology.ScaleInstance, budgetFrac floa
 		}
 		utils[k] = u
 	}
-	return &CSRProblem{
+	return &Problem{
 		Loads:     inst.Loads,
 		Budget:    budgetFrac * inst.MaxSampledRate(),
 		Start:     inst.Start,
 		Links:     inst.Links,
 		Fracs:     inst.Fracs,
 		Utilities: utils,
-	}
-}
-
-// denseFromCSR rebuilds the equivalent dense Problem: one Pair per CSR
-// row, sharing the CSR problem's utility objects.
-func denseFromCSR(p *CSRProblem) *Problem {
-	n := p.NumPairs()
-	pairs := make([]Pair, n)
-	for k := 0; k < n; k++ {
-		lo, hi := p.Start[k], p.Start[k+1]
-		links := make([]int, hi-lo)
-		for j := lo; j < hi; j++ {
-			links[j-lo] = int(p.Links[j])
-		}
-		var fracs []float64
-		if p.Fracs != nil {
-			fracs = append(fracs, p.Fracs[lo:hi]...)
-		}
-		pairs[k] = Pair{Links: links, Fracs: fracs, Utility: p.Utilities[k]}
-	}
-	return &Problem{
-		Loads:  append([]float64(nil), p.Loads...),
-		Budget: p.Budget,
-		Pairs:  pairs,
-		Model:  p.Model,
 	}
 }
 
@@ -66,9 +41,9 @@ func genInstance(t testing.TB, links, pairs int, seed uint64, ecmp bool) *topolo
 	return inst
 }
 
-func TestNewSolverCSRValidation(t *testing.T) {
-	valid := func() *CSRProblem {
-		return &CSRProblem{
+func TestNewSolverValidation(t *testing.T) {
+	valid := func() *Problem {
+		return &Problem{
 			Loads:     []float64{100, 200, 300},
 			Budget:    50,
 			Start:     []int32{0, 2, 3},
@@ -76,31 +51,31 @@ func TestNewSolverCSRValidation(t *testing.T) {
 			Utilities: []Utility{MustSRE(0.01), MustSRE(0.02)},
 		}
 	}
-	if _, err := NewSolverCSR(valid()); err != nil {
+	if _, err := NewSolver(valid()); err != nil {
 		t.Fatalf("valid problem rejected: %v", err)
 	}
-	cases := map[string]func(*CSRProblem){
+	cases := map[string]func(*Problem){
 		"nil problem":        nil,
-		"zero load":          func(p *CSRProblem) { p.Loads[1] = 0 },
-		"nan load":           func(p *CSRProblem) { p.Loads[0] = math.NaN() },
-		"no links":           func(p *CSRProblem) { p.Loads = nil },
-		"budget zero":        func(p *CSRProblem) { p.Budget = 0 },
-		"budget infeasible":  func(p *CSRProblem) { p.Budget = 1e9 },
-		"start not zero-led": func(p *CSRProblem) { p.Start[0] = 1 },
-		"start non-monotone": func(p *CSRProblem) { p.Start[1] = 3; p.Start[2] = 2 },
-		"start wrong tail":   func(p *CSRProblem) { p.Start[2] = 2 },
-		"empty row":          func(p *CSRProblem) { p.Start[1] = 0 },
-		"link out of range":  func(p *CSRProblem) { p.Links[2] = 3 },
-		"negative link":      func(p *CSRProblem) { p.Links[0] = -1 },
-		"duplicate in row":   func(p *CSRProblem) { p.Links[1] = 0 },
-		"nil utility":        func(p *CSRProblem) { p.Utilities[1] = nil },
-		"missing utilities":  func(p *CSRProblem) { p.Utilities = p.Utilities[:1] },
-		"frac zero":          func(p *CSRProblem) { p.Fracs = []float64{0, 1, 1} },
-		"frac above one":     func(p *CSRProblem) { p.Fracs = []float64{1, 1, 1.5} },
-		"alpha above one":    func(p *CSRProblem) { p.MaxRate = []float64{1, 2, 1} },
-		"alpha zero":         func(p *CSRProblem) { p.MaxRate = []float64{1, 0, 1} },
-		"bad weight":         func(p *CSRProblem) { p.Weights = []float64{1, math.Inf(1)} },
-		"fracs non-frac model": func(p *CSRProblem) {
+		"zero load":          func(p *Problem) { p.Loads[1] = 0 },
+		"nan load":           func(p *Problem) { p.Loads[0] = math.NaN() },
+		"no links":           func(p *Problem) { p.Loads = nil },
+		"budget zero":        func(p *Problem) { p.Budget = 0 },
+		"budget infeasible":  func(p *Problem) { p.Budget = 1e9 },
+		"start not zero-led": func(p *Problem) { p.Start[0] = 1 },
+		"start non-monotone": func(p *Problem) { p.Start[1] = 3; p.Start[2] = 2 },
+		"start wrong tail":   func(p *Problem) { p.Start[2] = 2 },
+		"empty row":          func(p *Problem) { p.Start[1] = 0 },
+		"link out of range":  func(p *Problem) { p.Links[2] = 3 },
+		"negative link":      func(p *Problem) { p.Links[0] = -1 },
+		"duplicate in row":   func(p *Problem) { p.Links[1] = 0 },
+		"nil utility":        func(p *Problem) { p.Utilities[1] = nil },
+		"missing utilities":  func(p *Problem) { p.Utilities = p.Utilities[:1] },
+		"frac zero":          func(p *Problem) { p.Fracs = []float64{0, 1, 1} },
+		"frac above one":     func(p *Problem) { p.Fracs = []float64{1, 1, 1.5} },
+		"alpha above one":    func(p *Problem) { p.MaxRate = []float64{1, 2, 1} },
+		"alpha zero":         func(p *Problem) { p.MaxRate = []float64{1, 0, 1} },
+		"bad weight":         func(p *Problem) { p.Weights = []float64{1, math.Inf(1)} },
+		"fracs non-frac model": func(p *Problem) {
 			m, err := ModelByName("independent-exact")
 			if err != nil {
 				t.Fatal(err)
@@ -116,52 +91,13 @@ func TestNewSolverCSRValidation(t *testing.T) {
 		} else {
 			mutate(p)
 		}
-		if _, err := NewSolverCSR(p); err == nil {
+		if _, err := NewSolver(p); err == nil {
 			t.Errorf("%s: accepted, want error", name)
 		}
 	}
 }
 
-// TestCSRMatchesDenseBitwise pins the CSR front door to the dense one:
-// the same incidence expressed either way must compile to the same
-// internal state and solve bit-identically.
-func TestCSRMatchesDenseBitwise(t *testing.T) {
-	for _, ecmp := range []bool{false, true} {
-		inst := genInstance(t, 300, 600, 9, ecmp)
-		cp := csrFromInstance(t, inst, 0.1)
-		sc, err := NewSolverCSR(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sd, err := NewSolver(denseFromCSR(cp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		solC, err := sc.Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		solD, err := sd.Solve(Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if solC.Objective != solD.Objective {
-			t.Errorf("ecmp=%v: objective %v (CSR) != %v (dense)", ecmp, solC.Objective, solD.Objective)
-		}
-		for i := range solC.Rates {
-			if solC.Rates[i] != solD.Rates[i] {
-				t.Fatalf("ecmp=%v: rate[%d] %v (CSR) != %v (dense)", ecmp, i, solC.Rates[i], solD.Rates[i])
-			}
-		}
-		for k := range solC.Rho {
-			if solC.Rho[k] != solD.Rho[k] {
-				t.Fatalf("ecmp=%v: rho[%d] %v (CSR) != %v (dense)", ecmp, k, solC.Rho[k], solD.Rho[k])
-			}
-		}
-	}
-}
-
-func csrFeasibility(t *testing.T, p *CSRProblem, sol *Solution, budgetSlack bool) {
+func csrFeasibility(t *testing.T, p *Problem, sol *Solution, budgetSlack bool) {
 	t.Helper()
 	spend := 0.0
 	for i, r := range sol.Rates {
@@ -208,7 +144,7 @@ func matchesRecorded(t *testing.T, s *Solver, sol *Solution, objective, lambda f
 func TestCSRLargeNewtonCG(t *testing.T) {
 	inst := genInstance(t, 1000, 3000, 5, false)
 	cp := csrFromInstance(t, inst, 0.05)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +163,7 @@ func TestCSRLargeNewtonCG(t *testing.T) {
 	// The optimum the untruncated, unpreconditioned CG solver reached.
 	matchesRecorded(t, s, sol, 2991.3250609657312, 7.4182011420309994e-06)
 
-	sa, err := NewSolverCSR(cp)
+	sa, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +183,7 @@ func TestCSRLargeNewtonCG(t *testing.T) {
 func TestCSRSolverRetune(t *testing.T) {
 	inst := genInstance(t, 300, 400, 13, false)
 	cp := csrFromInstance(t, inst, 0.1)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +217,14 @@ func TestCSRSolverRetune(t *testing.T) {
 }
 
 func TestCSRTypedErrors(t *testing.T) {
-	p := &CSRProblem{
+	p := &Problem{
 		Loads:     []float64{100, -5},
 		Budget:    10,
 		Start:     []int32{0, 1},
 		Links:     []int32{0},
 		Utilities: []Utility{MustSRE(0.01)},
 	}
-	_, err := NewSolverCSR(p)
+	_, err := NewSolver(p)
 	if err == nil {
 		t.Fatal("negative load accepted")
 	}

@@ -7,23 +7,23 @@ import (
 
 func TestValidateFractions(t *testing.T) {
 	good := func() *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{100, 100},
 			Budget: 1,
-			Pairs: []Pair{{
-				Name: "a", Links: []int{0, 1}, Fracs: []float64{0.5, 0.5},
+			Pairs: []pair{{
+				Links: []int{0, 1}, Fracs: []float64{0.5, 0.5},
 				Utility: MustSRE(0.01),
 			}},
-		}
+		}.problem()
 	}
 	if err := good().Validate(); err != nil {
 		t.Fatalf("good fractional problem rejected: %v", err)
 	}
 	cases := []func(p *Problem){
-		func(p *Problem) { p.Pairs[0].Fracs = []float64{0.5} },      // length
-		func(p *Problem) { p.Pairs[0].Fracs = []float64{0, 0.5} },   // zero
-		func(p *Problem) { p.Pairs[0].Fracs = []float64{1.5, 0.5} }, // > 1
-		func(p *Problem) { p.Model = ModelIndependentExact },        // exact + fractions
+		func(p *Problem) { p.Fracs = []float64{0.5} },        // length
+		func(p *Problem) { p.Fracs = []float64{0, 0.5} },     // zero
+		func(p *Problem) { p.Fracs = []float64{1.5, 0.5} },   // > 1
+		func(p *Problem) { p.Model = ModelIndependentExact }, // exact + fractions
 	}
 	for i, mutate := range cases {
 		p := good()
@@ -35,14 +35,14 @@ func TestValidateFractions(t *testing.T) {
 }
 
 func TestFractionalEffectiveRate(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{100, 100},
 		Budget: 1,
-		Pairs: []Pair{{
-			Name: "a", Links: []int{0, 1}, Fracs: []float64{0.5, 0.25},
+		Pairs: []pair{{
+			Links: []int{0, 1}, Fracs: []float64{0.5, 0.25},
 			Utility: MustSRE(0.01),
 		}},
-	}
+	}.problem()
 	rho := p.EffectiveRates([]float64{0.02, 0.04})
 	want := 0.5*0.02 + 0.25*0.04
 	if math.Abs(rho[0]-want) > 1e-15 {
@@ -54,16 +54,16 @@ func TestFractionalEffectiveRate(t *testing.T) {
 // parallel links must receive equal rates on both, and its effective
 // rate must equal what a single-path pair would get at the same cost.
 func TestSolveECMPEquivalence(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		// Two ECMP branches of pair a (each carries half its packets and
 		// half its load) and one separate link for pair b.
 		Loads:  []float64{1000, 1000, 2000},
 		Budget: 20,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Fracs: []float64{0.5, 0.5}, Utility: MustSRE(0.001)},
-			{Name: "b", Links: []int{2}, Utility: MustSRE(0.001)},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Fracs: []float64{0.5, 0.5}, Utility: MustSRE(0.001)},
+			{Links: []int{2}, Utility: MustSRE(0.001)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)

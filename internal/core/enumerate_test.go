@@ -27,20 +27,21 @@ import (
 //
 // Additive rate models only (ρ_k = c_k + Σ f_ki·p_i); the coordinated
 // model's solver surrogate is the same sum. The problem is read through
-// its exported fields alone, and the utilities through Value, Deriv and
-// Curv.
+// its exported fields alone — the CSR rows entry by entry — and the
+// utilities through Value, Deriv and Curv.
 
 // oracleValid is the oracle's own statement of which inputs the program
 // admits: positive finite loads, caps in (0, 1], a budget in
-// (0, Σ α_i·U_i], every pair on at least one link, no link twice in a
-// pair, fractions in (0, 1].
+// (0, Σ α_i·U_i], rows that partition Links, every pair on at least one
+// link with a utility, no link twice in a pair, fractions in (0, 1].
 func oracleValid(p *Problem) bool {
-	if len(p.Loads) == 0 || len(p.Pairs) == 0 {
+	nPairs := len(p.Start) - 1
+	if len(p.Loads) == 0 || nPairs < 1 {
 		return false
 	}
 	maxSpend := 0.0
 	for i, u := range p.Loads {
-		a := oracleCap(p, i)
+		a := oracleCap(p.MaxRate, i)
 		if !(u > 0) || math.IsInf(u, 0) || !(a > 0 && a <= 1) {
 			return false
 		}
@@ -49,17 +50,23 @@ func oracleValid(p *Problem) bool {
 	if !(p.Budget > 0) || p.Budget > maxSpend*(1+1e-12) {
 		return false
 	}
-	for _, pr := range p.Pairs {
-		if len(pr.Links) == 0 || pr.Utility == nil {
+	if p.Start[0] != 0 || int(p.Start[nPairs]) != len(p.Links) || len(p.Utilities) != nPairs ||
+		p.Fracs != nil && len(p.Fracs) != len(p.Links) || p.Weights != nil && len(p.Weights) != nPairs {
+		return false
+	}
+	for k := 0; k < nPairs; k++ {
+		lo, hi := p.Start[k], p.Start[k+1]
+		if hi <= lo || int(hi) > len(p.Links) || p.Utilities[k] == nil {
 			return false
 		}
-		seen := map[int]bool{}
-		for j, l := range pr.Links {
-			if l < 0 || l >= len(p.Loads) || seen[l] {
+		seen := map[int32]bool{}
+		for j := lo; j < hi; j++ {
+			l := p.Links[j]
+			if l < 0 || int(l) >= len(p.Loads) || seen[l] {
 				return false
 			}
 			seen[l] = true
-			if pr.Fracs != nil && !(pr.Fracs[j] > 0 && pr.Fracs[j] <= 1) {
+			if p.Fracs != nil && !(p.Fracs[j] > 0 && p.Fracs[j] <= 1) {
 				return false
 			}
 		}
@@ -67,23 +74,23 @@ func oracleValid(p *Problem) bool {
 	return true
 }
 
-func oracleCap(p *Problem, i int) float64 {
-	if p.MaxRate == nil {
+func oracleCap(maxRate []float64, i int) float64 {
+	if maxRate == nil {
 		return 1
 	}
-	return p.MaxRate[i]
+	return maxRate[i]
 }
 
-func oracleFrac(pr *Pair, j int) float64 {
-	if pr.Fracs == nil {
+func oracleFrac(p *Problem, j int32) float64 {
+	if p.Fracs == nil {
 		return 1
 	}
-	return pr.Fracs[j]
+	return p.Fracs[j]
 }
 
-func oracleWeight(pr *Pair) float64 {
-	if pr.Weight > 0 {
-		return pr.Weight
+func oracleWeight(p *Problem, k int) float64 {
+	if p.Weights != nil && p.Weights[k] > 0 {
+		return p.Weights[k]
 	}
 	return 1
 }
@@ -91,13 +98,12 @@ func oracleWeight(pr *Pair) float64 {
 // oracleObjective is Σ_k w_k·M_k(ρ_k) at rates.
 func oracleObjective(p *Problem, rates []float64) float64 {
 	obj := 0.0
-	for k := range p.Pairs {
-		pr := &p.Pairs[k]
+	for k := 0; k < len(p.Start)-1; k++ {
 		rho := 0.0
-		for j, l := range pr.Links {
-			rho += oracleFrac(pr, j) * rates[l]
+		for j := p.Start[k]; j < p.Start[k+1]; j++ {
+			rho += oracleFrac(p, j) * rates[p.Links[j]]
 		}
-		obj += oracleWeight(pr) * pr.Utility.Value(rho)
+		obj += oracleWeight(p, k) * p.Utilities[k].Value(rho)
 	}
 	return obj
 }
@@ -176,27 +182,28 @@ func (f *oracleFace) lagrangian(x []float64, lambda float64, grad, hess []float6
 	for i, l := range f.free {
 		val -= lambda * f.p.Loads[l] * x[i]
 	}
-	for k := range f.p.Pairs {
-		pr := &f.p.Pairs[k]
+	p := f.p
+	for k := 0; k < len(p.Start)-1; k++ {
+		lo, hi := p.Start[k], p.Start[k+1]
 		rho := f.base[k]
-		for j, l := range pr.Links {
-			if c := f.col[l]; c >= 0 {
-				rho += oracleFrac(pr, j) * x[c]
+		for j := lo; j < hi; j++ {
+			if c := f.col[p.Links[j]]; c >= 0 {
+				rho += oracleFrac(p, j) * x[c]
 			}
 		}
-		w := oracleWeight(pr)
-		v, d1, d2 := extUtility(pr.Utility, rho)
+		w := oracleWeight(p, k)
+		v, d1, d2 := extUtility(p.Utilities[k], rho)
 		val += w * v
-		for ja, la := range pr.Links {
-			a := f.col[la]
+		for ja := lo; ja < hi; ja++ {
+			a := f.col[p.Links[ja]]
 			if a < 0 {
 				continue
 			}
-			fa := oracleFrac(pr, ja)
+			fa := oracleFrac(p, ja)
 			grad[a] += w * d1 * fa
-			for jb, lb := range pr.Links {
-				if b := f.col[lb]; b >= 0 {
-					hess[a*nf+b] += w * d2 * fa * oracleFrac(pr, jb)
+			for jb := lo; jb < hi; jb++ {
+				if b := f.col[p.Links[jb]]; b >= 0 {
+					hess[a*nf+b] += w * d2 * fa * oracleFrac(p, jb)
 				}
 			}
 		}
@@ -353,10 +360,8 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 	}
 	state := make([]int, n) // 0 lower, 1 upper, 2 free
 	onPair := make([]bool, n)
-	for _, pr := range p.Pairs {
-		for _, l := range pr.Links {
-			onPair[l] = true
-		}
+	for _, l := range p.Links {
+		onPair[l] = true
 	}
 	best = math.Inf(-1)
 	rates := make([]float64, n)
@@ -366,19 +371,19 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 			state[i] = c % 3
 			c /= 3
 		}
-		f := oracleFace{p: p, col: make([]int, n), base: make([]float64, len(p.Pairs)), theta: p.Budget}
+		f := oracleFace{p: p, col: make([]int, n), base: make([]float64, len(p.Start)-1), theta: p.Budget}
 		freeCap, nOff := 0.0, 0
 		for i := 0; i < n; i++ {
 			f.col[i] = -1
 			rates[i] = 0
 			switch state[i] {
 			case 1:
-				rates[i] = oracleCap(p, i)
+				rates[i] = oracleCap(p.MaxRate, i)
 				f.theta -= rates[i] * p.Loads[i]
 			case 2:
 				f.col[i] = len(f.free)
 				f.free = append(f.free, i)
-				freeCap += oracleCap(p, i) * p.Loads[i]
+				freeCap += oracleCap(p.MaxRate, i) * p.Loads[i]
 				if !onPair[i] {
 					nOff++
 				}
@@ -397,7 +402,7 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 			// Every free link is on no pair: the objective ignores them,
 			// and any split of the remaining budget among them is optimal.
 			for _, l := range f.free {
-				rates[l] = math.Min(oracleCap(p, l), oracleCap(p, l)*f.theta/freeCap)
+				rates[l] = math.Min(oracleCap(p.MaxRate, l), oracleCap(p.MaxRate, l)*f.theta/freeCap)
 			}
 		case nOff > 0:
 			// A free link on no pair has zero gradient, so stationarity
@@ -408,11 +413,10 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 			if !(f.theta > 0) {
 				continue // only the all-zero point fits, and that face is tried on its own
 			}
-			for k := range p.Pairs {
-				pr := &p.Pairs[k]
-				for j, l := range pr.Links {
-					if state[l] == 1 {
-						f.base[k] += oracleFrac(pr, j) * rates[l]
+			for k := range f.base {
+				for j := p.Start[k]; j < p.Start[k+1]; j++ {
+					if l := p.Links[j]; state[l] == 1 {
+						f.base[k] += oracleFrac(p, j) * rates[l]
 					}
 				}
 			}
@@ -422,7 +426,7 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 			}
 			inside := true
 			for i, l := range f.free {
-				a := oracleCap(p, l)
+				a := oracleCap(p.MaxRate, l)
 				if x[i] < -1e-12 || x[i] > a+1e-12 {
 					inside = false
 				}
@@ -447,7 +451,7 @@ func enumerateOptimum(p *Problem) (best float64, bestRates []float64, found bool
 // 128 one of the invalid inputs (zero load, zero cap, a link twice in
 // a pair, a pair on no link, a budget beyond Σ α·U).
 func enumInstance(r *rng.Source, n int, flags uint8) *Problem {
-	p := &Problem{Loads: make([]float64, n), Model: ModelLinear}
+	p := &instance{Loads: make([]float64, n), Model: ModelLinear}
 	if flags&2 != 0 {
 		p.Model = ModelCoordinated
 	}
@@ -466,7 +470,7 @@ func enumInstance(r *rng.Source, n int, flags uint8) *Problem {
 				p.MaxRate[i] = 0.001 + 0.3*r.Float64()
 			}
 		}
-		maxSpend += oracleCap(p, i) * p.Loads[i]
+		maxSpend += oracleCap(p.MaxRate, i) * p.Loads[i]
 	}
 	nPairs := 1 + r.Intn(2*n)
 	for k := 0; k < nPairs; k++ {
@@ -474,7 +478,7 @@ func enumInstance(r *rng.Source, n int, flags uint8) *Problem {
 		if hops > n {
 			hops = n
 		}
-		pr := Pair{Links: r.Perm(n)[:hops], Utility: MustSRE(math.Pow(10, -4+3*r.Float64()))}
+		pr := pair{Links: r.Perm(n)[:hops], Utility: MustSRE(math.Pow(10, -4+3*r.Float64()))}
 		if flags&1 != 0 {
 			pr.Fracs = make([]float64, hops)
 			for j := range pr.Fracs {
@@ -526,7 +530,7 @@ func enumInstance(r *rng.Source, n int, flags uint8) *Problem {
 		}
 		maxSpend = 0
 		for i := range p.Loads {
-			maxSpend += oracleCap(p, i) * p.Loads[i]
+			maxSpend += oracleCap(p.MaxRate, i) * p.Loads[i]
 		}
 	}
 	switch {
@@ -556,12 +560,12 @@ func enumInstance(r *rng.Source, n int, flags uint8) *Problem {
 				pr.Fracs = append(pr.Fracs, 1)
 			}
 		case 3:
-			p.Pairs[r.Intn(len(p.Pairs))] = Pair{Utility: MustSRE(0.01)}
+			p.Pairs[r.Intn(len(p.Pairs))] = pair{Utility: MustSRE(0.01)}
 		case 4:
 			p.Budget = maxSpend * 1.01
 		}
 	}
-	return p
+	return p.problem()
 }
 
 // checkAgainstEnumeration holds Solve to the oracle. A rejected input
@@ -601,8 +605,8 @@ func checkAgainstEnumeration(t *testing.T, name string, p *Problem) {
 		}
 		spend := 0.0
 		for i, v := range s.Rates {
-			if v < 0 || v > oracleCap(p, i) {
-				t.Errorf("%s: rate[%d] = %v outside [0, %v]", name, i, v, oracleCap(p, i))
+			if v < 0 || v > oracleCap(p.MaxRate, i) {
+				t.Errorf("%s: rate[%d] = %v outside [0, %v]", name, i, v, oracleCap(p.MaxRate, i))
 			}
 			spend += v * p.Loads[i]
 		}

@@ -49,22 +49,22 @@ func geantProblem(t *testing.T, model RateModel) *Problem {
 		t.Fatal(err)
 	}
 	index := make(map[int]int, len(s.MonitorLinks))
-	p := &Problem{Budget: BudgetPerInterval(100000, 300), Model: model}
+	in := instance{Budget: BudgetPerInterval(100000, 300), Model: model}
 	for _, lid := range s.MonitorLinks {
-		index[int(lid)] = len(p.Loads)
-		p.Loads = append(p.Loads, s.Loads[lid])
+		index[int(lid)] = len(in.Loads)
+		in.Loads = append(in.Loads, s.Loads[lid])
 	}
 	inv := s.UtilityParams(300)
-	for k, pr := range s.Matrix.Pairs {
+	for k := range s.Matrix.Pairs {
 		var links []int
 		for _, lid := range s.Matrix.Rows[k] {
 			if i, ok := index[int(lid)]; ok {
 				links = append(links, i)
 			}
 		}
-		p.Pairs = append(p.Pairs, Pair{Name: pr.Name, Links: links, Utility: MustSRE(inv[k])})
+		in.Pairs = append(in.Pairs, pair{Links: links, Utility: MustSRE(inv[k])})
 	}
-	return p
+	return in.problem()
 }
 
 // goldenArch skips the golden tests where the compiler may fuse x*y+z
@@ -74,23 +74,6 @@ func goldenArch(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden bits recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
-}
-
-// csrFromProblem lays a []Pair problem out as the CSRProblem checkKKT
-// reads, row by row.
-func csrFromProblem(p *Problem) *CSRProblem {
-	cp := &CSRProblem{Loads: p.Loads, MaxRate: p.MaxRate, Budget: p.Budget, Start: []int32{0}, Model: p.Model}
-	for _, pr := range p.Pairs {
-		for j, l := range pr.Links {
-			cp.Links = append(cp.Links, int32(l))
-			if pr.Fracs != nil {
-				cp.Fracs = append(cp.Fracs, pr.Fracs[j])
-			}
-		}
-		cp.Start = append(cp.Start, int32(len(cp.Links)))
-		cp.Utilities = append(cp.Utilities, pr.Utility)
-	}
-	return cp
 }
 
 // The additive GEANT rows' optimum, recorded with a Tol 1e-10 polish
@@ -123,7 +106,7 @@ func TestGoldenBitsGEANT(t *testing.T) {
 			t.Errorf("%s: solution bits %#016x, want %#016x", m.Name(), got, want[m.Name()])
 		}
 		if m.Additive() {
-			checkKKT(t, csrFromProblem(p), sol, 1e-6)
+			checkKKT(t, p, sol, 1e-6)
 			matchesRecorded(t, s, sol, geantObjective, geantLambda)
 		}
 	}
@@ -158,7 +141,7 @@ func TestGoldenBitsScale(t *testing.T) {
 	} {
 		cp := csrFromInstance(t, genInstance(t, c.inst.links, c.inst.pairs, 7, true), 0.1)
 		sol := func() *Solution {
-			s, err := NewSolverCSR(cp)
+			s, err := NewSolver(cp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +181,7 @@ func TestGoldenBitsScale(t *testing.T) {
 // preconditioned, and must pass the independent KKT check.
 func TestScaleOptimumMatchesRecorded(t *testing.T) {
 	cp := csrFromInstance(t, genInstance(t, 1000, 9000, 7, true), 0.1)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

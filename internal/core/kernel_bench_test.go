@@ -13,7 +13,7 @@ import (
 func BenchmarkKernels(b *testing.B) {
 	for _, links := range []int{300, 800} {
 		cp := csrFromInstance(b, genInstance(b, links, 0, 1, true), 0.05)
-		s, err := NewSolverCSR(cp)
+		s, err := NewSolver(cp)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,12 +8,12 @@ import (
 )
 
 // checkKKT certifies a converged exact solution against the program's
-// KKT conditions, recomputed from the CSRProblem's rows with naive loops:
+// KKT conditions, recomputed from the Problem's rows with naive loops:
 // no Solver method and no kernel the solver's own certificate ran through
 // is involved, so a kernel bug that fools `Converged` does not fool this.
 // Additive rate models only (ρ_k = Σ f_ki·p_i). tol is the solver's
 // relative tolerance; the checker allows twice it.
-func checkKKT(t testing.TB, p *CSRProblem, sol *Solution, tol float64) {
+func checkKKT(t testing.TB, p *Problem, sol *Solution, tol float64) {
 	t.Helper()
 	n := len(p.Loads)
 	if len(sol.Rates) != n {
@@ -92,7 +92,7 @@ func checkKKT(t testing.TB, p *CSRProblem, sol *Solution, tol float64) {
 // and on every warm start.
 func TestNewtonCGLargeFreeSet(t *testing.T) {
 	cp := csrFromInstance(t, genInstance(t, 2000, 6000, 11, false), 0.05)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

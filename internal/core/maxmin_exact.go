@@ -43,12 +43,12 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 	if tol <= 0 {
 		tol = 1e-9
 	}
-	n := p.NumLinks()
-	inverters := make([]Inverter, len(p.Pairs))
-	for k := range p.Pairs {
-		inv, ok := p.Pairs[k].Utility.(Inverter)
+	n, nPairs := len(p.Loads), p.NumPairs()
+	inverters := make([]Inverter, nPairs)
+	for k, u := range p.Utilities {
+		inv, ok := u.(Inverter)
 		if !ok {
-			return nil, fmt.Errorf("core: pair %q utility does not implement Inverter", p.Pairs[k].Name)
+			return nil, fmt.Errorf("core: pair %d utility does not implement Inverter", k)
 		}
 		inverters[k] = inv
 	}
@@ -60,18 +60,18 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 		var a [][]float64
 		var rel []lp.Rel
 		var b []float64
-		for k := range p.Pairs {
+		for k := 0; k < nPairs; k++ {
 			target, err := inverters[k].RateForUtility(m)
 			if err != nil {
 				return 0, nil, err
 			}
 			row := make([]float64, n)
-			for j, i := range p.Pairs[k].Links {
+			for j := p.Start[k]; j < p.Start[k+1]; j++ {
 				f := 1.0
-				if p.Pairs[k].Fracs != nil {
-					f = p.Pairs[k].Fracs[j]
+				if p.Fracs != nil {
+					f = p.Fracs[j]
 				}
-				row[i] = f
+				row[p.Links[j]] = f
 			}
 			a = append(a, row)
 			rel = append(rel, lp.GE)
@@ -166,10 +166,10 @@ func SolveMaxMinExact(p *Problem, tol float64) (*Solution, error) {
 		UpperMult: make([]float64, n),
 		Stats:     Stats{Converged: true},
 	}
-	sol.Utilities = make([]float64, len(p.Pairs))
+	sol.Utilities = make([]float64, nPairs)
 	minU := math.Inf(1)
-	for k := range p.Pairs {
-		sol.Utilities[k] = p.Pairs[k].Utility.Value(sol.Rho[k])
+	for k, u := range p.Utilities {
+		sol.Utilities[k] = u.Value(sol.Rho[k])
 		minU = math.Min(minU, sol.Utilities[k])
 	}
 	// For the max-min solver the reported objective is the minimum.

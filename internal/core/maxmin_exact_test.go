@@ -36,14 +36,14 @@ func TestRateForUtilityExactRoundTrip(t *testing.T) {
 func TestSolveMaxMinExactTwoLinks(t *testing.T) {
 	// Analytic instance: two disjoint links with equal utilities; the
 	// max-min optimum equalizes the rates at p = θ/(U₁+U₂).
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{100, 20000},
 		Budget: 30,
-		Pairs: []Pair{
-			{Name: "cheap", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "costly", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := SolveMaxMinExact(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -73,25 +73,25 @@ func TestSolveMaxMinExactBeatsSumObjective(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		nLinks := 3 + r.Intn(8)
 		nPairs := 2 + r.Intn(6)
-		p := &Problem{Loads: make([]float64, nLinks)}
+		in := &instance{Loads: make([]float64, nLinks)}
 		total := 0.0
-		for i := range p.Loads {
-			p.Loads[i] = 100 + 30000*r.Float64()
-			total += p.Loads[i]
+		for i := range in.Loads {
+			in.Loads[i] = 100 + 30000*r.Float64()
+			total += in.Loads[i]
 		}
-		p.Budget = total * (0.0005 + 0.003*r.Float64())
+		in.Budget = total * (0.0005 + 0.003*r.Float64())
 		for k := 0; k < nPairs; k++ {
 			perm := r.Perm(nLinks)
 			maxHops := 3
 			if nLinks < maxHops {
 				maxHops = nLinks
 			}
-			p.Pairs = append(p.Pairs, Pair{
-				Name:    "k",
+			in.Pairs = append(in.Pairs, pair{
 				Links:   append([]int(nil), perm[:1+r.Intn(maxHops)]...),
 				Utility: MustSRE(math.Pow(10, -5+2.5*r.Float64())),
 			})
 		}
+		p := in.problem()
 		exact, err := SolveMaxMinExact(p, 1e-9)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -116,14 +116,14 @@ func TestSolveMaxMinExactBeatsSumObjective(t *testing.T) {
 }
 
 func TestSolveMaxMinExactWithDetectionUtility(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{40000, 800},
 		Budget: 60,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: must(NewDetection(500))},
-			{Name: "b", Links: []int{1}, Utility: must(NewDetection(500))},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: must(NewDetection(500))},
+			{Links: []int{1}, Utility: must(NewDetection(500))},
 		},
-	}
+	}.problem()
 	sol, err := SolveMaxMinExact(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +135,12 @@ func TestSolveMaxMinExactWithDetectionUtility(t *testing.T) {
 }
 
 func TestSolveMaxMinExactRejects(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{100},
 		Budget: 1,
 		Model:  ModelIndependentExact,
-		Pairs:  []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.01)}},
-	}
+		Pairs:  []pair{{Links: []int{0}, Utility: MustSRE(0.01)}},
+	}.problem()
 	if _, err := SolveMaxMinExact(p, 0); err == nil {
 		t.Fatal("exact rate model accepted")
 	}
@@ -150,11 +150,11 @@ func TestSolveMaxMinExactRejects(t *testing.T) {
 type nonInvertible struct{ Utility }
 
 func TestSolveMaxMinExactNeedsInverter(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{100},
 		Budget: 1,
-		Pairs:  []Pair{{Name: "a", Links: []int{0}, Utility: nonInvertible{MustSRE(0.01)}}},
-	}
+		Pairs:  []pair{{Links: []int{0}, Utility: nonInvertible{MustSRE(0.01)}}},
+	}.problem()
 	if _, err := SolveMaxMinExact(p, 0); err == nil {
 		t.Fatal("non-invertible utility accepted")
 	}

@@ -12,17 +12,17 @@ import (
 // and a cap α_i < 1 on every fifth link so upper bounds get pinned too.
 func cgStepProblem(r *rng.Source, model RateModel, fracs bool) *Problem {
 	n := 20 + r.Intn(181)
-	p := &Problem{Loads: make([]float64, n), MaxRate: make([]float64, n), Model: model}
+	in := &instance{Loads: make([]float64, n), MaxRate: make([]float64, n), Model: model}
 	total := 0.0
-	for i := range p.Loads {
-		p.Loads[i] = math.Pow(10, 2+3*r.Float64())
-		p.MaxRate[i] = 1
+	for i := range in.Loads {
+		in.Loads[i] = math.Pow(10, 2+3*r.Float64())
+		in.MaxRate[i] = 1
 		if i%5 == 0 {
-			p.MaxRate[i] = 0.002 + 0.01*r.Float64()
+			in.MaxRate[i] = 0.002 + 0.01*r.Float64()
 		}
-		total += p.Loads[i] * p.MaxRate[i]
+		total += in.Loads[i] * in.MaxRate[i]
 	}
-	p.Budget = total * (0.002 + 0.01*r.Float64())
+	in.Budget = total * (0.002 + 0.01*r.Float64())
 	for k := 0; k < 2*n; k++ {
 		// Pair k starts on link k mod n, so every link carries a pair and
 		// the dense KKT matrix is never singular.
@@ -33,16 +33,16 @@ func cgStepProblem(r *rng.Source, model RateModel, fracs bool) *Problem {
 				links = append(links, l)
 			}
 		}
-		pr := Pair{Links: links, Utility: MustSRE(math.Pow(10, -6+3*r.Float64()))}
+		pr := pair{Links: links, Utility: MustSRE(math.Pow(10, -6+3*r.Float64()))}
 		if fracs {
 			pr.Fracs = make([]float64, len(links))
 			for j := range pr.Fracs {
 				pr.Fracs[j] = 0.25 + 0.75*r.Float64()
 			}
 		}
-		p.Pairs = append(p.Pairs, pr)
+		in.Pairs = append(in.Pairs, pr)
 	}
-	return p
+	return in.problem()
 }
 
 // denseNewtonStep is the reference Newton step: the bordered KKT system

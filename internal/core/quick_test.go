@@ -66,15 +66,16 @@ func TestQuickSREInverseRoundTrip(t *testing.T) {
 func TestQuickWaterfillFeasible(t *testing.T) {
 	f := func(seeds [6]uint16, budgetFrac uint8) bool {
 		n := len(seeds)
-		p := &Problem{Loads: make([]float64, n)}
+		in := &instance{Loads: make([]float64, n)}
 		total := 0.0
 		for i, s := range seeds {
-			p.Loads[i] = 10 + float64(s)
-			total += p.Loads[i]
+			in.Loads[i] = 10 + float64(s)
+			total += in.Loads[i]
 		}
 		frac := 0.001 + float64(budgetFrac)/256*0.9
-		p.Budget = total * frac
-		p.Pairs = []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.001)}}
+		in.Budget = total * frac
+		in.Pairs = []pair{{Links: []int{0}, Utility: MustSRE(0.001)}}
+		p := in.problem()
 		rates := make([]float64, n)
 		if err := polytopeOf(p).initialPointInto(Options{}, rates); err != nil {
 			return false
@@ -98,17 +99,18 @@ func TestQuickWaterfillFeasible(t *testing.T) {
 func TestQuickSolveFeasibility(t *testing.T) {
 	f := func(loads [4]uint16, budgetFrac, cScale uint8) bool {
 		n := len(loads)
-		p := &Problem{Loads: make([]float64, n)}
+		in := &instance{Loads: make([]float64, n)}
 		total := 0.0
 		for i, l := range loads {
-			p.Loads[i] = 20 + float64(l)
-			total += p.Loads[i]
+			in.Loads[i] = 20 + float64(l)
+			total += in.Loads[i]
 		}
-		p.Budget = total * (0.0005 + float64(budgetFrac)/256*0.5)
+		in.Budget = total * (0.0005 + float64(budgetFrac)/256*0.5)
 		c := math.Pow(10, -5+4*float64(cScale)/256)
 		for k := 0; k < n; k++ {
-			p.Pairs = append(p.Pairs, Pair{Name: "k", Links: []int{k}, Utility: MustSRE(c)})
+			in.Pairs = append(in.Pairs, pair{Links: []int{k}, Utility: MustSRE(c)})
 		}
+		p := in.problem()
 		sol, err := Solve(p, Options{})
 		if err != nil {
 			return false

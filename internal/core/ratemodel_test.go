@@ -53,16 +53,16 @@ func TestModelProperties(t *testing.T) {
 // count — must be bitwise identical. Only deployment semantics differ.
 func TestCoordinatedSolvesBitwiseAsLinear(t *testing.T) {
 	mk := func(m RateModel) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{30000, 8000, 2000, 500},
 			Budget: 60,
 			Model:  m,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-				{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-				{Name: "c", Links: []int{3}, Utility: MustSRE(0.003)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+				{Links: []int{1, 2}, Utility: MustSRE(0.001)},
+				{Links: []int{3}, Utility: MustSRE(0.003)},
 			},
-		}
+		}.problem()
 	}
 	lin, err := Solve(mk(ModelLinear), Options{})
 	if err != nil {
@@ -95,15 +95,15 @@ func TestCoordinatedSolvesBitwiseAsLinear(t *testing.T) {
 // model, bitwise equal to requesting it explicitly.
 func TestNilModelIsLinear(t *testing.T) {
 	mk := func(m RateModel) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{10000, 3000},
 			Budget: 20,
 			Model:  m,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-				{Name: "b", Links: []int{1}, Utility: MustSRE(0.001)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+				{Links: []int{1}, Utility: MustSRE(0.001)},
 			},
-		}
+		}.problem()
 	}
 	def, err := Solve(mk(nil), Options{})
 	if err != nil {
@@ -124,15 +124,15 @@ func TestNilModelIsLinear(t *testing.T) {
 // can exceed 1) and the product form (which cannot).
 func TestEffectiveRates(t *testing.T) {
 	for _, m := range []RateModel{nil, ModelLinear, ModelIndependentExact, ModelCoordinated} {
-		p := &Problem{
+		p := instance{
 			Loads:  []float64{1000, 2000, 500},
 			Budget: 5,
 			Model:  m,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-				{Name: "b", Links: []int{2}, Utility: MustSRE(0.001)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+				{Links: []int{2}, Utility: MustSRE(0.001)},
 			},
-		}
+		}.problem()
 		rho := p.EffectiveRates([]float64{0.4, 0.8, 0.1})
 		if m == ModelIndependentExact {
 			if rho[0] != 1-(1-0.4)*(1-0.8) {
@@ -164,19 +164,20 @@ func TestKernelsMatchFiniteDifference(t *testing.T) {
 		{"independent-exact", ModelIndependentExact, nil},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			p := &Problem{
+			in := instance{
 				Loads:  []float64{500, 900, 1300},
 				Budget: 300,
 				Model:  c.model,
-				Pairs: []Pair{
-					{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-					{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001), Weight: 2.5},
-					{Name: "c", Links: []int{2}, Utility: MustSRE(0.004)},
+				Pairs: []pair{
+					{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+					{Links: []int{1, 2}, Utility: MustSRE(0.001), Weight: 2.5},
+					{Links: []int{2}, Utility: MustSRE(0.004)},
 				},
 			}
 			for k := range c.fracs {
-				p.Pairs[k].Fracs = c.fracs[k]
+				in.Pairs[k].Fracs = c.fracs[k]
 			}
+			p := in.problem()
 			s := compiled(t, p)
 			rates := []float64{0.2, 0.1, 0.3}
 			dir := []float64{0.1, -0.05, 0.02}

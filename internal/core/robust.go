@@ -62,7 +62,7 @@ func RobustModeByName(name string) (RobustMode, error) {
 }
 
 // SolveRobust re-tunes the solver onto the chosen edge of the
-// [lower, upper] load envelope (per-link, dense problem order) and
+// [lower, upper] load envelope (per-link, in problem link order) and
 // solves. RobustOff ignores the bounds and solves as-is. When the
 // optimistic edge shrinks the maximum samplable rate Σ α_i·L_i below
 // the configured budget, the budget is clamped to that maximum — the
@@ -152,18 +152,4 @@ func (s *Solver) retuneEnvelope(mode RobustMode, lower, upper, initial []float64
 		}
 	}
 	return initial, nil
-}
-
-// SolveRobust is the one-shot form: it compiles p and solves against
-// the chosen envelope edge. For per-interval loops prefer the Solver
-// method, which reuses the compiled workspace.
-func SolveRobust(p *Problem, mode RobustMode, lower, upper []float64, opt Options) (*Solution, error) {
-	if mode == RobustOff {
-		return Solve(p, opt)
-	}
-	s, err := NewSolver(p)
-	if err != nil {
-		return nil, err
-	}
-	return s.SolveRobust(mode, lower, upper, opt)
 }

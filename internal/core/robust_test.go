@@ -7,15 +7,15 @@ import (
 )
 
 func robustTestProblem() *Problem {
-	return &Problem{
+	return instance{
 		Loads:  []float64{1000, 500, 2000},
 		Budget: 20,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-			{Name: "c", Links: []int{2}, Utility: MustSRE(0.005)},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+			{Links: []int{1, 2}, Utility: MustSRE(0.001)},
+			{Links: []int{2}, Utility: MustSRE(0.005)},
 		},
-	}
+	}.problem()
 }
 
 func envelope(loads []float64, rel float64) (lo, hi []float64) {
@@ -46,7 +46,7 @@ func TestRobustModeNames(t *testing.T) {
 func TestSolveRobustPessimisticKeepsTrueSpendWithinBudget(t *testing.T) {
 	p := robustTestProblem()
 	lo, hi := envelope(p.Loads, 0.3)
-	sol, err := SolveRobust(p, RobustPessimistic, lo, hi, Options{})
+	sol, err := compiled(t, p).SolveRobust(RobustPessimistic, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestSolveRobustPessimisticKeepsTrueSpendWithinBudget(t *testing.T) {
 func TestSolveRobustOptimisticSpendsMore(t *testing.T) {
 	p := robustTestProblem()
 	lo, hi := envelope(p.Loads, 0.3)
-	pes, err := SolveRobust(p, RobustPessimistic, lo, hi, Options{})
+	pes, err := compiled(t, p).SolveRobust(RobustPessimistic, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := SolveRobust(p, RobustOptimistic, lo, hi, Options{})
+	opt, err := compiled(t, p).SolveRobust(RobustOptimistic, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSolveRobustOffMatchesSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := SolveRobust(p, RobustOff, lo, hi, Options{})
+	off, err := compiled(t, p).SolveRobust(RobustOff, lo, hi, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestSolveRobustClampsInfeasibleOptimisticBudget(t *testing.T) {
 	// the optimistic (lower) envelope cannot carry it.
 	p.Budget = 3400
 	lo, hi := envelope(p.Loads, 0.3)
-	sol, err := SolveRobust(p, RobustOptimistic, lo, hi, Options{})
+	sol, err := compiled(t, p).SolveRobust(RobustOptimistic, lo, hi, Options{})
 	if err != nil {
 		t.Fatalf("optimistic solve with clamped budget: %v", err)
 	}
@@ -142,14 +142,14 @@ func TestSolveRobustValidatesBounds(t *testing.T) {
 		{"inverted", hi, lo},
 	}
 	for _, c := range cases {
-		if _, err := SolveRobust(p, RobustPessimistic, c.lo, c.hi, Options{}); err == nil {
+		if _, err := compiled(t, p).SolveRobust(RobustPessimistic, c.lo, c.hi, Options{}); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := SolveRobust(p, RobustPessimistic, []float64{0, 1, 1}, hi, Options{}); !errors.Is(err, ErrInvalidInput) {
+	if _, err := compiled(t, p).SolveRobust(RobustPessimistic, []float64{0, 1, 1}, hi, Options{}); !errors.Is(err, ErrInvalidInput) {
 		t.Error("bound rejection is not a typed InputError")
 	}
-	if _, err := SolveRobust(p, RobustMode(9), lo, hi, Options{}); !errors.Is(err, ErrInvalidInput) {
+	if _, err := compiled(t, p).SolveRobust(RobustMode(9), lo, hi, Options{}); !errors.Is(err, ErrInvalidInput) {
 		t.Error("unknown mode not rejected with a typed InputError")
 	}
 }

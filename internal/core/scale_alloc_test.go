@@ -14,7 +14,7 @@ import (
 
 // scaleAllocProblem exceeds 512 links (a large Newton-CG free set) and
 // one shard chunk (forcing real multi-chunk dispatch when sharded).
-func scaleAllocProblem(t testing.TB) *CSRProblem {
+func scaleAllocProblem(t testing.TB) *Problem {
 	t.Helper()
 	links, pairs := 1000, 6000
 	if raceTest {
@@ -41,7 +41,7 @@ func pinZeroAllocs(t *testing.T, name string, run func() error) {
 
 func TestScaleSolveIntoZeroAllocs(t *testing.T) {
 	cp := scaleAllocProblem(t)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestScaleSolveIntoZeroAllocs(t *testing.T) {
 
 func TestScaleSolveApproxIntoZeroAllocs(t *testing.T) {
 	cp := scaleAllocProblem(t)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestScaleSolveApproxIntoZeroAllocs(t *testing.T) {
 
 func TestShardedSolveIntoZeroAllocs(t *testing.T) {
 	cp := scaleAllocProblem(t)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // pairs) so the tests exercise real multi-chunk reductions. Under the
 // race detector the instance shrinks (but stays multi-chunk): the
 // contract is the same, the instrumentation overhead is not.
-func shardProblem(t testing.TB) *CSRProblem {
+func shardProblem(t testing.TB) *Problem {
 	t.Helper()
 	links, pairs := 1000, 9000
 	if raceTest {
@@ -32,9 +32,9 @@ func shardIters(full int) int {
 	return full
 }
 
-func solveSharded(t testing.TB, cp *CSRProblem, workers int, approx bool) *Solution {
+func solveSharded(t testing.TB, cp *Problem, workers int, approx bool) *Solution {
 	t.Helper()
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestShardedBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // missed pairs, a double-counted chunk — shows up far above 1e-12.
 func TestShardedKernelsMatchSerialToRounding(t *testing.T) {
 	cp := shardProblem(t)
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestShardDetachRestoresSerial(t *testing.T) {
 	cp := shardProblem(t)
 	plain := solveSharded(t, cp, 0, false)
 
-	s, err := NewSolverCSR(cp)
+	s, err := NewSolver(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,15 +196,15 @@ func TestShardSmallProblemSingleChunk(t *testing.T) {
 	// Fewer pairs than one chunk: sharding must still work (one chunk,
 	// trivial reduction) and stay bit-identical to serial — the partition
 	// depends only on the pair count.
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 2000, 1500},
 		Budget: 800,
-		Pairs: []Pair{
+		Pairs: []pair{
 			{Links: []int{0, 1}, Utility: MustSRE(0.01)},
 			{Links: []int{1, 2}, Utility: MustSRE(0.02)},
 			{Links: []int{0, 2}, Utility: MustSRE(0.005)},
 		},
-	}
+	}.problem()
 	s1, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)

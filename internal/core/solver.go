@@ -112,15 +112,6 @@ func (s *Solution) ActiveMonitors() []int {
 	return out
 }
 
-// SampledRate returns Σ p_i·U_i for this solution under the given loads.
-func (s *Solution) SampledRate(loads []float64) float64 {
-	t := 0.0
-	for i, r := range s.Rates {
-		t += r * loads[i]
-	}
-	return t
-}
-
 // snapTol is the absolute tolerance within which a rate is snapped onto
 // a bound and the bound is considered active.
 const snapTol = 1e-12

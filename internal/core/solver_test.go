@@ -21,7 +21,7 @@ func compiled(t testing.TB, p *Problem) *Solver {
 // polytopeOf is p's feasible set, for driving the feasibility helpers on
 // problems that are never compiled.
 func polytopeOf(p *Problem) *polytope {
-	return &polytope{loads: p.Loads, alpha: fullCaps(p.MaxRate, p.NumLinks()), budget: p.Budget}
+	return &polytope{loads: p.Loads, alpha: fullCaps(p.MaxRate, len(p.Loads)), budget: p.Budget}
 }
 
 // feasibility asserts the solution satisfies all constraints of p.
@@ -45,7 +45,7 @@ func feasibility(t *testing.T, p *Problem, sol *Solution) {
 // kktResidual asserts the KKT stationarity and sign conditions.
 func kktCheck(t *testing.T, p *Problem, sol *Solution) {
 	t.Helper()
-	n := p.NumLinks()
+	n := len(p.Loads)
 	g := make([]float64, n)
 	compiled(t, p).gradient(sol.Rates, g)
 	scale := 1 + normInf(g)
@@ -65,11 +65,11 @@ func kktCheck(t *testing.T, p *Problem, sol *Solution) {
 }
 
 func TestSolveSingleLink(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000},
 		Budget: 5, // p = 0.005
-		Pairs:  []Pair{{Name: "k", Links: []int{0}, Utility: MustSRE(0.002)}},
-	}
+		Pairs:  []pair{{Links: []int{0}, Utility: MustSRE(0.002)}},
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,14 +88,14 @@ func TestSolveSingleLink(t *testing.T) {
 
 func TestSolveSymmetricTwoLinks(t *testing.T) {
 	// Two pairs on two disjoint identical links must get equal rates.
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 1000},
 		Budget: 10,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +116,14 @@ func TestSolveEqualizesMarginalUtilityPerCost(t *testing.T) {
 	// Budget is large enough that both effective rates land on the
 	// analytic branch (ρ > x₀), where M'(ρ) = c/ρ² gives the closed-form
 	// ratio p₁/p₂ = √(U₂/U₁).
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{500, 4000},
 		Budget: 40,
-		Pairs: []Pair{
-			{Name: "small", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "large", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -152,14 +152,14 @@ func TestSolveDeactivatesUselessLink(t *testing.T) {
 	// Link 2 carries no OD pair of interest: its optimal rate is zero
 	// (the monitor stays off), even though the waterfill start gives it a
 	// positive rate.
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 1000, 1000},
 		Budget: 10,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +179,14 @@ func TestSolveSharedLinkPreferred(t *testing.T) {
 	// Both pairs traverse link 0; only pair b traverses link 1. All loads
 	// equal. Sampling link 0 helps both pairs, so it must get the bulk of
 	// the budget.
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 1000},
 		Budget: 6,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{0, 1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{0, 1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +199,15 @@ func TestSolveSharedLinkPreferred(t *testing.T) {
 }
 
 func TestSolveRespectsRateCap(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:   []float64{100, 10000},
 		MaxRate: []float64{0.01, 1},
 		Budget:  50,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -221,35 +221,39 @@ func TestSolveRespectsRateCap(t *testing.T) {
 }
 
 func TestSolveUsesFullBudget(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 2000, 500},
 		Budget: 25,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.001)},
-			{Name: "b", Links: []int{2}, Utility: MustSRE(0.005)},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Utility: MustSRE(0.001)},
+			{Links: []int{2}, Utility: MustSRE(0.005)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feasibility(t, p, sol)
-	if got := sol.SampledRate(p.Loads); math.Abs(got-25) > 1e-6 {
-		t.Fatalf("SampledRate = %v", got)
+	spend := 0.0
+	for i, r := range sol.Rates {
+		spend += r * p.Loads[i]
+	}
+	if math.Abs(spend-25) > 1e-6 {
+		t.Fatalf("sampled rate = %v", spend)
 	}
 }
 
 func TestSolveObjectiveMonotoneInBudget(t *testing.T) {
 	mk := func(budget float64) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{1000, 3000, 700},
 			Budget: budget,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-				{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-				{Name: "c", Links: []int{2}, Utility: MustSRE(0.004)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+				{Links: []int{1, 2}, Utility: MustSRE(0.001)},
+				{Links: []int{2}, Utility: MustSRE(0.004)},
 			},
-		}
+		}.problem()
 	}
 	prev := math.Inf(-1)
 	for _, budget := range []float64{1, 5, 20, 80, 300} {
@@ -265,15 +269,15 @@ func TestSolveObjectiveMonotoneInBudget(t *testing.T) {
 }
 
 func TestSolveDeterministic(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{900, 1100, 4000, 60},
 		Budget: 30,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 2}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.0008)},
-			{Name: "c", Links: []int{3}, Utility: MustSRE(0.01)},
+		Pairs: []pair{
+			{Links: []int{0, 2}, Utility: MustSRE(0.002)},
+			{Links: []int{1, 2}, Utility: MustSRE(0.0008)},
+			{Links: []int{3}, Utility: MustSRE(0.01)},
 		},
-	}
+	}.problem()
 	s1, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -290,14 +294,14 @@ func TestSolveDeterministic(t *testing.T) {
 }
 
 func TestSolveFromCustomInitialPoint(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 1000},
 		Budget: 10,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	// Lopsided but feasible start; the optimum must still be symmetric.
 	sol, err := Solve(p, Options{Initial: []float64{0.009, 0.001}})
 	if err != nil {
@@ -309,11 +313,11 @@ func TestSolveFromCustomInitialPoint(t *testing.T) {
 }
 
 func TestSolveRejectsBadInitial(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000},
 		Budget: 5,
-		Pairs:  []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.002)}},
-	}
+		Pairs:  []pair{{Links: []int{0}, Utility: MustSRE(0.002)}},
+	}.problem()
 	bad := [][]float64{
 		{0.004},        // wrong budget
 		{-0.001},       // negative
@@ -329,11 +333,11 @@ func TestSolveRejectsBadInitial(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	good := func() *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{100},
 			Budget: 1,
-			Pairs:  []Pair{{Name: "a", Links: []int{0}, Utility: MustSRE(0.01)}},
-		}
+			Pairs:  []pair{{Links: []int{0}, Utility: MustSRE(0.01)}},
+		}.problem()
 	}
 	cases := []func(p *Problem){
 		func(p *Problem) { p.Loads = nil },
@@ -343,11 +347,11 @@ func TestValidateErrors(t *testing.T) {
 		func(p *Problem) { p.Budget = 1e9 }, // infeasible
 		func(p *Problem) { p.MaxRate = []float64{2} },
 		func(p *Problem) { p.MaxRate = []float64{0.5, 0.5} },
-		func(p *Problem) { p.Pairs = nil },
-		func(p *Problem) { p.Pairs[0].Utility = nil },
-		func(p *Problem) { p.Pairs[0].Links = nil },
-		func(p *Problem) { p.Pairs[0].Links = []int{3} },
-		func(p *Problem) { p.Pairs[0].Links = []int{0, 0} },
+		func(p *Problem) { p.Start, p.Links, p.Utilities = []int32{0}, nil, nil }, // no pairs
+		func(p *Problem) { p.Utilities[0] = nil },
+		func(p *Problem) { p.Start[1], p.Links = 0, nil },           // empty row
+		func(p *Problem) { p.Links[0] = 3 },                         // out of range
+		func(p *Problem) { p.Start[1], p.Links = 2, []int32{0, 0} }, // link twice
 	}
 	for i, mutate := range cases {
 		p := good()
@@ -371,16 +375,16 @@ func TestSolveRandomProblemsKKT(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		nLinks := 2 + r.Intn(12)
 		nPairs := 1 + r.Intn(8)
-		p := &Problem{
+		in := &instance{
 			Loads:  make([]float64, nLinks),
 			Budget: 0,
 		}
 		maxSampled := 0.0
-		for i := range p.Loads {
-			p.Loads[i] = 20 + 50000*r.Float64()
-			maxSampled += p.Loads[i]
+		for i := range in.Loads {
+			in.Loads[i] = 20 + 50000*r.Float64()
+			maxSampled += in.Loads[i]
 		}
-		p.Budget = maxSampled * (0.0005 + 0.01*r.Float64())
+		in.Budget = maxSampled * (0.0005 + 0.01*r.Float64())
 		for k := 0; k < nPairs; k++ {
 			maxHops := 4
 			if nLinks < maxHops {
@@ -390,10 +394,11 @@ func TestSolveRandomProblemsKKT(t *testing.T) {
 			perm := r.Perm(nLinks)
 			links := perm[:nHops]
 			c := math.Pow(10, -4+3*r.Float64()) // 1e-4 … 1e-1
-			p.Pairs = append(p.Pairs, Pair{
-				Name: "pair", Links: append([]int(nil), links...), Utility: MustSRE(c),
+			in.Pairs = append(in.Pairs, pair{
+				Links: append([]int(nil), links...), Utility: MustSRE(c),
 			})
 		}
+		p := in.problem()
 		sol, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -422,16 +427,16 @@ func TestSolveRandomProblemsKKT(t *testing.T) {
 
 func TestSolveExactModelAgreesAtLowRates(t *testing.T) {
 	mk := func(exact bool) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{30000, 8000, 2000, 500},
 			Budget: 60,
 			Model:  modelForExact(exact),
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-				{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-				{Name: "c", Links: []int{3}, Utility: MustSRE(0.003)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+				{Links: []int{1, 2}, Utility: MustSRE(0.001)},
+				{Links: []int{3}, Utility: MustSRE(0.003)},
 			},
-		}
+		}.problem()
 	}
 	approx, err := Solve(mk(false), Options{})
 	if err != nil {
@@ -452,16 +457,16 @@ func TestSolveExactModelAgreesAtLowRates(t *testing.T) {
 }
 
 func TestSolveAblationsReachSameOptimum(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{900, 1100, 4000, 60, 777},
 		Budget: 35,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 2}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.0008)},
-			{Name: "c", Links: []int{3}, Utility: MustSRE(0.01)},
-			{Name: "d", Links: []int{4, 0}, Utility: MustSRE(0.004)},
+		Pairs: []pair{
+			{Links: []int{0, 2}, Utility: MustSRE(0.002)},
+			{Links: []int{1, 2}, Utility: MustSRE(0.0008)},
+			{Links: []int{3}, Utility: MustSRE(0.01)},
+			{Links: []int{4, 0}, Utility: MustSRE(0.004)},
 		},
-	}
+	}.problem()
 	base, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -491,14 +496,14 @@ func TestBudgetPerInterval(t *testing.T) {
 func TestSolveMaxMinLiftsWorstPair(t *testing.T) {
 	// Asymmetric problem: under sum-of-utilities the cheap pair wins; the
 	// max-min solution must lift the worst pair's utility.
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{100, 20000},
 		Budget: 30,
-		Pairs: []Pair{
-			{Name: "cheap", Links: []int{0}, Utility: MustSRE(0.002)},
-			{Name: "costly", Links: []int{1}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.002)},
+			{Links: []int{1}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 	sum, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -532,14 +537,14 @@ func TestSolveMaxMinLiftsWorstPair(t *testing.T) {
 
 func TestPairWeightSkewsAllocation(t *testing.T) {
 	mk := func(w float64) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{1000, 1000},
 			Budget: 10,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0}, Utility: MustSRE(0.002), Weight: w},
-				{Name: "b", Links: []int{1}, Utility: MustSRE(0.002)},
+			Pairs: []pair{
+				{Links: []int{0}, Utility: MustSRE(0.002), Weight: w},
+				{Links: []int{1}, Utility: MustSRE(0.002)},
 			},
-		}
+		}.problem()
 	}
 	even, err := Solve(mk(1), Options{})
 	if err != nil {
@@ -557,19 +562,20 @@ func TestPairWeightSkewsAllocation(t *testing.T) {
 func BenchmarkSolveMedium(b *testing.B) {
 	r := rng.New(7)
 	nLinks, nPairs := 40, 25
-	p := &Problem{Loads: make([]float64, nLinks)}
+	in := &instance{Loads: make([]float64, nLinks)}
 	maxSampled := 0.0
-	for i := range p.Loads {
-		p.Loads[i] = 100 + 40000*r.Float64()
-		maxSampled += p.Loads[i]
+	for i := range in.Loads {
+		in.Loads[i] = 100 + 40000*r.Float64()
+		maxSampled += in.Loads[i]
 	}
-	p.Budget = maxSampled * 0.002
+	in.Budget = maxSampled * 0.002
 	for k := 0; k < nPairs; k++ {
 		perm := r.Perm(nLinks)
-		p.Pairs = append(p.Pairs, Pair{
-			Name: "k", Links: append([]int(nil), perm[:1+r.Intn(4)]...), Utility: MustSRE(0.002),
+		in.Pairs = append(in.Pairs, pair{
+			Links: append([]int(nil), perm[:1+r.Intn(4)]...), Utility: MustSRE(0.002),
 		})
 	}
+	p := in.problem()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(p, Options{}); err != nil {
@@ -585,15 +591,15 @@ func BenchmarkSolveMedium(b *testing.B) {
 // reported multiplier.
 func TestLambdaIsMarginalValueOfCapacity(t *testing.T) {
 	mk := func(budget float64) *Problem {
-		return &Problem{
+		return instance{
 			Loads:  []float64{30000, 8000, 2000, 500},
 			Budget: budget,
-			Pairs: []Pair{
-				{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.0001)},
-				{Name: "b", Links: []int{1, 2}, Utility: MustSRE(0.001)},
-				{Name: "c", Links: []int{3}, Utility: MustSRE(0.0002)},
+			Pairs: []pair{
+				{Links: []int{0, 1}, Utility: MustSRE(0.0001)},
+				{Links: []int{1, 2}, Utility: MustSRE(0.001)},
+				{Links: []int{3}, Utility: MustSRE(0.0002)},
 			},
-		}
+		}.problem()
 	}
 	for _, theta := range []float64{20, 100, 400} {
 		sol, err := Solve(mk(theta), Options{})

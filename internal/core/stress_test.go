@@ -13,22 +13,22 @@ import (
 func TestSolveLargeInstance(t *testing.T) {
 	r := rng.New(4242)
 	nLinks, nPairs := 300, 150
-	p := &Problem{Loads: make([]float64, nLinks)}
+	in := &instance{Loads: make([]float64, nLinks)}
 	total := 0.0
-	for i := range p.Loads {
-		p.Loads[i] = math.Pow(10, 2+3*r.Float64()) // 100 … 100k pkt/s
-		total += p.Loads[i]
+	for i := range in.Loads {
+		in.Loads[i] = math.Pow(10, 2+3*r.Float64()) // 100 … 100k pkt/s
+		total += in.Loads[i]
 	}
-	p.Budget = total * 0.001
+	in.Budget = total * 0.001
 	for k := 0; k < nPairs; k++ {
 		perm := r.Perm(nLinks)
 		nHops := 1 + r.Intn(5)
-		p.Pairs = append(p.Pairs, Pair{
-			Name:    "k",
+		in.Pairs = append(in.Pairs, pair{
 			Links:   append([]int(nil), perm[:nHops]...),
 			Utility: MustSRE(math.Pow(10, -6+3*r.Float64())),
 		})
 	}
+	p := in.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,15 +43,15 @@ func TestSolveLargeInstance(t *testing.T) {
 // TestSolveBudgetAtMaximum: θ equal to the full samplable rate forces
 // every rate to its cap (a vertex solution).
 func TestSolveBudgetAtMaximum(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:   []float64{1000, 2000},
 		MaxRate: []float64{0.5, 0.25},
 		Budget:  1000*0.5 + 2000*0.25,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.001)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.001)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.001)},
+			{Links: []int{1}, Utility: MustSRE(0.001)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,14 +67,14 @@ func TestSolveBudgetAtMaximum(t *testing.T) {
 // TestSolveTinyBudget: a budget far below one packet per second still
 // produces a feasible, certified solution.
 func TestSolveTinyBudget(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{50000, 80000},
 		Budget: 0.001,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.0001)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.0001)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.0001)},
+			{Links: []int{1}, Utility: MustSRE(0.0001)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -87,15 +87,16 @@ func TestSolveTinyBudget(t *testing.T) {
 
 // TestSolveManyPairsOneLink: hundreds of pairs sharing a single link.
 func TestSolveManyPairsOneLink(t *testing.T) {
-	p := &Problem{
+	in := &instance{
 		Loads:  []float64{100000},
 		Budget: 100,
 	}
 	for k := 0; k < 400; k++ {
-		p.Pairs = append(p.Pairs, Pair{
-			Name: "k", Links: []int{0}, Utility: MustSRE(0.0001 + 0.000001*float64(k)),
+		in.Pairs = append(in.Pairs, pair{
+			Links: []int{0}, Utility: MustSRE(0.0001 + 0.000001*float64(k)),
 		})
 	}
+	p := in.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +109,15 @@ func TestSolveManyPairsOneLink(t *testing.T) {
 // TestSolveEqualityOfBudgetAndSingleCap: budget exactly consumable by
 // one link at its cap while the other stays free.
 func TestSolveDegenerateSingleFree(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:   []float64{1000, 1000},
 		MaxRate: []float64{0.001, 1},
 		Budget:  5,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0}, Utility: MustSRE(0.01)},
-			{Name: "b", Links: []int{1}, Utility: MustSRE(0.0001)},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.01)},
+			{Links: []int{1}, Utility: MustSRE(0.0001)},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,13 +136,13 @@ func TestSolveDegenerateSingleFree(t *testing.T) {
 // TestSolveNoPanicOnRepeatedSolves: the solver must not share state
 // across calls (regression guard for buffer reuse bugs).
 func TestSolveNoStateLeak(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{1000, 3000},
 		Budget: 10,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.001)},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Utility: MustSRE(0.001)},
 		},
-	}
+	}.problem()
 	first, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -164,19 +165,20 @@ func TestSolveNoStateLeak(t *testing.T) {
 func TestMaxMinLargeInstance(t *testing.T) {
 	r := rng.New(515)
 	nLinks, nPairs := 40, 30
-	p := &Problem{Loads: make([]float64, nLinks)}
+	in := &instance{Loads: make([]float64, nLinks)}
 	total := 0.0
-	for i := range p.Loads {
-		p.Loads[i] = 100 + 20000*r.Float64()
-		total += p.Loads[i]
+	for i := range in.Loads {
+		in.Loads[i] = 100 + 20000*r.Float64()
+		total += in.Loads[i]
 	}
-	p.Budget = total * 0.002
+	in.Budget = total * 0.002
 	for k := 0; k < nPairs; k++ {
 		perm := r.Perm(nLinks)
-		p.Pairs = append(p.Pairs, Pair{
-			Name: "k", Links: append([]int(nil), perm[:1+r.Intn(3)]...), Utility: MustSRE(0.0005),
+		in.Pairs = append(in.Pairs, pair{
+			Links: append([]int(nil), perm[:1+r.Intn(3)]...), Utility: MustSRE(0.0005),
 		})
 	}
+	p := in.problem()
 	mm, err := SolveMaxMinExact(p, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,13 +206,13 @@ func TestSolveExactModelRandomKKT(t *testing.T) {
 	r := rng.New(777)
 	for trial := 0; trial < 30; trial++ {
 		nLinks := 2 + r.Intn(8)
-		p := &Problem{Loads: make([]float64, nLinks), Model: ModelIndependentExact}
+		in := &instance{Loads: make([]float64, nLinks), Model: ModelIndependentExact}
 		total := 0.0
-		for i := range p.Loads {
-			p.Loads[i] = 50 + 20000*r.Float64()
-			total += p.Loads[i]
+		for i := range in.Loads {
+			in.Loads[i] = 50 + 20000*r.Float64()
+			total += in.Loads[i]
 		}
-		p.Budget = total * (0.001 + 0.01*r.Float64())
+		in.Budget = total * (0.001 + 0.01*r.Float64())
 		nPairs := 1 + r.Intn(5)
 		for k := 0; k < nPairs; k++ {
 			perm := r.Perm(nLinks)
@@ -218,12 +220,12 @@ func TestSolveExactModelRandomKKT(t *testing.T) {
 			if nLinks < maxHops {
 				maxHops = nLinks
 			}
-			p.Pairs = append(p.Pairs, Pair{
-				Name:    "k",
+			in.Pairs = append(in.Pairs, pair{
 				Links:   append([]int(nil), perm[:1+r.Intn(maxHops)]...),
 				Utility: MustSRE(math.Pow(10, -4+2*r.Float64())),
 			})
 		}
+		p := in.problem()
 		sol, err := Solve(p, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)

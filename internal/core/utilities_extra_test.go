@@ -111,15 +111,15 @@ func TestLogCoverageValidation(t *testing.T) {
 // TestSolveWithDetectionUtility runs the full solver under the
 // anomaly-detection utility: the framework is utility-agnostic.
 func TestSolveWithDetectionUtility(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{40000, 3000, 800},
 		Budget: 60,
-		Pairs: []Pair{
-			{Name: "scan-a", Links: []int{0, 1}, Utility: must(NewDetection(500))},
-			{Name: "scan-b", Links: []int{1, 2}, Utility: must(NewDetection(200))},
-			{Name: "scan-c", Links: []int{2}, Utility: must(NewDetection(2000))},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Utility: must(NewDetection(500))},
+			{Links: []int{1, 2}, Utility: must(NewDetection(200))},
+			{Links: []int{2}, Utility: must(NewDetection(2000))},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -138,15 +138,15 @@ func TestSolveWithDetectionUtility(t *testing.T) {
 // TestSolveWithMixedUtilities mixes utility families in one task, e.g.
 // tracking sizes of two pairs while watching a third for anomalies.
 func TestSolveWithMixedUtilities(t *testing.T) {
-	p := &Problem{
+	p := instance{
 		Loads:  []float64{10000, 2000},
 		Budget: 40,
-		Pairs: []Pair{
-			{Name: "size", Links: []int{0}, Utility: MustSRE(0.0001)},
-			{Name: "detect", Links: []int{1}, Utility: must(NewDetection(300))},
-			{Name: "cover", Links: []int{0, 1}, Utility: must(NewLogCoverage(0.005))},
+		Pairs: []pair{
+			{Links: []int{0}, Utility: MustSRE(0.0001)},
+			{Links: []int{1}, Utility: must(NewDetection(300))},
+			{Links: []int{0, 1}, Utility: must(NewLogCoverage(0.005))},
 		},
-	}
+	}.problem()
 	sol, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)

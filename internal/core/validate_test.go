@@ -7,14 +7,14 @@ import (
 )
 
 func validProblem() *Problem {
-	return &Problem{
+	return instance{
 		Loads:  []float64{100, 200, 50},
 		Budget: 10,
-		Pairs: []Pair{
-			{Name: "a", Links: []int{0, 1}, Utility: MustSRE(0.002)},
-			{Name: "b", Links: []int{2}, Utility: MustSRE(0.002)},
+		Pairs: []pair{
+			{Links: []int{0, 1}, Utility: MustSRE(0.002)},
+			{Links: []int{2}, Utility: MustSRE(0.002)},
 		},
-	}
+	}.problem()
 }
 
 // TestValidateTypedErrors: every numeric rejection at compile time is an
@@ -34,9 +34,9 @@ func TestValidateTypedErrors(t *testing.T) {
 		{"inf-budget", func(p *Problem) { p.Budget = math.Inf(1) }},
 		{"zero-budget", func(p *Problem) { p.Budget = 0 }},
 		{"infeasible-budget", func(p *Problem) { p.Budget = 1e12 }},
-		{"nan-weight", func(p *Problem) { p.Pairs[0].Weight = math.NaN() }},
-		{"inf-weight", func(p *Problem) { p.Pairs[1].Weight = math.Inf(1) }},
-		{"nan-fraction", func(p *Problem) { p.Pairs[0].Fracs = []float64{math.NaN(), 0.5} }},
+		{"nan-weight", func(p *Problem) { p.Weights = []float64{math.NaN(), 0} }},
+		{"inf-weight", func(p *Problem) { p.Weights = []float64{0, math.Inf(1)} }},
+		{"nan-fraction", func(p *Problem) { p.Fracs = []float64{math.NaN(), 0.5, 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,11 +108,13 @@ func TestRetuneTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// WarmStart against an infeasible-budget problem: typed error.
+	// The warm-start projection onto an infeasible-budget polytope (no
+	// Solver can be re-tuned into one): typed error.
 	p := validProblem()
 	p.Budget = math.Inf(1)
-	if _, err := WarmStartRates(sol.Rates, p, nil); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("WarmStartRates with Inf budget = %v, want ErrInvalidInput", err)
+	n := len(p.Loads)
+	if _, err := polytopeOf(p).warmStartRates(sol.Rates, nil, make([]bool, n), make([]bool, n)); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("warm start with Inf budget = %v, want ErrInvalidInput", err)
 	}
 }
 

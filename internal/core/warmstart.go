@@ -5,39 +5,6 @@ import (
 	"math"
 )
 
-// WarmStart projects a previous optimum onto the feasible set of p and
-// returns a budget-feasible starting point for Options.Initial. This is
-// the continuation primitive of the evaluation and control pipelines:
-// the paper's θ-sweep (Figure 2) and its successive-interval
-// re-optimization (Section V) solve families of closely related
-// instances, and starting each solve from the previous fixed point —
-// instead of the cold waterfilling point — cuts the iteration count to
-// the few steps the active set actually moves.
-//
-// The projection is: clamp prev's rates into the box [0, α_i], rescale
-// into the budget hyperplane when the point overspends (a pure scaling
-// stays inside the box), and waterfill any deficit over the remaining
-// per-link headroom when it underspends. The result always satisfies
-// Σ p_i·U_i = Budget within the tolerance Options.Initial requires, for
-// any prev — including rate vectors that were optimal under different
-// loads, a different budget, or no problem at all.
-//
-// buf is an optional destination reused when its capacity suffices; the
-// returned slice aliases it in that case.
-func WarmStart(prev *Solution, p *Problem, buf []float64) ([]float64, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("core: warm start from nil solution")
-	}
-	return WarmStartRates(prev.Rates, p, buf)
-}
-
-// WarmStartRates is WarmStart for a bare rate vector.
-func WarmStartRates(prevRates []float64, p *Problem, buf []float64) ([]float64, error) {
-	n := p.NumLinks()
-	ft := polytope{loads: p.Loads, alpha: fullCaps(p.MaxRate, n), budget: p.Budget}
-	return ft.warmStartRates(prevRates, buf, make([]bool, n), make([]bool, n))
-}
-
 // warmStartRates is the projection with caller-supplied mask scratch
 // (Solver.WarmStart lends its own, keeping continuation chains
 // allocation-free in steady state).
@@ -161,11 +128,28 @@ func (ft *polytope) waterfill(rates []float64, deficit float64, onlyPositive boo
 	}
 }
 
-// WarmStart projects prev onto the Solver's current feasible set —
-// after any SetBudget/SetLoads re-tuning — so the result can be passed
-// as Options.Initial to the next Solve on this workspace. The Solver's
-// mask scratch serves the projection (it is rebuilt by the next solve),
-// so a continuation chain reusing buf allocates nothing.
+// WarmStart projects a previous optimum onto the Solver's current
+// feasible set — after any SetBudget/SetLoads re-tuning — and returns a
+// budget-feasible starting point for Options.Initial of the next Solve
+// on this workspace. This is the continuation primitive of the
+// evaluation and control pipelines: the paper's θ-sweep (Figure 2) and
+// its successive-interval re-optimization (Section V) solve families of
+// closely related instances, and starting each solve from the previous
+// fixed point — instead of the cold waterfilling point — cuts the
+// iteration count to the few steps the active set actually moves.
+//
+// The projection is: clamp prev's rates into the box [0, α_i], rescale
+// into the budget hyperplane when the point overspends (a pure scaling
+// stays inside the box), and waterfill any deficit over the remaining
+// per-link headroom when it underspends. The result always satisfies
+// Σ p_i·U_i = Budget within the tolerance Options.Initial requires, for
+// any prev — including rate vectors that were optimal under different
+// loads, a different budget, or no problem at all.
+//
+// buf is an optional destination reused when its capacity suffices; the
+// returned slice aliases it in that case. The Solver's mask scratch
+// serves the projection (it is rebuilt by the next solve), so a
+// continuation chain reusing buf allocates nothing.
 //
 //netsamp:noalloc
 func (s *Solver) WarmStart(prev *Solution, buf []float64) ([]float64, error) {

@@ -21,8 +21,8 @@ func budgetSpend(p *Problem, rates []float64) float64 {
 // tolerance.
 func checkWarmFeasible(t *testing.T, p *Problem, rates []float64) {
 	t.Helper()
-	if len(rates) != p.NumLinks() {
-		t.Fatalf("warm start has %d rates for %d links", len(rates), p.NumLinks())
+	if len(rates) != len(p.Loads) {
+		t.Fatalf("warm start has %d rates for %d links", len(rates), len(p.Loads))
 	}
 	for i, r := range rates {
 		if r < 0 || r > capAt(p.MaxRate, i)+snapTol {
@@ -46,7 +46,7 @@ func TestWarmStartFeasible(t *testing.T) {
 	r := rng.New(41)
 	for trial := 0; trial < 200; trial++ {
 		p := wsRandomProblem(uint64(trial), 5+r.Intn(40), 1+r.Intn(30), false)
-		n := p.NumLinks()
+		n := len(p.Loads)
 		prev := make([]float64, n)
 		switch trial % 5 {
 		case 0: // random in-box point
@@ -68,7 +68,7 @@ func TestWarmStartFeasible(t *testing.T) {
 			}
 			prev[r.Intn(n)] = math.NaN()
 		}
-		rates, err := WarmStartRates(prev, p, nil)
+		rates, err := compiled(t, p).WarmStart(&Solution{Rates: prev}, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -81,14 +81,15 @@ func TestWarmStartFeasible(t *testing.T) {
 // stay exactly off, so the solver inherits the active set.
 func TestWarmStartPreservesActiveSet(t *testing.T) {
 	p := wsRandomProblem(7, 20, 15, false)
-	sol, err := Solve(p, Options{})
+	s := compiled(t, p)
+	sol, err := s.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shrunk := *p
-	shrunk.Loads = p.Loads
-	shrunk.Budget = p.Budget / 2
-	rates, err := WarmStart(sol, &shrunk, nil)
+	if err := s.SetBudget(p.Budget / 2); err != nil {
+		t.Fatal(err)
+	}
+	rates, err := s.WarmStart(sol, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +98,17 @@ func TestWarmStartPreservesActiveSet(t *testing.T) {
 			t.Fatalf("link %d was off, warm start turned it on (%v)", i, rates[i])
 		}
 	}
-	checkWarmFeasible(t, &shrunk, rates)
+	checkWarmFeasible(t, s.Problem(), rates)
 }
 
 // TestWarmStartInfeasibleBudget: a budget beyond Σ α_i·U_i must be
-// reported, not silently projected.
+// reported, not silently projected. No Solver can be re-tuned onto such
+// a budget (SetBudget rejects it), so the projection is driven on the
+// polytope directly.
 func TestWarmStartInfeasibleBudget(t *testing.T) {
 	p := wsRandomProblem(9, 10, 8, false)
-	sol, err := Solve(p, Options{})
+	s := compiled(t, p)
+	sol, err := s.Solve(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +118,14 @@ func TestWarmStartInfeasibleBudget(t *testing.T) {
 		max += capAt(p.MaxRate, i) * u
 	}
 	bad.Budget = max * 2
-	if _, err := WarmStart(sol, &bad, nil); err == nil {
+	n := len(p.Loads)
+	if _, err := polytopeOf(&bad).warmStartRates(sol.Rates, nil, make([]bool, n), make([]bool, n)); err == nil {
 		t.Fatal("infeasible budget accepted")
 	}
-	if _, err := WarmStart(nil, p, nil); err == nil {
+	if _, err := s.WarmStart(nil, nil); err == nil {
 		t.Fatal("nil solution accepted")
 	}
-	if _, err := WarmStartRates(make([]float64, 3), p, nil); err == nil {
+	if _, err := s.WarmStart(&Solution{Rates: make([]float64, 3)}, nil); err == nil {
 		t.Fatal("wrong-length rates accepted")
 	}
 }
@@ -142,15 +147,16 @@ func TestWarmStartMatchesColdFixedPoint(t *testing.T) {
 			q.Loads[i] *= 0.8 + 0.4*r.Float64()
 		}
 		q.Budget = base.Budget * (0.5 + r.Float64())
-		cold, err := Solve(&q, Options{})
+		sq := compiled(t, &q)
+		cold, err := sq.Solve(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm0, err := WarmStart(prev, &q, nil)
+		warm0, err := sq.WarmStart(prev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm, err := Solve(&q, Options{Initial: warm0})
+		warm, err := sq.Solve(Options{Initial: warm0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +303,8 @@ func TestWarmStartZeroAllocs(t *testing.T) {
 }
 
 // FuzzWarmStart: feasibility must hold for adversarial (prev, budget)
-// combinations.
+// combinations. The budget is clamped to the feasible maximum, so every
+// instance compiles and the projection runs through Solver.WarmStart.
 func FuzzWarmStart(f *testing.F) {
 	f.Add(uint64(1), 0.5, 0.3)
 	f.Add(uint64(2), 1.5, 0.9)
@@ -316,11 +323,11 @@ func FuzzWarmStart(f *testing.F) {
 			t.Skip()
 		}
 		r := rng.New(seed)
-		prev := make([]float64, p.NumLinks())
+		prev := make([]float64, len(p.Loads))
 		for i := range prev {
 			prev[i] = fill * r.Float64() * capAt(p.MaxRate, i)
 		}
-		rates, err := WarmStartRates(prev, p, nil)
+		rates, err := compiled(t, p).WarmStart(&Solution{Rates: prev}, nil)
 		if err != nil {
 			t.Fatalf("projection failed: %v", err)
 		}

@@ -89,7 +89,7 @@ func TestFigure2ContinuationMatchesCold(t *testing.T) {
 			if err != nil {
 				t.Fatalf("variant %d θ=%v: %v", variant, thetas[i], err)
 			}
-			prob, _, err := plan.Build(in)
+			prob, err := plan.Build(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestDynamicContinuationMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("interval %d: %v", interval, err)
 		}
-		prob, _, err := plan.Build(in)
+		prob, err := plan.Build(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestSecondOrderMatchesFirstOrder(t *testing.T) {
 	}
 	inv := s.UtilityParams(Interval)
 	for _, theta := range []float64{20000, 100000, 500000} {
-		prob, _, err := plan.Build(plan.Input{
+		prob, err := plan.Build(plan.Input{
 			Matrix:       s.Matrix,
 			Loads:        s.Loads,
 			Candidates:   s.MonitorLinks,
@@ -207,7 +207,7 @@ func TestApproxGapSoundOnGEANTThetaGrid(t *testing.T) {
 	inv := s.UtilityParams(Interval)
 	for _, theta := range DefaultThetas() {
 		budget := core.BudgetPerInterval(theta, Interval)
-		prob, _, err := plan.Build(plan.Input{
+		prob, err := plan.Build(plan.Input{
 			Matrix:       s.Matrix,
 			Loads:        s.Loads,
 			Candidates:   s.MonitorLinks,

@@ -125,7 +125,7 @@ func DegradationStudy(ctx context.Context, s *geant.Scenario, cfg DegradeConfig)
 
 	// The naive operator's one-shot plan is fault-independent: solve it
 	// once and share it (read-only) across every grid point.
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix: s.Matrix, Loads: s.Loads, Candidates: s.MonitorLinks,
 		InvMeanSizes: inv, Budget: budget,
 	})

@@ -55,7 +55,7 @@ func DetectionStudy(ctx context.Context, s *geant.Scenario, theta float64, event
 	for k := range inv {
 		inv[k] = 0.001
 	}
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       s.Matrix,
 		Loads:        s.Loads,
 		Candidates:   s.MonitorLinks,
@@ -65,8 +65,8 @@ func DetectionStudy(ctx context.Context, s *geant.Scenario, theta float64, event
 	if err != nil {
 		return nil, err
 	}
-	for k := range prob.Pairs {
-		prob.Pairs[k].Utility = util
+	for k := range prob.Utilities {
+		prob.Utilities[k] = util
 	}
 	// Compile once; the solver clones the problem, so the concurrent
 	// max-min job below can keep reading prob untouched.

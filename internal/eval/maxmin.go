@@ -21,7 +21,7 @@ type MaxMinComparison struct {
 // MaxMinStudy solves the JANET task at θ packets per interval under both
 // objectives.
 func MaxMinStudy(s *geant.Scenario, theta float64) (*MaxMinComparison, error) {
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       s.Matrix,
 		Loads:        s.Loads,
 		Candidates:   s.MonitorLinks,

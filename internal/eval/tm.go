@@ -79,7 +79,7 @@ func TMStudy(ctx context.Context, s *geant.Scenario, theta float64, trials int, 
 
 	// The sampled estimator: Table I's plan at θ.
 	budget := core.BudgetPerInterval(theta, Interval)
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       s.Matrix,
 		Loads:        s.Loads,
 		Candidates:   s.MonitorLinks,

@@ -22,7 +22,6 @@ import (
 // keys.
 type Compiled struct {
 	solver *core.Solver
-	index  map[topology.LinkID]int
 	cands  []topology.LinkID
 	// model is the compiled rate model's identity (core.ModelName).
 	model string
@@ -37,10 +36,10 @@ type Compiled struct {
 	ones []float64
 }
 
-// Compile builds the dense problem for in (see Build) and compiles it
-// into a reusable solver workspace.
+// Compile builds the problem for in (see Build) and compiles it into a
+// reusable solver workspace.
 func Compile(in Input) (*Compiled, error) {
-	prob, index, err := Build(in)
+	prob, err := Build(in)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +49,6 @@ func Compile(in Input) (*Compiled, error) {
 	}
 	return &Compiled{
 		solver:     solver,
-		index:      index,
 		cands:      append([]topology.LinkID(nil), in.Candidates...),
 		model:      core.ModelName(in.Model),
 		inv:        append([]float64(nil), in.InvMeanSizes...),
@@ -60,9 +58,6 @@ func Compile(in Input) (*Compiled, error) {
 
 // Solver returns the compiled workspace.
 func (c *Compiled) Solver() *core.Solver { return c.solver }
-
-// Index returns the LinkID→dense-index map (read-only).
-func (c *Compiled) Index() map[topology.LinkID]int { return c.index }
 
 // Candidates returns the candidate links in dense order (read-only).
 func (c *Compiled) Candidates() []topology.LinkID { return c.cands }

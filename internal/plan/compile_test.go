@@ -267,3 +267,31 @@ func TestCacheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCompile builds and compiles the 800-link ECMP instance
+// (21 170 pairs, 178 496 matrix entries): the plan-cache miss a reroute
+// interval pays once or twice.
+func BenchmarkCompile(b *testing.B) {
+	m, links := scaleMatrix(b, topology.ScaleConfig{Seed: 3, Links: 800})
+	in := Input{
+		Matrix:       m,
+		Loads:        make([]float64, links),
+		Candidates:   make([]topology.LinkID, links),
+		InvMeanSizes: make([]float64, len(m.Pairs)),
+	}
+	for i := range in.Loads {
+		in.Loads[i] = 1000 + float64(i)
+		in.Candidates[i] = topology.LinkID(i)
+		in.Budget += 0.03 * in.Loads[i]
+	}
+	for k := range in.InvMeanSizes {
+		in.InvMeanSizes[k] = 1e-4
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compile(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

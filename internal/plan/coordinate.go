@@ -73,6 +73,20 @@ func Coordinate(m *routing.Matrix, rates map[topology.LinkID]float64) *Coordinat
 	}
 	links := make([]topology.LinkID, 0, nnz)
 	ranges := make([]packet.HashRange, nnz)
+	// dense[lid] is rates[lid], laid out once so each entry below costs
+	// one load instead of a map lookup.
+	maxLid := topology.LinkID(-1)
+	//netsamp:nondeterministic-ok a maximum is iteration-order independent
+	for lid := range rates {
+		maxLid = max(maxLid, lid)
+	}
+	dense := make([]float64, maxLid+1)
+	//netsamp:nondeterministic-ok each key writes its own slot, so the result is iteration-order independent
+	for lid, p := range rates {
+		if lid >= 0 {
+			dense[lid] = p
+		}
+	}
 	var shares []float64 // the pair's active shares, reused across pairs
 	for k := range m.Pairs {
 		a := &c.Assignments[k]
@@ -81,10 +95,10 @@ func Coordinate(m *routing.Matrix, rates map[topology.LinkID]float64) *Coordinat
 		shares = shares[:0]
 		total := 0.0
 		for j, lid := range m.Rows[k] {
-			p := rates[lid]
-			if p <= 0 {
+			if uint(lid) >= uint(len(dense)) || dense[lid] <= 0 {
 				continue
 			}
+			p := dense[lid]
 			f := 1.0
 			if m.Fracs != nil && m.Fracs[k] != nil {
 				f = m.Fracs[k][j]

@@ -151,6 +151,28 @@ func TestCoordinateAllocsFlat(t *testing.T) {
 	}
 }
 
+// BenchmarkCoordinate builds the coordination of an 800-link ECMP
+// instance (21 170 pairs) with most links active, once per reroute
+// interval's plan.
+func BenchmarkCoordinate(b *testing.B) {
+	m, links := scaleMatrix(b, topology.ScaleConfig{Seed: 3, Links: 800})
+	rates := map[topology.LinkID]float64{}
+	r := rng.New(1)
+	for l := 0; l < links; l++ {
+		if r.Bernoulli(0.7) {
+			rates[topology.LinkID(l)] = 0.001 + 0.01*r.Float64()
+		}
+	}
+	b.ReportMetric(float64(len(m.Pairs)), "pairs")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coordinationSink = Coordinate(m, rates)
+	}
+}
+
+// coordinationSink keeps BenchmarkCoordinate's result live.
+var coordinationSink *Coordination
+
 // BenchmarkMonitorConfig configures every monitor of an 800-link ECMP
 // instance with most links active, the shape of a reroute interval.
 func BenchmarkMonitorConfig(b *testing.B) {

@@ -34,7 +34,7 @@ func TestBuildRejectsStrayMaxRates(t *testing.T) {
 		Budget:       10,
 		MaxRates:     map[topology.LinkID]float64{stray: 0.02},
 	}
-	_, _, err := Build(in)
+	_, err := Build(in)
 	if err == nil {
 		t.Fatal("stray MaxRates entry accepted")
 	}

@@ -2,6 +2,8 @@ package plan
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"netsamp/internal/core"
@@ -35,7 +37,7 @@ func fixture(t *testing.T) (*topology.Graph, *routing.Matrix, []float64, []topol
 
 func TestBuildProblem(t *testing.T) {
 	_, m, loads, cands := fixture(t)
-	prob, index, err := Build(Input{
+	prob, err := Build(Input{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   cands,
@@ -45,15 +47,19 @@ func TestBuildProblem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prob.NumLinks() != 2 || len(prob.Pairs) != 2 {
-		t.Fatalf("problem shape: %d links %d pairs", prob.NumLinks(), len(prob.Pairs))
+	if len(prob.Loads) != 2 || prob.NumPairs() != 2 {
+		t.Fatalf("problem shape: %d links %d pairs", len(prob.Loads), prob.NumPairs())
 	}
-	if prob.Loads[index[cands[0]]] != 1000 || prob.Loads[index[cands[1]]] != 2000 {
+	// Candidate i is dense link i.
+	if prob.Loads[0] != 1000 || prob.Loads[1] != 2000 {
 		t.Fatalf("loads mapped wrong: %v", prob.Loads)
 	}
 	// Pair A->C crosses both links; B->C only the second.
-	if len(prob.Pairs[0].Links) != 2 || len(prob.Pairs[1].Links) != 1 {
-		t.Fatalf("rows: %v / %v", prob.Pairs[0].Links, prob.Pairs[1].Links)
+	if !reflect.DeepEqual(prob.Start, []int32{0, 2, 3}) || !reflect.DeepEqual(prob.Links, []int32{0, 1, 1}) {
+		t.Fatalf("rows: Start %v Links %v", prob.Start, prob.Links)
+	}
+	if prob.Fracs != nil {
+		t.Fatalf("single-path matrix gave fractions %v", prob.Fracs)
 	}
 	if err := prob.Validate(); err != nil {
 		t.Fatal(err)
@@ -70,19 +76,49 @@ func TestBuildErrors(t *testing.T) {
 		{Matrix: m, Loads: loads, Candidates: []topology.LinkID{99}, InvMeanSizes: []float64{0.1, 0.1}, Budget: 1},
 		{Matrix: m, Loads: loads, Candidates: cands, InvMeanSizes: []float64{0.1, 5}, Budget: 1},
 		{Matrix: m, Loads: loads, Candidates: cands, InvMeanSizes: []float64{0.1, 0.1}, Weights: []float64{1}, Budget: 1},
+		// A matrix whose rows do not match its pairs.
+		{Matrix: &routing.Matrix{Pairs: m.Pairs, Rows: m.Rows[:1]}, Loads: loads, Candidates: cands, InvMeanSizes: []float64{0.1, 0.1}, Budget: 1},
 		// B->C does not traverse the A->B link: empty row under this set.
 		{Matrix: m, Loads: loads, Candidates: cands[:1], InvMeanSizes: []float64{0.1, 0.1}, Budget: 1},
 	}
 	for i, in := range cases {
-		if _, _, err := Build(in); err == nil {
+		if _, err := Build(in); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
 }
 
+// TestBuildFractionRows: a nil fraction row of an ECMP matrix is
+// single-path — every fraction 1, as routing.Matrix documents and
+// EffectiveRates reads it — and a fraction row whose length differs
+// from its link row is an error naming the pair.
+func TestBuildFractionRows(t *testing.T) {
+	_, m, loads, cands := fixture(t)
+	ecmp := *m
+	ecmp.Fracs = [][]float64{{0.5, 0.5}, nil}
+	in := Input{Matrix: &ecmp, Loads: loads, Candidates: cands, InvMeanSizes: []float64{0.002, 0.001}, Budget: 10}
+	prob, err := Build(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prob.Fracs, []float64{0.5, 0.5, 1}) {
+		t.Fatalf("Fracs = %v, want [0.5 0.5 1]", prob.Fracs)
+	}
+	got := prob.EffectiveRates([]float64{0.1, 0.2})
+	want := EffectiveRates(&ecmp, map[topology.LinkID]float64{cands[0]: 0.1, cands[1]: 0.2}, nil)
+	if !reflect.DeepEqual(got, want) || math.Abs(want[0]-0.15) > 1e-15 || want[1] != 0.2 {
+		t.Fatalf("problem rho %v, matrix rho %v, want [0.15 0.2]", got, want)
+	}
+
+	ecmp.Fracs = [][]float64{{0.5, 0.5}, {0.5, 0.5}}
+	if _, err := Build(in); err == nil || !strings.Contains(err.Error(), `"B->C"`) {
+		t.Fatalf("mismatched fraction row: err = %v, want one naming pair \"B->C\"", err)
+	}
+}
+
 func TestBuildMaxRates(t *testing.T) {
 	_, m, loads, cands := fixture(t)
-	prob, index, err := Build(Input{
+	prob, err := Build(Input{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   cands,
@@ -93,14 +129,14 @@ func TestBuildMaxRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prob.MaxRate[index[cands[0]]] != 0.02 || prob.MaxRate[index[cands[1]]] != 1 {
+	if prob.MaxRate[0] != 0.02 || prob.MaxRate[1] != 1 {
 		t.Fatalf("MaxRate = %v", prob.MaxRate)
 	}
 }
 
 func TestRoundTripSolveAndMapBack(t *testing.T) {
 	_, m, loads, cands := fixture(t)
-	prob, _, err := Build(Input{
+	prob, err := Build(Input{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   cands,
@@ -160,7 +196,7 @@ func TestECMPEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cands := []topology.LinkID{ab, ac, bd, cd}
-	prob, _, err := Build(Input{
+	prob, err := Build(Input{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   cands,
@@ -170,7 +206,7 @@ func TestECMPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prob.Pairs[0].Fracs == nil {
+	if prob.Fracs == nil {
 		t.Fatal("fractions not threaded into the problem")
 	}
 	sol, err := core.Solve(prob, core.Options{})

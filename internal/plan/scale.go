@@ -6,7 +6,7 @@ import (
 )
 
 // BuildScale maps a generated topology.ScaleInstance onto a
-// core.CSRProblem. Unlike Build there is no candidate-set indirection:
+// core.Problem. Unlike Build there is no candidate-set indirection:
 // every link of a generated instance is a candidate monitor, so
 // topology.LinkID and the solver's dense index coincide and the
 // instance's CSR routing arrays are handed to the solver as-is (they are
@@ -17,7 +17,7 @@ import (
 // budget is θ as a sampled packet rate. model selects the effective-rate
 // model (nil = core.ModelLinear); single-path instances work with every
 // model, ECMP instances only with fraction-aware ones.
-func BuildScale(inst *topology.ScaleInstance, budget float64, model core.RateModel) (*core.CSRProblem, error) {
+func BuildScale(inst *topology.ScaleInstance, budget float64, model core.RateModel) (*core.Problem, error) {
 	classes := topology.SizeClasses()
 	byClass := make(map[float64]core.Utility, len(classes))
 	for _, c := range classes {
@@ -41,7 +41,7 @@ func BuildScale(inst *topology.ScaleInstance, budget float64, model core.RateMod
 		}
 		utils[k] = u
 	}
-	return &core.CSRProblem{
+	return &core.Problem{
 		Loads:     inst.Loads,
 		Budget:    budget,
 		Start:     inst.Start,

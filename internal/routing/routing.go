@@ -121,7 +121,8 @@ type Matrix struct {
 	Rows  [][]topology.LinkID
 	// Fracs, when non-nil, holds the ECMP traffic fraction of each entry
 	// of Rows (see BuildMatrixECMP). Nil means single-path routing, i.e.
-	// every fraction is 1.
+	// every fraction is 1; so does a nil row Fracs[k] for row k. A
+	// non-nil Fracs[k] has one entry per entry of Rows[k].
 	Fracs [][]float64
 }
 

@@ -305,7 +305,7 @@ func (s *Scenario) Solve(opt core.Options, model core.RateModel) (*Result, error
 	for k := range s.Pairs {
 		inv[k] = 1 / (s.Rates[k] * s.Interval)
 	}
-	prob, _, err := plan.Build(plan.Input{
+	prob, err := plan.Build(plan.Input{
 		Matrix:       matrix,
 		Loads:        loads,
 		Candidates:   candidates,
@@ -324,16 +324,16 @@ func (s *Scenario) Solve(opt core.Options, model core.RateModel) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		for k := range prob.Pairs {
-			prob.Pairs[k].Utility = u
+		for k := range prob.Utilities {
+			prob.Utilities[k] = u
 		}
 	case UtilityLog:
 		u, err := core.NewLogCoverage(s.UtilityParam)
 		if err != nil {
 			return nil, err
 		}
-		for k := range prob.Pairs {
-			prob.Pairs[k].Utility = u
+		for k := range prob.Utilities {
+			prob.Utilities[k] = u
 		}
 	}
 	sol, err := core.Solve(prob, opt)

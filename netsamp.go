@@ -19,7 +19,7 @@
 //	tbl := netsamp.ComputeRouting(g)              // ISIS-like SPF
 //	m, _ := netsamp.BuildRoutingMatrix(tbl, pairs)
 //	loads, _ := netsamp.LinkLoads(g, tbl, demands)
-//	prob, _, _ := netsamp.BuildProblem(netsamp.PlanInput{
+//	prob, _ := netsamp.BuildProblem(netsamp.PlanInput{
 //	    Matrix: m, Loads: loads, Candidates: candidates,
 //	    InvMeanSizes: invSizes, Budget: netsamp.BudgetPerInterval(1e5, 300),
 //	})
@@ -106,10 +106,10 @@ var LinkLoads = traffic.LinkLoads
 
 // Optimization surface (the paper's contribution).
 type (
-	// Problem is one instance of the network-wide sampling problem.
+	// Problem is one instance of the network-wide sampling problem, its
+	// routing rows in compressed sparse row form over dense candidate
+	// indices.
 	Problem = core.Problem
-	// Pair is one OD pair of the measurement task within a Problem.
-	Pair = core.Pair
 	// Utility scores the information of a measurement at rate ρ.
 	Utility = core.Utility
 	// SRE is the paper's squared-relative-error utility.
@@ -152,14 +152,14 @@ var Solve = core.Solve
 // packet rate used by Problem.Budget.
 var BudgetPerInterval = core.BudgetPerInterval
 
-// Planning surface: mapping between topology links and dense problems.
+// Planning surface: mapping between topology links and problems.
 type (
 	// PlanInput assembles a problem from substrate objects.
 	PlanInput = plan.Input
 )
 
-// BuildProblem maps a PlanInput onto a dense Problem and returns the
-// LinkID→index mapping.
+// BuildProblem maps a PlanInput onto a Problem whose link i is
+// PlanInput.Candidates[i].
 var BuildProblem = plan.Build
 
 // RatesByLink maps a Solution's rates back to topology links.
@@ -203,13 +203,6 @@ type (
 
 // NewSolver compiles a Problem into a reusable solver workspace.
 var NewSolver = core.NewSolver
-
-// WarmStart projects a previous optimum onto a new problem's feasible
-// set, producing an Options.Initial that preserves the active set.
-var WarmStart = core.WarmStart
-
-// WarmStartRates is WarmStart for a bare rate vector.
-var WarmStartRates = core.WarmStartRates
 
 // CompilePlan builds and compiles a PlanInput into a CompiledPlan.
 var CompilePlan = plan.Compile
@@ -279,7 +272,7 @@ type (
 var NewController = control.New
 
 // Robustness surface: confidence-bounded load tracking and robust
-// solving (internal/loadtrack, core.SolveRobust, control robust mode).
+// solving (internal/loadtrack, Solver.SolveRobust, control robust mode).
 type (
 	// LoadTracker maintains per-link load confidence intervals from the
 	// monitors' own sampled observations.
@@ -309,18 +302,11 @@ var RobustModeByName = core.RobustModeByName
 // NewLoadTracker builds a confidence-interval load tracker.
 var NewLoadTracker = loadtrack.New
 
-// SolveRobust solves against one edge of a load confidence envelope.
-var SolveRobust = core.SolveRobust
-
-// Internet-scale surface: sparse CSR problems, sharded kernels, the
-// Frank-Wolfe approximation with its duality-gap certificate, and the
-// deterministic ISP-like topology generator (internal/topology,
-// core CSR/shard/approx, plan.BuildScale).
+// Internet-scale surface: sharded kernels, the Frank-Wolfe
+// approximation with its duality-gap certificate, and the deterministic
+// ISP-like topology generator (internal/topology, core shard/approx,
+// plan.BuildScale).
 type (
-	// CSRProblem is a sampling problem in compressed sparse row form —
-	// the scale-tier front door that never materializes a dense
-	// pair×link intermediate.
-	CSRProblem = core.CSRProblem
 	// ApproxOptions tunes SolveApprox, the Frank-Wolfe approximation
 	// with a certified duality gap (Solver.SolveApprox /
 	// Solver.SolveApproxInto; see also Solver.Shard).
@@ -345,9 +331,6 @@ type (
 	ScaleInstance = topology.ScaleInstance
 )
 
-// NewSolverCSR compiles a CSRProblem into a reusable Solver.
-var NewSolverCSR = core.NewSolverCSR
-
 // NewWorkerPool builds a persistent worker pool (workers <= 0 selects
 // GOMAXPROCS).
 var NewWorkerPool = engine.NewPool
@@ -359,5 +342,5 @@ var GenerateTopology = topology.Generate
 // GenerateScaleTopology builds an instance sized to a target link count.
 var GenerateScaleTopology = topology.GenerateScale
 
-// BuildScaleProblem maps a generated ScaleInstance onto a CSRProblem.
+// BuildScaleProblem maps a generated ScaleInstance onto a Problem.
 var BuildScaleProblem = plan.BuildScale

@@ -35,7 +35,7 @@ func TestFacadeWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	candidates := []netsamp.LinkID{ab, bc}
-	prob, index, err := netsamp.BuildProblem(netsamp.PlanInput{
+	prob, err := netsamp.BuildProblem(netsamp.PlanInput{
 		Matrix:       m,
 		Loads:        loads,
 		Candidates:   candidates,
@@ -45,8 +45,8 @@ func TestFacadeWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(index) != 2 {
-		t.Fatalf("index = %v", index)
+	if len(prob.Loads) != 2 || prob.NumPairs() != 2 {
+		t.Fatalf("problem shape: %d links, %d pairs", len(prob.Loads), prob.NumPairs())
 	}
 	sol, err := netsamp.Solve(prob, netsamp.Options{})
 	if err != nil {
@@ -91,15 +91,14 @@ func TestFacadeGEANT(t *testing.T) {
 }
 
 func TestFacadeMaxMin(t *testing.T) {
-	prob := &netsamp.Problem{
-		Loads:  []float64{100, 10000},
-		Budget: 20,
-	}
 	u1, _ := netsamp.NewSRE(0.001)
 	u2, _ := netsamp.NewSRE(0.001)
-	prob.Pairs = []netsamp.Pair{
-		{Name: "a", Links: []int{0}, Utility: u1},
-		{Name: "b", Links: []int{1}, Utility: u2},
+	prob := &netsamp.Problem{
+		Loads:     []float64{100, 10000},
+		Budget:    20,
+		Start:     []int32{0, 1, 2}, // pair a on link 0, pair b on link 1
+		Links:     []int32{0, 1},
+		Utilities: []netsamp.Utility{u1, u2},
 	}
 	sol, err := netsamp.SolveMaxMinExact(prob, 0)
 	if err != nil {
