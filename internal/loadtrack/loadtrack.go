@@ -13,8 +13,8 @@
 // the interval multiplicatively instead of merely aging it, so a dead
 // monitor's estimate admits it knows less every interval, not just that
 // it is old. The controller solves against the resulting lower/upper
-// envelope (core.SolveRobust) and spends an exploration reserve on the
-// widest intervals.
+// envelope (core.Solver.SolveRobust) and spends an exploration reserve
+// on the widest intervals.
 //
 // Every update is a pure function of the inputs (no clocks, no global
 // randomness), so a tracked run is bit-reproducible and the tracker
